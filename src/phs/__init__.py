@@ -33,6 +33,7 @@ from .errors import (
     ContinuityWarning,
     DomainError,
     IllPosedError,
+    InvariantError,
     PHSError,
     PreconditionError,
     SchemaError,

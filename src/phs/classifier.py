@@ -22,7 +22,7 @@ in symmetric eigensolvers throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,7 +232,8 @@ def eigensplit(system: PHSystem, zeta: float, tol_eig: float = TOL_EIG) -> Eigen
         )
     pos_idx = np.flatnonzero(w > 0.0)
     neg_idx = np.flatnonzero(w < 0.0)
-    order = np.concatenate([pos_idx[np.argsort(-w[pos_idx])], neg_idx[np.argsort(w[neg_idx])]])
+    order = np.concatenate([pos_idx[np.argsort(-w[pos_idx], kind="stable")],
+                            neg_idx[np.argsort(w[neg_idx], kind="stable")]])
     n1 = pos_idx.size
     vecs = h_isqrt @ q[:, order]
     vecs = _phase_fix_columns(vecs / np.linalg.norm(vecs, axis=0))
@@ -250,36 +251,40 @@ def eigensplit(system: PHSystem, zeta: float, tol_eig: float = TOL_EIG) -> Eigen
 
 @dataclass(frozen=True, eq=False)
 class DiagonalizedField:
-    """Per-grid-point eigen-splits with phase continuity along the grid.
+    """Eigen-splits at every grid point, stacked, with phase continuity
+    along the grid.
 
-    Behaves as a sequence of EigenSplit.  ``crossings`` lists grid indices
-    where the eigenvector matching between neighbouring points is not the
-    identity (eigenvalue curves reorder); ``max_column_jump`` is the largest
-    Euclidean change of any eigenvector column between neighbours.
+    Row k of ``s_inv`` (N, n, n) and ``speeds`` (N, n) is the eigensplit at
+    ``zetas[k]`` (columns: positive block first, n1 of them), each column
+    rotated by a unit phase to align it with its predecessor.
+    ``crossings`` lists grid indices where the eigenvector matching between
+    neighbouring points is not the identity (eigenvalue curves reorder);
+    ``max_column_jump`` is the largest Euclidean change of any aligned
+    eigenvector column between neighbours.
     """
 
-    splits: tuple
+    zetas: np.ndarray
+    n1: int
+    speeds: np.ndarray
+    s_inv: np.ndarray
     crossings: tuple
     max_column_jump: float
 
-    def __len__(self):
-        return len(self.splits)
 
-    def __iter__(self):
-        return iter(self.splits)
-
-    def __getitem__(self, i):
-        return self.splits[i]
+def _stacked_hermitian(m: np.ndarray) -> np.ndarray:
+    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
 
 
 def diagonalize_field(system: PHSystem, grid, tol_eig: float = TOL_EIG) -> DiagonalizedField:
     """Eigensplit at every grid point, with each eigenvector column phase
     aligned against its predecessor (maximal real inner product).
 
-    Grid points are independent up to the sequential alignment pass, so the
-    splits may be computed in parallel before aligning.  A ContinuityWarning
-    is emitted when columns reorder between neighbouring points: the smooth
-    diagonalizability assumed by the generation test is then in doubt.
+    All points are diagonalized at once: H is evaluated on the whole grid
+    and both eigen-decompositions of eigensplit run stacked.  Raises the
+    ValidationError eigensplit raises at the first bad point.  A
+    ContinuityWarning is emitted when columns reorder between neighbouring
+    points: the smooth diagonalizability assumed by the generation test is
+    then in doubt.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -289,30 +294,67 @@ def diagonalize_field(system: PHSystem, grid, tol_eig: float = TOL_EIG) -> Diago
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
 
-    splits = [eigensplit(system, z, tol_eig) for z in grid]
-    crossings: list[int] = []
-    max_jump = 0.0
-    aligned = [splits[0]]
-    for k in range(1, len(splits)):
-        prev = aligned[k - 1].s_inv
-        cur = np.array(splits[k].s_inv)
-        overlap = np.abs(prev.conj().T @ cur)  # columns are unit norm
-        if np.any(np.argmax(overlap, axis=0) != np.arange(cur.shape[1])):
-            crossings.append(k)
-        inner = np.sum(prev.conj() * cur, axis=0)
-        nz = np.abs(inner) > 0.0
-        cur[:, nz] *= np.conj(inner[nz]) / np.abs(inner[nz])
-        max_jump = max(max_jump, float(np.linalg.norm(cur - prev, axis=0).max()))
-        aligned.append(replace(splits[k], s_inv=cur))
+    w_h, q_h = np.linalg.eigh(_stacked_hermitian(system.h.eval_many(grid)))
+    bad_h = np.flatnonzero(w_h[:, 0] <= 0.0)
+    # past the first point where H is not positive definite nothing is checked
+    stop = bad_h[0] if bad_h.size else grid.size
+    w_h, q_h = w_h[:stop], q_h[:stop]
+    sq = np.sqrt(w_h)[:, None, :]
+    q_h_adj = np.conj(np.swapaxes(q_h, 1, 2))
+    h_sqrt = (q_h * sq) @ q_h_adj
+    h_isqrt = (q_h / sq) @ q_h_adj
+    w, q = np.linalg.eigh(_stacked_hermitian(h_sqrt @ system.p1 @ h_sqrt))
+    band = tol_eig * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+    bad = np.flatnonzero(np.any(np.abs(w) <= band[:, None], axis=1))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"P1 H(zeta={grid[k]:.6g}) has an eigenvalue within {band[k]:.3e} of zero"
+        )
+    if bad_h.size:
+        raise ValidationError(f"H(zeta={grid[stop]:.6g}) is not positive definite")
+
+    # The inertia is that of P1 at every point (Sylvester), and the zero band
+    # keeps the signs exact.  eigh sorts ascending: the n2 negative
+    # eigenvalues come first, most negative first; the positive ones are put
+    # in descending order, ties in eigh's order as in eigensplit.
+    n2 = int(np.count_nonzero(w[0] < 0.0))
+    order = np.concatenate(
+        [n2 + np.argsort(-w[:, n2:], axis=1, kind="stable"),
+         np.broadcast_to(np.arange(n2), (grid.size, n2))], axis=1)
+    speeds = np.take_along_axis(w, order, axis=1)
+    vecs = h_isqrt @ np.take_along_axis(q, order[:, None, :], axis=2)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+
+    # per-point phase fix: each column's first non-negligible entry real positive
+    mags = np.abs(vecs)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)[:, None, :]
+    vecs *= np.conj(np.take_along_axis(vecs, first, axis=1)) / np.take_along_axis(mags, first, axis=1)
+
+    # alignment along the grid: with inner_k the overlap of column j at points
+    # k-1 and k, point k is rotated by prod_{i<=k} conj(inner_i) / |inner_i|
+    overlap = np.conj(np.swapaxes(vecs[:-1], 1, 2)) @ vecs[1:]
+    n = system.n
+    crossings = tuple(int(k) + 1 for k in np.flatnonzero(
+        np.any(np.argmax(np.abs(overlap), axis=1) != np.arange(n), axis=1)))
+    inner = np.diagonal(overlap, axis1=1, axis2=2)
+    size = np.abs(inner)
+    step = np.ones_like(inner)
+    np.divide(np.conj(inner), size, out=step, where=size > 0.0)
+    phase = np.cumprod(np.concatenate([np.ones((1, n), dtype=complex), step]), axis=0)
+    vecs *= phase[:, None, :]
+    max_jump = float(np.linalg.norm(np.diff(vecs, axis=0), axis=1).max(initial=0.0))
+
     if crossings:
         warnings.warn(
-            f"eigenvalue ordering changes along the grid at indices {crossings}; "
+            f"eigenvalue ordering changes along the grid at indices {list(crossings)}; "
             "the diagonalizing transform may fail to be continuously differentiable",
             ContinuityWarning,
             stacklevel=2,
         )
     return DiagonalizedField(
-        splits=tuple(aligned), crossings=tuple(crossings), max_column_jump=max_jump
+        zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
+        crossings=crossings, max_column_jump=max_jump,
     )
 
 
@@ -342,20 +384,23 @@ class BoundaryClosure:
 
 
 def boundary_closure_matrix(
-    system: PHSystem, split1: EigenSplit | None = None, split0: EigenSplit | None = None
+    system: PHSystem, field: DiagonalizedField | None = None
 ) -> BoundaryClosure:
-    """Assemble the boundary closure blocks from the endpoint eigen-splits
-    (computed on demand when not supplied)."""
+    """Assemble the boundary closure blocks from the eigenvectors at z = 1
+    and z = 0: the last and first points of ``field``, whose grid must run
+    from 0 to 1, or eigensplit at both ends when ``field`` is not given."""
     n = system.n
-    if split1 is None:
+    if field is None:
         split1 = eigensplit(system, 1.0)
-    if split0 is None:
-        split0 = eigensplit(system, 0.0)
-    n1 = split1.n1
+        n1, s_inv1, s_inv0 = split1.n1, split1.s_inv, eigensplit(system, 0.0).s_inv
+    elif field.zetas[0] != 0.0 or field.zetas[-1] != 1.0:
+        raise DomainError("the field's grid must start at 0 and end at 1")
+    else:
+        n1, s_inv1, s_inv0 = field.n1, field.s_inv[-1], field.s_inv[0]
     w1 = system.wb_tilde[:, :n]
     w0 = system.wb_tilde[:, n:]
-    v_blocks = w1 @ eval_h(system, 1.0) @ split1.s_inv
-    u_blocks = w0 @ eval_h(system, 0.0) @ split0.s_inv
+    v_blocks = w1 @ eval_h(system, 1.0) @ s_inv1
+    u_blocks = w0 @ eval_h(system, 0.0) @ s_inv0
     return BoundaryClosure(
         w1=w1,
         w0=w0,

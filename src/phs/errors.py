@@ -41,7 +41,12 @@ class ContinuityError(PHSError):
 
 
 class StabilityError(PHSError):
-    """Simulated field exceeded the blow-up guard."""
+    """Simulated field is not finite or exceeded the blow-up guard."""
+
+
+class InvariantError(PHSError):
+    """A relation that holds by theorem failed in floating point, so the
+    computation that produced it cannot be trusted."""
 
 
 class SpecError(PHSError):

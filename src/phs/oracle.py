@@ -25,6 +25,7 @@ import numpy as np
 
 from . import classifier
 from .classifier import TOL_PSD, TOL_RANK, _scaled, check_contraction, classify
+from .errors import InvariantError
 from .model import CoefficientField, PHSystem, hermitian_part, make_system
 
 
@@ -92,7 +93,8 @@ def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
     The rank condition is not part of this formulation; it is implied.
     When the form is non-positive on the kernel, the kernel dimension can
     be at most n (diag(P1, -P1) has n positive eigenvalues), hence exactly
-    n.  That implication is asserted on every passing instance.
+    n.  That implication is checked on every passing instance, and its
+    failure raises InvariantError.
     """
     re_p0 = hermitian_part(system.p0)
     if np.linalg.eigvalsh(re_p0)[-1] > _scaled(tol_psd, re_p0):
@@ -102,10 +104,11 @@ def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
     holds = max_value <= _scaled(tol_psd, form)
     if holds:
         k = kernel_basis(system.wb_tilde).k
-        assert k == system.n, (
-            f"kernel dimension {k} != n = {system.n} although the boundary "
-            "form is non-positive on the kernel"
-        )
+        if k != system.n:
+            raise InvariantError(
+                f"kernel dimension {k} != n = {system.n} although the boundary "
+                "form is non-positive on the kernel"
+            )
     return bool(holds)
 
 
@@ -229,7 +232,11 @@ def agreement_campaign(
 
         kb = kernel_basis(system.wb_tilde)
         rank = classifier.rank_of(system.wb_tilde)
-        assert kb.k == 2 * n - rank, "kernel dimension law violated"
+        if kb.k != 2 * n - rank:
+            raise InvariantError(
+                f"kernel dimension law violated: dim ker(wb_tilde) = {kb.k}, "
+                f"2n - rank = {2 * n - rank}"
+            )
 
         con = check_contraction(system, tol_psd)
         oracle_ok = check_contraction_via_c(system, tol_psd)

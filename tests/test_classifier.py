@@ -15,7 +15,13 @@ from phs.errors import (
     ValidationError,
 )
 
-from conftest import crossing_system, network_system, string_system, transport_system
+from conftest import (
+    FIXTURES,
+    crossing_system,
+    network_system,
+    string_system,
+    transport_system,
+)
 
 
 class TestComputeWb:
@@ -176,20 +182,55 @@ class TestEigensplit:
         np.testing.assert_array_equal(a.z_plus, b.z_plus)
 
 
+def _pointwise_field(system, grid):
+    """The per-point loop that the stacked diagonalize_field replaces:
+    eigensplit at every point, crossings from the neighbour overlaps, and
+    each column rotated by the phase of its inner product with the aligned
+    column before it.  Returns (splits, aligned s_inv, crossings, max jump)."""
+    splits = [phs.eigensplit(system, z) for z in grid]
+    aligned = [splits[0].s_inv]
+    crossings, jump = [], 0.0
+    for k in range(1, len(splits)):
+        prev, cur = aligned[-1], splits[k].s_inv.copy()
+        if np.any(np.argmax(np.abs(prev.conj().T @ cur), axis=0) != np.arange(system.n)):
+            crossings.append(k)
+        inner = np.sum(prev.conj() * cur, axis=0)
+        nz = np.abs(inner) > 0.0
+        cur[:, nz] *= np.conj(inner[nz]) / np.abs(inner[nz])
+        jump = max(jump, float(np.linalg.norm(cur - prev, axis=0).max()))
+        aligned.append(cur)
+    return splits, np.array(aligned), tuple(crossings), jump
+
+
+def _random_polynomial_system():
+    systems = (phs.random_system(seed, 3) for seed in range(100))
+    return next(s for s in systems if s.h.kind == "polynomial")
+
+
+def _unchecked_system(p1, h_coeffs):
+    """A system with a polynomial H that make_system would reject."""
+    n = len(p1)
+    return phs.PHSystem(
+        n=n, p1=np.asarray(p1, dtype=complex), p0=np.zeros((n, n), dtype=complex),
+        h=phs.CoefficientField.polynomial(h_coeffs),
+        wb_tilde=np.hstack([np.eye(n), np.zeros((n, n))]).astype(complex))
+
+
 class TestDiagonalizeField:
     def test_constant_coefficients_identical_splits(self, network):
         result = phs.diagonalize_field(network, np.linspace(0.0, 1.0, 17))
         assert not result.crossings
         assert result.max_column_jump == pytest.approx(0.0, abs=1e-14)
-        for split in result:
-            np.testing.assert_array_equal(split.s_inv, result[0].s_inv)
+        assert result.s_inv.shape == (17, 3, 3)
+        np.testing.assert_array_equal(
+            result.s_inv, np.broadcast_to(result.s_inv[0], result.s_inv.shape))
 
     def test_monotone_wave_speed_no_crossing(self):
         grid = np.linspace(0.0, 1.0, 33)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ContinuityWarning)
             result = phs.diagonalize_field(string_system((1.0, 1.0)), grid)
-        lams = np.array([s.lam[0] for s in result])
+        lams = result.speeds[:, 0]
         np.testing.assert_allclose(lams, np.sqrt(1.0 + grid), rtol=1e-12)
         assert np.all(np.diff(lams) > 0)
 
@@ -203,6 +244,53 @@ class TestDiagonalizeField:
             phs.diagonalize_field(network, [0.0, 0.5, 0.5])
         with pytest.raises(DomainError):
             phs.diagonalize_field(network, [0.0, 1.5])
+
+    @pytest.mark.parametrize("make", [
+        lambda: phs.load_system(FIXTURES / "string_stiffening.json"),
+        lambda: phs.load_system(FIXTURES / "transport_grid_h.json"),
+        crossing_system,
+        _random_polynomial_system,
+    ], ids=["string_stiffening", "transport_grid_h", "crossing", "random_complex"])
+    def test_matches_pointwise_eigensplit(self, make):
+        system = make()
+        grid = np.linspace(0.0, 1.0, 65)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ContinuityWarning)
+            result = phs.diagonalize_field(system, grid)
+        splits, aligned, crossings, jump = _pointwise_field(system, grid)
+        assert all(sp.n1 == result.n1 for sp in splits)
+        np.testing.assert_allclose(result.speeds, [sp.speeds for sp in splits],
+                                   rtol=0, atol=1e-12)
+        # every column is eigensplit's column times a unit phase ...
+        s_ref = np.array([sp.s_inv for sp in splits])
+        phase = np.sum(s_ref.conj() * result.s_inv, axis=1)
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.s_inv, s_ref * phase[:, None, :], rtol=0, atol=1e-12)
+        # ... namely the phase the sequential alignment gives it
+        np.testing.assert_allclose(result.s_inv, aligned, rtol=0, atol=1e-12)
+        assert result.crossings == crossings
+        assert result.max_column_jump == pytest.approx(jump, abs=1e-12)
+
+    @pytest.mark.parametrize("system", [
+        # H(z) = diag(1 - 2z, 1) is not positive definite from z = 1/2 on
+        _unchecked_system(np.eye(2),
+                          np.array([[[1.0, -2.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])),
+        # H(z) = diag(1, 1e-9 (1/2 - z)): P1 H has an eigenvalue in the zero
+        # band from z = 0 on, before H stops being positive definite
+        _unchecked_system(np.eye(2),
+                          np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5e-10, -1e-9]]])),
+        # singular P1: a zero eigenvalue everywhere
+        _unchecked_system(np.diag([1.0, 0.0]),
+                          np.array([[[1.0], [0.0]], [[0.0], [1.0]]])),
+    ], ids=["h_not_pd", "band_before_h", "singular_p1"])
+    def test_first_bad_point_named(self, system):
+        grid = np.linspace(0.0, 1.0, 33)
+        with pytest.raises(ValidationError) as stacked:
+            phs.diagonalize_field(system, grid)
+        with pytest.raises(ValidationError) as pointwise:
+            for z in grid:
+                phs.eigensplit(system, z)
+        assert str(stacked.value) == str(pointwise.value)
 
 
 class TestBoundaryClosure:
@@ -220,6 +308,17 @@ class TestBoundaryClosure:
         np.testing.assert_allclose(
             closure.u2, closure.w0 @ phs.eval_h(system, 0.0) @ split0.s_inv[:, split0.n1:])
         assert closure.k.shape == (n, n)
+
+    def test_from_field_endpoints(self):
+        system = string_system((1.0, 1.0))
+        field = phs.diagonalize_field(system, np.linspace(0.0, 1.0, 9))
+        closure = phs.boundary_closure_matrix(system, field)
+        pointwise = phs.boundary_closure_matrix(system)
+        # the field's endpoint columns are eigensplit's up to unit phases
+        np.testing.assert_allclose(np.abs(closure.k), np.abs(pointwise.k), atol=1e-12)
+        np.testing.assert_allclose(np.abs(closure.q), np.abs(pointwise.q), atol=1e-12)
+        with pytest.raises(DomainError):
+            phs.boundary_closure_matrix(system, phs.diagonalize_field(system, [0.0, 0.5]))
 
     def test_network_closure_is_identity(self, network):
         # W1 = H = S = I, so K = I and outgoing block is W0

@@ -147,3 +147,26 @@ class TestCampaign:
         a = phs.agreement_campaign(3, 40, seed=8)
         b = phs.agreement_campaign(3, 40, seed=8)
         assert a == b
+
+
+class TestInvariants:
+    """The kernel-dimension law is checked by a raise, so it holds under
+    python -O as well."""
+
+    @pytest.fixture
+    def broken_kernel(self, monkeypatch):
+        real = phs.oracle.kernel_basis
+
+        def off_by_one(m, tol_rank=phs.classifier.TOL_RANK):
+            kb = real(m, tol_rank)
+            return phs.KernelBasis(basis=kb.basis, k=kb.k + 1)
+
+        monkeypatch.setattr(phs.oracle, "kernel_basis", off_by_one)
+
+    def test_contraction_via_c(self, broken_kernel):
+        with pytest.raises(phs.InvariantError, match="kernel dimension"):
+            phs.check_contraction_via_c(transport_system(2.0, 1.0))
+
+    def test_agreement_campaign(self, broken_kernel):
+        with pytest.raises(phs.InvariantError, match="kernel dimension law"):
+            phs.agreement_campaign(n=2, count=3, seed=0)

@@ -1,6 +1,7 @@
 """Simulator: setup, stepping, norms, boundary closure, stability guards."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestSetup:
         assert disc.dt * np.abs(disc.speeds).max() / disc.dz <= 0.8 + 1e-12
         assert disc.dt == pytest.approx(0.8 * disc.dz / np.sqrt(2.0), rel=1e-12)
 
+    def test_infinite_horizon_rejected(self):
+        # run() would never return
+        with pytest.raises(ValidationError, match="finite"):
+            phs.SimConfig(t_final=math.inf)
+
+    def test_nonfinite_initial_field_rejected(self, transport):
+        cfg = phs.SimConfig(nx=32, t_final=1.0)
+        for bad in (np.nan, np.inf):
+            x0 = lambda z, bad=bad: bad if z == 0.5 else 1.0
+            with pytest.raises(StabilityError, match=r"not finite at z = 0\.5"):
+                phs.setup(transport, cfg, x0)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             phs.SimConfig(nx=8)
@@ -165,6 +178,15 @@ class TestStep:
         with pytest.raises(PreconditionError):
             phs.step(state)
 
+    def test_nonfinite_interior_field_trips_guard(self, transport):
+        # an interior node never enters a boundary trace or the closure
+        cfg = phs.SimConfig(nx=32, t_final=1.0)
+        for bad in (np.nan, np.inf):
+            state = phs.setup(transport, cfg, gaussian(0.5, 0.1))
+            state.g[16, 0] = bad
+            with pytest.raises(StabilityError), np.errstate(invalid="ignore"):
+                phs.step(state)
+
     def test_blowup_guard(self, transport):
         cfg = phs.SimConfig(nx=32, t_final=1.0)
         state = phs.setup(transport, cfg, gaussian(0.5, 0.1))
@@ -213,6 +235,28 @@ class TestRun:
             e = np.array(state.history["energy"])
             assert e.max() <= e[0] * (1.0 + 1e-12)
             assert state.max_bc_residual <= 1e-12
+
+    @pytest.mark.parametrize("h, p0", [
+        (np.eye(3), np.zeros((3, 3))),
+        (np.array([[2.0, 0.5j, 0.2], [-0.5j, 1.5, 0.1], [0.2, 0.1, 1.0]]),
+         np.array([[-0.5, 1.0, 0.0], [-1.0, -0.2, 0.3j], [0.0, 0.3j, -0.1]])),
+    ], ids=["network", "coupled"])
+    def test_constant_field_matches_per_node_path(self, network, h, p0):
+        # the same H given as a degree-0 polynomial takes the per-node path
+        constant = phs.make_system(network.p1, p0, h, network.wb_tilde)
+        general = phs.make_system(network.p1, p0,
+                                  phs.CoefficientField.polynomial(np.asarray(h)[:, :, None]),
+                                  network.wb_tilde)
+        g = gaussian(0.3, 0.08)
+        x0 = lambda z: np.array([g(z), 0.5 - 0.5j * g(z), -g(z)])
+        cfg = phs.SimConfig(nx=128, t_final=0.5, p_norms=(1.0, 2.0, 3.0))
+        a, b = phs.run(constant, cfg, x0), phs.run(general, cfg, x0)
+        assert a._disc.constant and not b._disc.constant
+        assert a.history.keys() == b.history.keys()
+        for column in a.history:
+            np.testing.assert_allclose(a.history[column], b.history[column], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(a.x(), b.x(), rtol=0, atol=1e-12 * np.abs(b.x()).max())
+        assert a.max_bc_residual <= 1e-10 and b.max_bc_residual <= 1e-10
 
     def test_boundary_residual_every_step(self):
         for system in (network_system(), string_system((1.0, 1.0)),
