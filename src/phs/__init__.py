@@ -12,10 +12,8 @@ that monitors energy and L^p norms.
 
 from .classifier import (
     BoundaryClosure,
-    ContractionCheck,
     DiagonalizedField,
     EigenSplit,
-    UnitaryCheck,
     Verdict,
     boundary_closure_matrix,
     check_contraction,
@@ -25,7 +23,6 @@ from .classifier import (
     diagonalize_field,
     direct_sum_check,
     eigensplit,
-    inertia,
     rank_of,
 )
 from .errors import (
@@ -54,7 +51,6 @@ from .model import (
     validate_system,
 )
 from .oracle import (
-    KernelBasis,
     agreement_campaign,
     boundary_form_on_kernel,
     check_contraction_via_c,

@@ -30,7 +30,6 @@ from .errors import (
     ContinuityWarning,
     DomainError,
     PreconditionError,
-    ShapeError,
     SingularityError,
     ValidationError,
 )
@@ -50,8 +49,9 @@ def _sigma(n: int) -> np.ndarray:
     return np.block([[zero, eye], [eye, zero]])
 
 
-def _scaled(tol: float, m: np.ndarray) -> float:
-    return tol * max(1.0, float(np.linalg.norm(m, 2))) if m.size else tol
+def _scaled(tol: float, norm: float) -> float:
+    """tol * max(1, ||M||) for a matrix M of 2-norm ``norm``."""
+    return tol * max(1.0, norm)
 
 
 def compute_wb(system: PHSystem) -> np.ndarray:
@@ -78,38 +78,22 @@ def rank_of(m: np.ndarray, tol_rank: float = TOL_RANK) -> int:
     return int(np.count_nonzero(svals >= tol_rank * svals[0]))
 
 
-def inertia(m: np.ndarray, tol_eig: float = TOL_EIG) -> tuple[int, int, int]:
-    """Counts of positive / negative / zero eigenvalues of a Hermitian matrix."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"inertia needs a square matrix, got {m.shape}")
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-10 * scale:
-        raise ShapeError("inertia needs a Hermitian matrix")
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    band = tol_eig * max(1.0, float(np.abs(w).max(initial=0.0)))
-    n_plus = int(np.count_nonzero(w > band))
-    n_minus = int(np.count_nonzero(w < -band))
-    return n_plus, n_minus, w.size - n_plus - n_minus
-
-
 @dataclass(frozen=True, eq=False)
 class ContractionCheck:
-    """Outcome and witnesses of the contraction test."""
+    """Outcome and witnesses of the contraction and unitary-group tests.
 
-    ok: bool
+    Both tests read the same eigenvalues of Re P0 and of the sigma form;
+    the 2-norms are their largest magnitudes (both matrices are Hermitian).
+    """
+
+    contraction: bool
+    unitary: bool
+    re_p0_nsd: bool
+    re_p0_zero: bool
     re_p0_max_eigenvalue: float
+    re_p0_norm: float
     sigma_form: np.ndarray
     sigma_form_min_eigenvalue: float
-    rank_wb_tilde: int
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryCheck:
-    """Outcome and witnesses of the unitary-group test."""
-
-    ok: bool
-    re_p0_norm: float
     sigma_form_norm: float
     rank_wb_tilde: int
 
@@ -117,49 +101,43 @@ class UnitaryCheck:
 def check_contraction(
     system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
 ) -> ContractionCheck:
-    """Re P0 negative semidefinite, wb Sigma wb* positive semidefinite,
-    and wb_tilde of full rank n.  Independent of the coefficient field H."""
-    re_p0 = hermitian_part(system.p0)
-    p0_eigs = np.linalg.eigvalsh(re_p0)
+    """Contraction: Re P0 negative semidefinite, wb Sigma wb* positive
+    semidefinite and wb_tilde of full rank n.  Unitary group: the same with
+    both forms zero.  Independent of the coefficient field H.
+
+    With a shared scale, unitary implies contraction exactly:
+    lambda_max <= max |lambda| and lambda_min >= -max |lambda|.
+    """
+    p0_eigs = np.linalg.eigvalsh(hermitian_part(system.p0))
     wb = compute_wb(system)
     form = hermitian_part(wb @ _sigma(system.n) @ wb.conj().T)
     form_eigs = np.linalg.eigvalsh(form)
     rank = rank_of(system.wb_tilde, tol_rank)
-    ok = (
-        p0_eigs[-1] <= _scaled(tol_psd, re_p0)
-        and form_eigs[0] >= -_scaled(tol_psd, form)
-        and rank == system.n
-    )
+    p0_norm = float(max(-p0_eigs[0], p0_eigs[-1]))
+    form_norm = float(max(-form_eigs[0], form_eigs[-1]))
+    p0_scale = _scaled(tol_psd, p0_norm)
+    form_scale = _scaled(tol_psd, form_norm)
+    nsd = bool(p0_eigs[-1] <= p0_scale)
+    zero = p0_norm <= p0_scale
     return ContractionCheck(
-        ok=bool(ok),
+        contraction=bool(nsd and form_eigs[0] >= -form_scale and rank == system.n),
+        unitary=bool(zero and form_norm <= form_scale and rank == system.n),
+        re_p0_nsd=nsd,
+        re_p0_zero=zero,
         re_p0_max_eigenvalue=float(p0_eigs[-1]),
+        re_p0_norm=p0_norm,
         sigma_form=form,
         sigma_form_min_eigenvalue=float(form_eigs[0]),
+        sigma_form_norm=form_norm,
         rank_wb_tilde=rank,
     )
 
 
 def check_unitary(
     system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
-) -> UnitaryCheck:
+) -> bool:
     """Re P0 = 0, wb Sigma wb* = 0, and wb_tilde of full rank n."""
-    re_p0 = hermitian_part(system.p0)
-    wb = compute_wb(system)
-    form = hermitian_part(wb @ _sigma(system.n) @ wb.conj().T)
-    re_p0_norm = float(np.linalg.norm(re_p0, 2)) if re_p0.size else 0.0
-    form_norm = float(np.linalg.norm(form, 2))
-    rank = rank_of(system.wb_tilde, tol_rank)
-    ok = (
-        re_p0_norm <= _scaled(tol_psd, re_p0)
-        and form_norm <= _scaled(tol_psd, form)
-        and rank == system.n
-    )
-    return UnitaryCheck(
-        ok=bool(ok),
-        re_p0_norm=re_p0_norm,
-        sigma_form_norm=form_norm,
-        rank_wb_tilde=rank,
-    )
+    return check_contraction(system, tol_psd, tol_rank).unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,25 +340,15 @@ def diagonalize_field(system: PHSystem, grid, tol_eig: float = TOL_EIG) -> Diago
 class BoundaryClosure:
     """Endpoint blocks of the boundary condition in Riemann coordinates.
 
-    With wb_tilde = [w1 w0] split in half and S^-1 from the endpoint
-    eigen-splits, W1 H(1) S^-1(1) = [v1 v2] and W0 H(0) S^-1(0) = [u1 u2]
-    are split at column n1.  The closure matrix k = [v1 u2] multiplies the
-    incoming traces (g+ at z = 1, g- at z = 0); its complement [u1 v2]
-    multiplies the outgoing ones.
+    With wb_tilde = [W1 W0] split in half and S^-1 from the endpoint
+    eigen-splits, W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2]
+    are split at column n1.  The closure matrix k = [V1 U2] multiplies the
+    incoming traces (g+ at z = 1, g- at z = 0); q = [U1 V2] multiplies the
+    outgoing ones.
     """
 
-    w1: np.ndarray
-    w0: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
     k: np.ndarray
-
-    @property
-    def q(self) -> np.ndarray:
-        """The outgoing-trace block [u1 v2]."""
-        return np.hstack([self.u1, self.v2])
+    q: np.ndarray
 
 
 def boundary_closure_matrix(
@@ -397,19 +365,10 @@ def boundary_closure_matrix(
         raise DomainError("the field's grid must start at 0 and end at 1")
     else:
         n1, s_inv1, s_inv0 = field.n1, field.s_inv[-1], field.s_inv[0]
-    w1 = system.wb_tilde[:, :n]
-    w0 = system.wb_tilde[:, n:]
-    v_blocks = w1 @ eval_h(system, 1.0) @ s_inv1
-    u_blocks = w0 @ eval_h(system, 0.0) @ s_inv0
-    return BoundaryClosure(
-        w1=w1,
-        w0=w0,
-        v1=v_blocks[:, :n1],
-        v2=v_blocks[:, n1:],
-        u1=u_blocks[:, :n1],
-        u2=u_blocks[:, n1:],
-        k=np.hstack([v_blocks[:, :n1], u_blocks[:, n1:]]),
-    )
+    v = system.wb_tilde[:, :n] @ eval_h(system, 1.0) @ s_inv1
+    u = system.wb_tilde[:, n:] @ eval_h(system, 0.0) @ s_inv0
+    return BoundaryClosure(k=np.hstack([v[:, :n1], u[:, n1:]]),
+                           q=np.hstack([u[:, :n1], v[:, n1:]]))
 
 
 def direct_sum_check(
@@ -499,16 +458,15 @@ def classify(
     """Run all three tests and assemble a Verdict.
 
     The verdicts are nested (unitary implies contraction implies
-    C0-semigroup); a numerically inconsistent triple is coerced to the
-    stronger verdict and flagged in notes.  ``diagnostic_grid``, when set,
+    C0-semigroup).  Unitary implies contraction by construction; when
+    contraction holds but the direct-sum test fails, which would take two
+    independent routes to disagree, c0_semigroup is coerced to True and
+    the inconsistency is flagged in notes.  ``diagnostic_grid``, when set,
     additionally diagonalizes the field on that many points and records an
     eigenvalue-crossing note.
     """
-    con = check_contraction(system, tol_psd, tol_rank)
-    uni = check_unitary(system, tol_psd, tol_rank)
+    check = check_contraction(system, tol_psd, tol_rank)
     notes: list[str] = []
-    contraction = con.ok
-    unitary = uni.ok
 
     c0: bool | None
     smin: float | None
@@ -518,13 +476,7 @@ def classify(
         c0, smin = None, None
         notes.append(f"inconclusive-C0: {exc}")
 
-    if unitary and not contraction:
-        notes.append(
-            "InternalInconsistency: unitary test passed while contraction failed; "
-            "coerced contraction to True"
-        )
-        contraction = True
-    if contraction and c0 is False:
+    if check.contraction and c0 is False:
         notes.append(
             "InternalInconsistency: contraction holds but direct-sum test failed; "
             "coerced c0_semigroup to True"
@@ -546,20 +498,18 @@ def classify(
                 f"(max column jump {dfield.max_column_jump:.3e})"
             )
 
-    re_p0 = hermitian_part(system.p0)
-    scale = _scaled(tol_psd, re_p0)
     return Verdict(
         n=system.n,
-        rank_wb_tilde=con.rank_wb_tilde,
-        re_p0_nsd=bool(con.re_p0_max_eigenvalue <= scale),
-        re_p0_zero=bool(uni.re_p0_norm <= scale),
-        re_p0_max_eigenvalue=con.re_p0_max_eigenvalue,
-        re_p0_norm=uni.re_p0_norm,
-        sigma_form=con.sigma_form,
-        sigma_form_min_eigenvalue=con.sigma_form_min_eigenvalue,
-        sigma_form_norm=uni.sigma_form_norm,
-        contraction=contraction,
-        unitary_group=unitary,
+        rank_wb_tilde=check.rank_wb_tilde,
+        re_p0_nsd=check.re_p0_nsd,
+        re_p0_zero=check.re_p0_zero,
+        re_p0_max_eigenvalue=check.re_p0_max_eigenvalue,
+        re_p0_norm=check.re_p0_norm,
+        sigma_form=check.sigma_form,
+        sigma_form_min_eigenvalue=check.sigma_form_min_eigenvalue,
+        sigma_form_norm=check.sigma_form_norm,
+        contraction=check.contraction,
+        unitary_group=check.unitary,
         c0_semigroup=c0,
         direct_sum_min_singular_value=smin,
         notes=tuple(notes),

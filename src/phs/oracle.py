@@ -19,43 +19,38 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import classifier
-from .classifier import TOL_PSD, TOL_RANK, _scaled, check_contraction, classify
+from .classifier import TOL_PSD, TOL_RANK, _scaled, classify
 from .errors import InvariantError
 from .model import CoefficientField, PHSystem, hermitian_part, make_system
 
 
-@dataclass(frozen=True, eq=False)
-class KernelBasis:
-    """Orthonormal basis of ker(m), columns of ``basis`` (2n x k)."""
-
-    basis: np.ndarray
-    k: int
-
-
-def kernel_basis(m: np.ndarray, tol_rank: float = TOL_RANK) -> KernelBasis:
-    """Orthonormal kernel basis by SVD thresholding; k = cols - rank."""
+def kernel_basis(m: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
+    """Orthonormal basis of ker(m) as the columns of a (cols x k) matrix,
+    by SVD thresholding; k = cols - rank."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     _, svals, vh = np.linalg.svd(m)
     if svals.size and svals[0] > 0.0:
         rank = int(np.count_nonzero(svals >= tol_rank * svals[0]))
     else:
         rank = 0
-    basis = vh[rank:].conj().T
-    return KernelBasis(basis=basis, k=basis.shape[1])
+    return vh[rank:].conj().T
 
 
 def _restricted_form(system: PHSystem, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """The Hermitian form diag(P1, -P1) restricted to ker(wb_tilde)."""
-    kb = kernel_basis(system.wb_tilde, tol_rank)
+    """The Hermitian form diag(P1, -P1) restricted to ker(wb_tilde); its
+    order is the kernel dimension."""
+    basis = kernel_basis(system.wb_tilde, tol_rank)
     n = system.n
     zero = np.zeros((n, n))
     big = np.block([[system.p1, zero], [zero, -system.p1]])
-    return hermitian_part(kb.basis.conj().T @ big @ kb.basis)
+    return hermitian_part(basis.conj().T @ big @ basis)
+
+
+def _norm(eigs: np.ndarray) -> float:
+    """2-norm of a Hermitian matrix from its eigenvalues (0 when empty)."""
+    return float(np.abs(eigs).max(initial=0.0))
 
 
 def boundary_form_on_kernel(
@@ -96,19 +91,17 @@ def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
     n.  That implication is checked on every passing instance, and its
     failure raises InvariantError.
     """
-    re_p0 = hermitian_part(system.p0)
-    if np.linalg.eigvalsh(re_p0)[-1] > _scaled(tol_psd, re_p0):
+    p0_eigs = np.linalg.eigvalsh(hermitian_part(system.p0))
+    if p0_eigs[-1] > _scaled(tol_psd, _norm(p0_eigs)):
         return False
     form = _restricted_form(system)
-    max_value = float(np.linalg.eigvalsh(form)[-1]) if form.size else 0.0
-    holds = max_value <= _scaled(tol_psd, form)
-    if holds:
-        k = kernel_basis(system.wb_tilde).k
-        if k != system.n:
-            raise InvariantError(
-                f"kernel dimension {k} != n = {system.n} although the boundary "
-                "form is non-positive on the kernel"
-            )
+    w = np.linalg.eigvalsh(form)
+    holds = (w[-1] if w.size else 0.0) <= _scaled(tol_psd, _norm(w))
+    if holds and form.shape[0] != system.n:
+        raise InvariantError(
+            f"kernel dimension {form.shape[0]} != n = {system.n} although the "
+            "boundary form is non-positive on the kernel"
+        )
     return bool(holds)
 
 
@@ -230,33 +223,30 @@ def agreement_campaign(
             hint = "unitary"
         system = random_system(seed + i, n, hint)
 
-        kb = kernel_basis(system.wb_tilde)
-        rank = classifier.rank_of(system.wb_tilde)
-        if kb.k != 2 * n - rank:
+        verdict = classify(system, tol_psd)
+        form = _restricted_form(system)
+        if form.shape[0] != 2 * n - verdict.rank_wb_tilde:
             raise InvariantError(
-                f"kernel dimension law violated: dim ker(wb_tilde) = {kb.k}, "
-                f"2n - rank = {2 * n - rank}"
+                f"kernel dimension law violated: dim ker(wb_tilde) = {form.shape[0]}, "
+                f"2n - rank = {2 * n - verdict.rank_wb_tilde}"
             )
-
-        con = check_contraction(system, tol_psd)
+        # dim ker(wb_tilde) = 2n - rank >= n: the form is never empty here
+        form_eigs = np.linalg.eigvalsh(form)
         oracle_ok = check_contraction_via_c(system, tol_psd)
-        form_max, _ = boundary_form_on_kernel(system)
-        re_p0 = hermitian_part(system.p0)
         witnesses = (
-            (con.re_p0_max_eigenvalue, _scaled(1.0, re_p0)),
-            (con.sigma_form_min_eigenvalue, _scaled(1.0, con.sigma_form)),
-            (form_max, _scaled(1.0, _restricted_form(system))),
+            (verdict.re_p0_max_eigenvalue, verdict.re_p0_norm),
+            (verdict.sigma_form_min_eigenvalue, verdict.sigma_form_norm),
+            (form_eigs[-1], _norm(form_eigs)),
         )
-        is_frontier = any(abs(w) <= 10.0 * tol_psd * s for w, s in witnesses)
+        is_frontier = any(abs(w) <= _scaled(10.0 * tol_psd, norm) for w, norm in witnesses)
         if is_frontier:
             frontier += 1
-        elif con.ok == oracle_ok:
+        elif verdict.contraction == oracle_ok:
             agree += 1
         else:
             disagree += 1
             mismatches.append(i)
 
-        verdict = classify(system, tol_psd)
         verdict_counts["unitary"] += verdict.unitary_group
         verdict_counts["contraction"] += verdict.contraction
         if verdict.c0_semigroup is None:

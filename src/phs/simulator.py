@@ -29,10 +29,12 @@ Discretization, chosen for transparency rather than accuracy:
     solve   [V1 U2] [g+(1); g-(0)] = -[U1 V2] [g+(0); g-(1)]
     with W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2] split at
     column n1.  K = [V1 U2] is invertible exactly when the system
-    generates a C0-semigroup, so the closure map M = -K^-1 [U1 V2] is
-    computed once and each closure is one n x n matrix-vector product.
-    Simulating a non-generator requires the explicit ``allow_illposed``
-    opt-in, and M then uses the pseudo-inverse of K (least squares).
+    generates a C0-semigroup, so the closure map M = -K^+ [U1 V2] (the
+    pseudo-inverse, K^-1 for a generator) is computed once and each
+    closure is one n x n matrix-vector product.  Whether K is invertible
+    is decided once, by the classifier's verdict: simulating a system not
+    classified as a generator requires the explicit ``allow_illposed``
+    opt-in, and M is then the least-squares closure.
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import TOL_RANK, boundary_closure_matrix, classify, diagonalize_field
+from .classifier import boundary_closure_matrix, classify, diagonalize_field
 from .errors import (
     ContinuityError,
     DomainError,
@@ -101,7 +103,7 @@ class _Discretization:
     ``apply`` multiplies by that one matrix (in real form).
     """
 
-    def __init__(self, system: PHSystem, config: SimConfig, allow_illposed: bool):
+    def __init__(self, system: PHSystem, config: SimConfig):
         nx = config.nx
         self.zetas = np.linspace(0.0, 1.0, nx + 1)
         self.dz = 1.0 / nx
@@ -136,17 +138,9 @@ class _Discretization:
         # speeds over dz: real scaling here spares rhs a complex division
         self._speeds_dz = self.speeds / self.dz
 
+        # K^+ = K^-1 for a generator; least squares for an ill-posed demonstration
         closure = boundary_closure_matrix(system, dfield)
-        svals = np.linalg.svd(closure.k, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] < TOL_RANK * svals[0]:
-            if not allow_illposed:
-                raise IllPosedError(
-                    "boundary closure matrix [V1 U2] is singular; "
-                    "pass allow_illposed=True for a demonstration run"
-                )
-            self.closure_map = -np.linalg.pinv(closure.k) @ closure.q
-        else:
-            self.closure_map = -np.linalg.solve(closure.k, closure.q)
+        self.closure_map = -np.linalg.pinv(closure.k) @ closure.q
 
         self.dt = config.cfl * self.dz / float(np.abs(self.speeds).max())
         weights = np.full(nx + 1, self.dz)
@@ -299,11 +293,11 @@ def setup(
             f"(c0_semigroup={verdict.c0_semigroup}); "
             "pass allow_illposed=True for a demonstration run"
         )
-    disc = _Discretization(system, config, allow_illposed)
+    disc = _Discretization(system, config)
 
     x_init = np.empty((config.nx + 1, system.n), dtype=complex)
     for i, z in enumerate(disc.zetas):
-        x_init[i] = np.broadcast_to(np.asarray(x0(z), dtype=complex), (system.n,))
+        x_init[i] = x0(z)
     finite = np.isfinite(x_init).all(axis=1)
     if not finite.all():
         raise StabilityError(

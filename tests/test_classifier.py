@@ -1,17 +1,18 @@
-"""Matrix tests: trace-coordinate map, rank, inertia, eigen-splitting,
+"""Matrix tests: trace-coordinate map, rank, eigen-splitting,
 contraction/unitary/generation verdicts and their invariances."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phs
 from phs.errors import (
     ContinuityWarning,
     DomainError,
     PreconditionError,
-    ShapeError,
     ValidationError,
 )
 
@@ -60,55 +61,61 @@ class TestRankOf:
         assert phs.rank_of(np.array([[1.0, 0.0], [2.0, 0.0]])) == 1
 
 
-class TestInertia:
-    def test_string_p1(self):
-        assert phs.inertia(np.array([[0.0, 1.0], [1.0, 0.0]])) == (1, 1, 0)
-
-    def test_identity(self):
-        assert phs.inertia(np.eye(3)) == (3, 0, 0)
-
-    def test_mixed_with_zero(self):
-        assert phs.inertia(np.diag([2.0, -5.0, 0.0])) == (1, 1, 1)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ShapeError):
-            phs.inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            phs.inertia(np.ones((2, 3)))
+def _sign_counts(m):
+    """Numbers of positive and negative eigenvalues of a Hermitian matrix."""
+    w = np.linalg.eigvalsh(m)
+    band = phs.classifier.TOL_EIG * max(1.0, float(np.abs(w).max()))
+    return int(np.count_nonzero(w > band)), int(np.count_nonzero(w < -band))
 
 
 class TestContractionUnitary:
     def test_transport_dissipative(self):
         res = phs.check_contraction(transport_system(2.0, 1.0))
-        assert res.ok
+        assert res.contraction
         assert res.sigma_form_min_eigenvalue == pytest.approx(1.5)
 
     def test_transport_w1_1_w0_0_witness(self):
         res = phs.check_contraction(transport_system(1.0, 0.0))
-        assert res.ok
+        assert res.contraction
         assert res.sigma_form_min_eigenvalue == pytest.approx(0.5)
 
     def test_network_not_contraction(self, network):
         res = phs.check_contraction(network)
-        assert not res.ok
+        assert not res.contraction
         assert res.sigma_form_min_eigenvalue == pytest.approx(-0.5)
 
     def test_unitary_iff_equal_weights(self):
-        assert phs.check_unitary(transport_system(1.0, 1.0)).ok
-        assert not phs.check_unitary(transport_system(2.0, 1.0)).ok
-        assert phs.check_contraction(transport_system(2.0, 1.0)).ok
+        assert phs.check_contraction(transport_system(1.0, 1.0)).unitary
+        res = phs.check_contraction(transport_system(2.0, 1.0))
+        assert not res.unitary
+        assert res.contraction
+        assert phs.check_unitary(transport_system(1.0, 1.0))
+        assert not phs.check_unitary(transport_system(2.0, 1.0))
 
     def test_negative_p0_never_unitary(self):
         system = phs.make_system([[1.0]], [[-1.0]], [[1.0]], [[1.0, 1.0]])
-        res = phs.check_unitary(system)
-        assert not res.ok
+        res = phs.check_contraction(system)
+        assert not res.unitary
         assert res.re_p0_norm == pytest.approx(1.0)
 
     def test_dissipative_p0_keeps_contraction(self):
         system = phs.make_system([[1.0]], [[-1.0]], [[1.0]], [[1.0, 1.0]])
-        assert phs.check_contraction(system).ok
+        assert phs.check_contraction(system).contraction
+
+    @given(eps_exp=st.floats(-12.0, -6.0), seed=st.integers(0, 10_000),
+           n=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_never_unitary_without_contraction_at_frontier(self, eps_exp, seed, n):
+        # P0 = skew - eps I with eps log-uniform around TOL_PSD, on a boundary
+        # condition with wb Sigma wb* = 0: both tests sit on their thresholds
+        base = phs.random_system(seed=seed, n=n, class_hint="unitary")
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eps = 10.0 ** eps_exp
+        system = phs.make_system(base.p1, (m - m.conj().T) / 2.0 - eps * np.eye(n),
+                                 base.h, base.wb_tilde)
+        res = phs.check_contraction(system)
+        assert not (res.unitary and not res.contraction)
 
 
 class TestEigensplit:
@@ -158,7 +165,7 @@ class TestEigensplit:
 
     def test_inertia_matches_p1(self):
         for system in (string_system((1.0, 1.0)), network_system()):
-            n_plus, n_minus, _ = phs.inertia(system.p1)
+            n_plus, n_minus = _sign_counts(system.p1)
             for zeta in np.linspace(0.0, 1.0, 9):
                 split = phs.eigensplit(system, zeta)
                 assert (split.n1, split.n2) == (n_plus, n_minus)
@@ -298,16 +305,17 @@ class TestBoundaryClosure:
         system = string_system((1.0, 1.0))
         closure = phs.boundary_closure_matrix(system)
         n = system.n
-        np.testing.assert_array_equal(np.hstack([closure.w1, closure.w0]), system.wb_tilde)
-        np.testing.assert_array_equal(closure.k, np.hstack([closure.v1, closure.u2]))
-        np.testing.assert_array_equal(closure.q, np.hstack([closure.u1, closure.v2]))
         split1 = phs.eigensplit(system, 1.0)
         split0 = phs.eigensplit(system, 0.0)
-        np.testing.assert_allclose(
-            closure.v1, closure.w1 @ phs.eval_h(system, 1.0) @ split1.s_inv[:, :split1.n1])
-        np.testing.assert_allclose(
-            closure.u2, closure.w0 @ phs.eval_h(system, 0.0) @ split0.s_inv[:, split0.n1:])
-        assert closure.k.shape == (n, n)
+        n1 = split1.n1
+        v = system.wb_tilde[:, :n] @ phs.eval_h(system, 1.0) @ split1.s_inv
+        u = system.wb_tilde[:, n:] @ phs.eval_h(system, 0.0) @ split0.s_inv
+        # k = [V1 U2] on the incoming traces, q = [U1 V2] on the outgoing ones
+        np.testing.assert_allclose(closure.k[:, :n1], v[:, :n1])
+        np.testing.assert_allclose(closure.k[:, n1:], u[:, n1:])
+        np.testing.assert_allclose(closure.q[:, :n1], u[:, :n1])
+        np.testing.assert_allclose(closure.q[:, n1:], v[:, n1:])
+        assert closure.k.shape == closure.q.shape == (n, n)
 
     def test_from_field_endpoints(self):
         system = string_system((1.0, 1.0))
@@ -438,6 +446,19 @@ class TestClassify:
         assert data["sigma_form"]["min_eigenvalue"] == pytest.approx(1.5)
 
 
+    def test_witness_norms_are_2_norms(self):
+        # the norms are read off eigenvalues; they must be the spectral norms
+        systems = [phs.load_system(path) for path in sorted(FIXTURES.glob("*.json"))]
+        hints = ("general", "contraction", "unitary")
+        systems += [phs.random_system(seed=20_000 + i, n=1 + i % 6, class_hint=hints[i % 3])
+                    for i in range(200)]
+        for system in systems:
+            v = phs.classify(system)
+            for norm, matrix in ((v.re_p0_norm, phs.hermitian_part(system.p0)),
+                                 (v.sigma_form_norm, v.sigma_form)):
+                expected = np.linalg.norm(matrix, 2)
+                assert abs(norm - expected) <= 1e-12 * max(expected, 1e-300)
+
 class TestProperties:
     def test_contraction_independent_of_density(self):
         # same (P1, P0, wb_tilde), different valid H: same contraction verdict
@@ -449,7 +470,7 @@ class TestProperties:
             for j in range(3):
                 alt = phs.random_system(seed=5000 + 100 * i + j, n=base.n)
                 system = phs.make_system(base.p1, base.p0, alt.h, base.wb_tilde)
-                verdicts.add(phs.check_contraction(system).ok)
+                verdicts.add(phs.check_contraction(system).contraction)
             assert len(verdicts) == 1
 
     def test_scaling_invariance(self):
@@ -478,9 +499,9 @@ class TestProperties:
     def test_hermitian_congruence_inertia_constancy(self):
         # inertia of P1 H(z) equals inertia of P1 along the interval
         for system in (string_system((1.0, 0.5)), network_system()):
-            expected = phs.inertia(system.p1)[:2]
+            expected = _sign_counts(system.p1)
             for zeta in np.linspace(0.0, 1.0, 7):
                 w, q = np.linalg.eigh(phs.hermitian_part(phs.eval_h(system, zeta)))
                 sq = (q * np.sqrt(w)) @ q.conj().T
-                counts = phs.inertia(phs.hermitian_part(sq @ system.p1 @ sq))[:2]
+                counts = _sign_counts(phs.hermitian_part(sq @ system.p1 @ sq))
                 assert counts == expected

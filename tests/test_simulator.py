@@ -15,7 +15,7 @@ from phs.errors import (
     ValidationError,
 )
 
-from conftest import crossing_system, network_system, string_system, transport_system
+from conftest import FIXTURES, crossing_system, network_system, string_system, transport_system
 
 
 def gaussian(center, width):
@@ -122,6 +122,44 @@ class TestSetup:
         with pytest.raises(ValidationError):
             phs.SimConfig(record_every=0)
 
+
+
+def _rank_deficient_system():
+    return phs.make_system([[1.0]], [[0.0]], [[1.0]], [[0.0, 0.0]])
+
+
+class TestClosureUnderVerdict:
+    """The verdict is the only ill-posed gate; the closure map is -K^+ Q."""
+
+    def test_generator_map_is_minus_q(self, network):
+        # W1 = H = S = I on the network, so K = I
+        state = phs.setup(network, phs.SimConfig(nx=64, t_final=0.1), gaussian(0.5, 0.1))
+        assert state.verdict.c0_semigroup is True
+        closure = phs.boundary_closure_matrix(network)
+        np.testing.assert_array_equal(closure.k, np.eye(3))
+        np.testing.assert_array_equal(state._disc.closure_map, -closure.q)
+
+    @pytest.mark.parametrize("make, c0", [
+        (lambda: phs.load_system(FIXTURES / "string_uniform.json"), False),
+        (_rank_deficient_system, None),
+    ], ids=["string_uniform", "rank_deficient"])
+    def test_illposed_map_is_least_squares(self, make, c0):
+        system = make()
+        cfg = phs.SimConfig(nx=64, t_final=0.1)
+        x0 = lambda z: np.full(system.n, 1.0 + z)
+        with pytest.raises(IllPosedError):
+            phs.setup(system, cfg, x0)
+        state = phs.setup(system, cfg, x0, allow_illposed=True)
+        assert state.verdict.c0_semigroup is c0
+        closure = phs.boundary_closure_matrix(
+            system, phs.diagonalize_field(system, state.zetas))
+        np.testing.assert_allclose(state._disc.closure_map,
+                                   -np.linalg.pinv(closure.k) @ closure.q,
+                                   rtol=0, atol=1e-14)
+        for _ in range(5):
+            phs.step(state)
+        assert np.isfinite(state.g).all()
+        assert all(np.isfinite(v).all() for v in state.history.values())
 
 class TestStep:
     def test_transport_shift_solution(self):
