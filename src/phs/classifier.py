@@ -87,7 +87,7 @@ class ContractionCheck:
     """
 
     contraction: bool
-    unitary: bool
+    unitary_group: bool
     re_p0_nsd: bool
     re_p0_zero: bool
     re_p0_max_eigenvalue: float
@@ -121,7 +121,7 @@ def check_contraction(
     zero = p0_norm <= p0_scale
     return ContractionCheck(
         contraction=bool(nsd and form_eigs[0] >= -form_scale and rank == system.n),
-        unitary=bool(zero and form_norm <= form_scale and rank == system.n),
+        unitary_group=bool(zero and form_norm <= form_scale and rank == system.n),
         re_p0_nsd=nsd,
         re_p0_zero=zero,
         re_p0_max_eigenvalue=float(p0_eigs[-1]),
@@ -137,7 +137,7 @@ def check_unitary(
     system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
 ) -> bool:
     """Re P0 = 0, wb Sigma wb* = 0, and wb_tilde of full rank n."""
-    return check_contraction(system, tol_psd, tol_rank).unitary
+    return check_contraction(system, tol_psd, tol_rank).unitary_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +187,7 @@ def _orthonormal_basis(cols: np.ndarray) -> np.ndarray:
     return _phase_fix_columns(q)
 
 
-def eigensplit(system: PHSystem, zeta: float, tol_eig: float = TOL_EIG) -> EigenSplit:
+def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
     """Diagonalize P1 H(zeta) through the Hermitian similarity
     H^(1/2) P1 H^(1/2) and split eigenvectors by eigenvalue sign.
 
@@ -203,7 +203,7 @@ def eigensplit(system: PHSystem, zeta: float, tol_eig: float = TOL_EIG) -> Eigen
     h_isqrt = (q_h / sq) @ q_h.conj().T
     sym = hermitian_part(h_sqrt @ system.p1 @ h_sqrt)
     w, q = np.linalg.eigh(sym)
-    band = tol_eig * max(1.0, float(np.abs(w).max()))
+    band = TOL_EIG * max(1.0, float(np.abs(w).max()))
     if np.any(np.abs(w) <= band):
         raise ValidationError(
             f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band:.3e} of zero"
@@ -249,11 +249,7 @@ class DiagonalizedField:
     max_column_jump: float
 
 
-def _stacked_hermitian(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2.0
-
-
-def diagonalize_field(system: PHSystem, grid, tol_eig: float = TOL_EIG) -> DiagonalizedField:
+def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     """Eigensplit at every grid point, with each eigenvector column phase
     aligned against its predecessor (maximal real inner product).
 
@@ -272,7 +268,7 @@ def diagonalize_field(system: PHSystem, grid, tol_eig: float = TOL_EIG) -> Diago
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
 
-    w_h, q_h = np.linalg.eigh(_stacked_hermitian(system.h.eval_many(grid)))
+    w_h, q_h = np.linalg.eigh(hermitian_part(system.h.eval_many(grid)))
     bad_h = np.flatnonzero(w_h[:, 0] <= 0.0)
     # past the first point where H is not positive definite nothing is checked
     stop = bad_h[0] if bad_h.size else grid.size
@@ -281,8 +277,8 @@ def diagonalize_field(system: PHSystem, grid, tol_eig: float = TOL_EIG) -> Diago
     q_h_adj = np.conj(np.swapaxes(q_h, 1, 2))
     h_sqrt = (q_h * sq) @ q_h_adj
     h_isqrt = (q_h / sq) @ q_h_adj
-    w, q = np.linalg.eigh(_stacked_hermitian(h_sqrt @ system.p1 @ h_sqrt))
-    band = tol_eig * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+    w, q = np.linalg.eigh(hermitian_part(h_sqrt @ system.p1 @ h_sqrt))
+    band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
     bad = np.flatnonzero(np.any(np.abs(w) <= band[:, None], axis=1))
     if bad.size:
         k = bad[0]
@@ -399,8 +395,9 @@ def direct_sum_check(
 
 
 @dataclass(frozen=True, eq=False)
-class Verdict:
-    """Classification record with numeric witnesses.
+class Verdict(ContractionCheck):
+    """Classification record: the contraction check of the system plus the
+    generation test and its witness.
 
     c0_semigroup is None when rank(wb_tilde) < n, where the generation test
     has nothing to say (the contraction test still decides: rank < n means
@@ -408,16 +405,6 @@ class Verdict:
     """
 
     n: int
-    rank_wb_tilde: int
-    re_p0_nsd: bool
-    re_p0_zero: bool
-    re_p0_max_eigenvalue: float
-    re_p0_norm: float
-    sigma_form: np.ndarray
-    sigma_form_min_eigenvalue: float
-    sigma_form_norm: float
-    contraction: bool
-    unitary_group: bool
     c0_semigroup: bool | None
     direct_sum_min_singular_value: float | None
     notes: tuple
@@ -498,19 +485,5 @@ def classify(
                 f"(max column jump {dfield.max_column_jump:.3e})"
             )
 
-    return Verdict(
-        n=system.n,
-        rank_wb_tilde=check.rank_wb_tilde,
-        re_p0_nsd=check.re_p0_nsd,
-        re_p0_zero=check.re_p0_zero,
-        re_p0_max_eigenvalue=check.re_p0_max_eigenvalue,
-        re_p0_norm=check.re_p0_norm,
-        sigma_form=check.sigma_form,
-        sigma_form_min_eigenvalue=check.sigma_form_min_eigenvalue,
-        sigma_form_norm=check.sigma_form_norm,
-        contraction=check.contraction,
-        unitary_group=check.unitary,
-        c0_semigroup=c0,
-        direct_sum_min_singular_value=smin,
-        notes=tuple(notes),
-    )
+    return Verdict(**vars(check), n=system.n, c0_semigroup=c0,
+                   direct_sum_min_singular_value=smin, notes=tuple(notes))

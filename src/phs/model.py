@@ -40,14 +40,15 @@ FIELD_KINDS = ("constant", "polynomial", "grid")
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (m + m*)/2.  The result is conjugate-symmetric entry by entry.
+    """Return (m + m*)/2 for a square matrix or a stack (..., n, n) of them.
+    The result is conjugate-symmetric entry by entry.
 
-    Raises ShapeError if ``m`` is not square.
+    Raises ShapeError if the last two axes of ``m`` are not square.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"hermitian_part needs a square matrix, got shape {m.shape}")
-    return (m + m.conj().T) / 2.0
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"hermitian_part needs square matrices, got shape {m.shape}")
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -56,12 +57,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _herm_defect(m: np.ndarray) -> float:
-    """Relative deviation of m from its Hermitian part."""
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(m - m.conj().T) / scale)
+def _herm_defect(m: np.ndarray) -> np.ndarray:
+    """Relative deviation ||m - m*|| / ||m|| (Frobenius; 0 for m = 0) of a
+    matrix or of each matrix in a stack (..., n, n)."""
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
+    return np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,26 +80,25 @@ class CoefficientField:
     n: int
     kind: str
     data: tuple
-    sample_budget: int = VALIDATION_POINTS
 
     @classmethod
-    def constant(cls, value, sample_budget: int = VALIDATION_POINTS) -> "CoefficientField":
+    def constant(cls, value) -> "CoefficientField":
         value = np.atleast_2d(np.asarray(value, dtype=complex))
         if value.shape[0] != value.shape[1]:
             raise ShapeError(f"constant field value must be square, got {value.shape}")
-        return cls(value.shape[0], "constant", (_freeze(value),), sample_budget)
+        return cls(value.shape[0], "constant", (_freeze(value),))
 
     @classmethod
-    def polynomial(cls, coeffs, sample_budget: int = VALIDATION_POINTS) -> "CoefficientField":
+    def polynomial(cls, coeffs) -> "CoefficientField":
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 3 or coeffs.shape[0] != coeffs.shape[1]:
             raise ShapeError(
                 f"polynomial coefficients must have shape (n, n, deg+1), got {coeffs.shape}"
             )
-        return cls(coeffs.shape[0], "polynomial", (_freeze(coeffs),), sample_budget)
+        return cls(coeffs.shape[0], "polynomial", (_freeze(coeffs),))
 
     @classmethod
-    def grid(cls, zetas, values, sample_budget: int = VALIDATION_POINTS) -> "CoefficientField":
+    def grid(cls, zetas, values) -> "CoefficientField":
         zetas = np.asarray(zetas, dtype=float)
         values = np.asarray(values, dtype=complex)
         if zetas.ndim != 1 or zetas.size < 2:
@@ -114,7 +113,7 @@ class CoefficientField:
             )
         z = np.array(zetas)
         z.flags.writeable = False
-        return cls(values.shape[1], "grid", (z, _freeze(values)), sample_budget)
+        return cls(values.shape[1], "grid", (z, _freeze(values)))
 
     def eval_many(self, zetas) -> np.ndarray:
         """Evaluate H at an array of points; returns shape (len(zetas), n, n)."""
@@ -131,7 +130,7 @@ class CoefficientField:
         idx = np.clip(np.searchsorted(zs, zetas, side="right") - 1, 0, zs.size - 2)
         w = (zetas - zs[idx]) / (zs[idx + 1] - zs[idx])
         out = (1.0 - w)[:, None, None] * values[idx] + w[:, None, None] * values[idx + 1]
-        return (out + np.conj(np.swapaxes(out, 1, 2))) / 2.0
+        return hermitian_part(out)
 
     def eval(self, zeta: float) -> np.ndarray:
         return self.eval_many([zeta])[0]
@@ -163,8 +162,12 @@ def validate_system(system: PHSystem) -> None:
     """Check all structural invariants; raise ValidationError naming the
     first violated one.
 
-    H is checked at ``h.sample_budget`` uniformly spaced points of [0,1]:
-    Hermitian within TOL_HERM (relative) and smallest eigenvalue >= EPS_PD.
+    H must be Hermitian within TOL_HERM (relative) with smallest eigenvalue
+    >= EPS_PD.  Where H is affine in zeta, the smallest eigenvalue of its
+    Hermitian part is concave, so it is least at an end of the piece: a
+    grid field is checked at its knots, a constant field and a polynomial
+    of degree <= 1 at 0 and 1, other polynomials at VALIDATION_POINTS
+    uniform points.
     """
     n = system.n
     for name, m in (("p1", system.p1), ("p0", system.p0)):
@@ -188,20 +191,23 @@ def validate_system(system: PHSystem) -> None:
     if system.h.n != n:
         raise ValidationError(f"H has dimension {system.h.n}, system has n = {n}")
 
-    m = max(2, system.h.sample_budget)
-    zetas = np.linspace(0.0, 1.0, m)
-    values = system.h.eval_many(zetas)
+    h = system.h
+    if h.kind == "grid":
+        zetas = h.data[0]
+    elif h.kind == "constant" or h.data[0].shape[2] <= 2:
+        zetas = np.array([0.0, 1.0])
+    else:
+        zetas = np.linspace(0.0, 1.0, VALIDATION_POINTS)
+    values = h.eval_many(zetas)
     if not np.all(np.isfinite(values)):
         raise ValidationError("H evaluates to non-finite entries")
-    herm = np.conj(np.swapaxes(values, 1, 2))
-    scale = np.maximum(np.linalg.norm(values, axis=(1, 2)), 1e-300)
-    defect = np.linalg.norm(values - herm, axis=(1, 2)) / scale
+    defect = _herm_defect(values)
     bad = np.flatnonzero(defect > TOL_HERM)
     if bad.size:
         raise ValidationError(
             f"H(zeta={zetas[bad[0]]:.6g}) is not Hermitian (relative defect {defect[bad[0]]:.3e})"
         )
-    eigmin = np.linalg.eigvalsh((values + herm) / 2.0)[:, 0]
+    eigmin = np.linalg.eigvalsh(hermitian_part(values))[:, 0]
     bad = np.flatnonzero(eigmin < EPS_PD)
     if bad.size:
         raise ValidationError(
@@ -210,21 +216,18 @@ def validate_system(system: PHSystem) -> None:
         )
 
 
-def make_system(p1, p0, h, wb_tilde, sample_budget: int | None = None) -> PHSystem:
+def make_system(p1, p0, h, wb_tilde) -> PHSystem:
     """Build and validate a PHSystem from raw matrices and a field.
 
     ``h`` may be a CoefficientField, a matrix, or a scalar (constant field).
     """
     p1 = np.atleast_2d(np.asarray(p1, dtype=complex))
     n = p1.shape[0]
-    field = _as_field(h)
-    if sample_budget is not None:
-        field = CoefficientField(field.n, field.kind, field.data, sample_budget)
     system = PHSystem(
         n=n,
         p1=_freeze(p1),
         p0=_freeze(np.atleast_2d(np.asarray(p0, dtype=complex))),
-        h=field,
+        h=_as_field(h),
         wb_tilde=_freeze(np.atleast_2d(np.asarray(wb_tilde, dtype=complex))),
     )
     validate_system(system)

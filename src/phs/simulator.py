@@ -64,8 +64,6 @@ from .model import PHSystem
 
 # Maximum admissible relative increase per step for monotone-norm checks.
 TOL_MONO = 1e-3
-# Relative boundary residual bound after the exact closure solve.
-TOL_BC = 1e-10
 # Blow-up guard: abort when the field exceeds this multiple of its start.
 BLOWUP_FACTOR = 1e6
 
@@ -78,7 +76,6 @@ class SimConfig:
     t_final: float = 1.0
     cfl: float = 0.9
     p_norms: tuple = (1.0, 2.0)
-    track_energy: bool = True
     record_every: int = 1
 
     def __post_init__(self):
@@ -97,10 +94,10 @@ class SimConfig:
 class _Discretization:
     """Everything about the grid that is constant in time.
 
-    ``s_inv``, ``s``, ``h`` and ``bmat`` are (nx+1, n, n) per-node fields,
-    ``speeds`` is (nx+1, n).  For a constant coefficient field the four
-    fields are read-only views of one matrix repeated over the nodes, and
-    ``apply`` multiplies by that one matrix (in real form).
+    ``s`` and ``h`` are (nx+1, n, n) per-node fields, ``speeds`` is
+    (nx+1, n).  For a constant coefficient field the fields are read-only
+    views of one matrix repeated over the nodes, and ``apply`` multiplies
+    by that one matrix (in real form).
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
@@ -131,7 +128,7 @@ class _Discretization:
             bmat += (s @ ds_inv) * dfield.speeds[:, None, :]
         fields = {"s_inv": s_inv, "s": s, "h": h, "bmat": bmat}
         shape = (nx + 1, system.n, system.n)
-        self.s_inv, self.s, self.h, self.bmat = (np.broadcast_to(m, shape) for m in fields.values())
+        self.s, self.h = np.broadcast_to(s, shape), np.broadcast_to(h, shape)
         self._products = ({name: _real_form(m[0]) for name, m in fields.items()}
                           if self.constant else fields)
         self.speeds = dfield.speeds
@@ -191,7 +188,6 @@ class SimState:
     max_bc_residual: float = 0.0
     _disc: _Discretization = field(default=None, repr=False)
     _g0_max: float = 0.0
-    _last_recorded_step: int = -1
 
     @property
     def zetas(self) -> np.ndarray:
@@ -258,14 +254,10 @@ def _boundary_residual(state: SimState, x_end: np.ndarray, x_start: np.ndarray) 
 
 def _record(state: SimState) -> None:
     """Append one history row, reconstructing x once for all columns."""
-    if state.step_count == state._last_recorded_step:
-        return
-    state._last_recorded_step = state.step_count
     disc = state._disc
     x = state.x()
     state.history["t"].append(state.t)
-    if state.config.track_energy:
-        state.history["energy"].append(_energy(disc, x))
+    state.history["energy"].append(_energy(disc, x))
     if state.config.p_norms:
         node = _node_norms(x)
         for p in state.config.p_norms:
@@ -305,9 +297,7 @@ def setup(
     g = disc.apply("s", x_init)
     disc.close(g)
 
-    history: dict = {"t": []}
-    if config.track_energy:
-        history["energy"] = []
+    history: dict = {"t": [], "energy": []}
     for p in config.p_norms:
         history[_norm_label(p)] = []
 
@@ -374,9 +364,7 @@ def run(system: PHSystem, config: SimConfig, x0, allow_illposed: bool = False) -
 
 def write_history_csv(state: SimState, fileobj) -> None:
     """Norm history as CSV with columns t, energy, l1, l2, ..."""
-    columns = ["t"]
-    if state.config.track_energy:
-        columns.append("energy")
+    columns = ["t", "energy"]
     columns.extend(_norm_label(p) for p in state.config.p_norms)
     writer = csv.writer(fileobj)
     writer.writerow(columns)

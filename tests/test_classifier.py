@@ -1,6 +1,7 @@
 """Matrix tests: trace-coordinate map, rank, eigen-splitting,
 contraction/unitary/generation verdicts and their invariances."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -85,9 +86,9 @@ class TestContractionUnitary:
         assert res.sigma_form_min_eigenvalue == pytest.approx(-0.5)
 
     def test_unitary_iff_equal_weights(self):
-        assert phs.check_contraction(transport_system(1.0, 1.0)).unitary
+        assert phs.check_contraction(transport_system(1.0, 1.0)).unitary_group
         res = phs.check_contraction(transport_system(2.0, 1.0))
-        assert not res.unitary
+        assert not res.unitary_group
         assert res.contraction
         assert phs.check_unitary(transport_system(1.0, 1.0))
         assert not phs.check_unitary(transport_system(2.0, 1.0))
@@ -95,7 +96,7 @@ class TestContractionUnitary:
     def test_negative_p0_never_unitary(self):
         system = phs.make_system([[1.0]], [[-1.0]], [[1.0]], [[1.0, 1.0]])
         res = phs.check_contraction(system)
-        assert not res.unitary
+        assert not res.unitary_group
         assert res.re_p0_norm == pytest.approx(1.0)
 
     def test_dissipative_p0_keeps_contraction(self):
@@ -115,7 +116,7 @@ class TestContractionUnitary:
         system = phs.make_system(base.p1, (m - m.conj().T) / 2.0 - eps * np.eye(n),
                                  base.h, base.wb_tilde)
         res = phs.check_contraction(system)
-        assert not (res.unitary and not res.contraction)
+        assert not (res.unitary_group and not res.contraction)
 
 
 class TestEigensplit:
@@ -445,6 +446,20 @@ class TestClassify:
         assert data["c0_semigroup"] is True
         assert data["sigma_form"]["min_eigenvalue"] == pytest.approx(1.5)
 
+
+    def test_verdict_carries_the_contraction_check(self):
+        # classify reads its contraction fields from one check_contraction record
+        names = [f.name for f in dataclasses.fields(phs.classifier.ContractionCheck)]
+        systems = [phs.load_system(path) for path in sorted(FIXTURES.glob("*.json"))]
+        hints = ("general", "contraction", "unitary")
+        systems += [phs.random_system(seed=30_000 + i, n=1 + i % 6, class_hint=hints[i % 3])
+                    for i in range(200)]
+        for system in systems:
+            check, verdict = phs.check_contraction(system), phs.classify(system)
+            assert isinstance(verdict, phs.classifier.ContractionCheck)
+            for name in names:
+                np.testing.assert_array_equal(getattr(verdict, name), getattr(check, name),
+                                              err_msg=name)
 
     def test_witness_norms_are_2_norms(self):
         # the norms are read off eigenvalues; they must be the spectral norms

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import phs
 from phs.errors import DomainError, SchemaError, ShapeError, ValidationError
+from phs.model import EPS_PD
 
 
 def pairs(m):
@@ -192,8 +195,17 @@ class TestHermitianPart:
             assert np.array_equal(h, h.conj().T)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            phs.hermitian_part(np.ones((2, 3)))
+        for shape in [(3,), (2, 3), (4, 2, 3)]:
+            with pytest.raises(ShapeError):
+                phs.hermitian_part(np.ones(shape))
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        got = phs.hermitian_part(stack)
+        assert got.shape == (5, 3, 3)
+        for k in range(5):
+            np.testing.assert_array_equal(got[k], phs.hermitian_part(stack[k]))
 
 
 def test_validation_grid_invariants():
@@ -203,8 +215,61 @@ def test_validation_grid_invariants():
                              phs.CoefficientField.polynomial(
                                  np.stack([np.eye(2), 0.5 * np.eye(2)], axis=2)),
                              np.hstack([np.eye(2), np.eye(2)]))
-    zs = np.linspace(0.0, 1.0, system.h.sample_budget)
+    zs = np.linspace(0.0, 1.0, phs.model.VALIDATION_POINTS)
     vals = system.h.eval_many(zs)
     herm = np.conj(np.swapaxes(vals, 1, 2))
     assert np.linalg.norm(vals - herm) <= 1e-10 * np.linalg.norm(vals)
     assert np.linalg.eigvalsh((vals + herm) / 2).min() >= 1e-8
+
+
+def test_narrow_dip_between_uniform_samples_rejected():
+    # H dips to -1e-3 at a knot a = 1/2 + 1/512 that lies strictly between two
+    # of the 257 uniform points (1/2 and 1/2 + 1/256), which both see H = 1
+    a = 0.5 + 1.0 / 512.0
+    zetas = [0.0, a - 1.0 / 1024.0, a, a + 1.0 / 1024.0, 1.0]
+    field = phs.CoefficientField.grid(zetas, [[[1.0]], [[1.0]], [[-1e-3]], [[1.0]], [[1.0]]])
+    assert np.linalg.eigvalsh(
+        field.eval_many(np.linspace(0.0, 1.0, phs.model.VALIDATION_POINTS)))[:, 0].min() == 1.0
+    with pytest.raises(ValidationError, match=r"zeta=0\.501953\) is not positive definite"):
+        phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
+
+
+def _hermitian_with_min_eigenvalue(rng, n, target):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = phs.hermitian_part(m)
+    return phs.hermitian_part(h + (target - np.linalg.eigvalsh(h)[0]) * np.eye(n))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), grid=st.booleans(),
+       targets=st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=6),
+       dip=st.none() | st.tuples(st.integers(0, 5), st.sampled_from(
+           [-1e-3, -1e-9, 0.0, EPS_PD * (1.0 - 1e-3), EPS_PD, EPS_PD * (1.0 + 1e-3)])))
+@settings(max_examples=200, deadline=None)
+def test_affine_fields_validated_exactly(seed, n, grid, targets, dip):
+    # piecewise-affine H is accepted iff lambda_min >= EPS_PD at the knots
+    # (grid) or the ends (affine polynomial), and then holds between them
+    rng = np.random.default_rng(seed)
+    if not grid:
+        targets = targets[:2]
+    if dip is not None:
+        targets[dip[0] % len(targets)] = dip[1]
+    values = [_hermitian_with_min_eigenvalue(rng, n, t) for t in targets]
+    if grid:
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, len(targets) - 2)), [1.0]])
+        assume(np.all(np.diff(knots) > 1e-6))
+        field = phs.CoefficientField.grid(knots, values)
+    else:
+        knots = np.array([0.0, 1.0])
+        field = phs.CoefficientField.polynomial(np.stack([values[0], values[1] - values[0]], axis=2))
+    # the targets only steer the draw: rounding moves lambda_min by ~1e-16
+    expected = np.linalg.eigvalsh(field.eval_many(knots))[:, 0].min() >= EPS_PD
+    wb = np.hstack([np.eye(n), np.zeros((n, n))])
+    try:
+        phs.make_system(np.eye(n), np.zeros((n, n)), field, wb)
+    except ValidationError as exc:
+        assert not expected, str(exc)
+        assert "positive definite" in str(exc)
+        return
+    assert expected
+    dense = field.eval_many(np.linspace(0.0, 1.0, 4097))
+    assert np.linalg.eigvalsh(phs.hermitian_part(dense))[:, 0].min() >= EPS_PD - 1e-12

@@ -141,6 +141,19 @@ class TestCampaign:
         assert rep["verdicts"]["c0_true"] + rep["verdicts"]["c0_false"] \
             + rep["verdicts"]["c0_inconclusive"] == 60
 
+    @pytest.mark.parametrize("n, count, seed", [(1, 40, 3), (3, 30, 11)])
+    def test_one_kernel_form_per_system(self, monkeypatch, n, count, seed):
+        calls = []
+        real = phs.oracle.kernel_basis
+
+        def counted(m, tol_rank=phs.classifier.TOL_RANK):
+            calls.append(1)
+            return real(m, tol_rank)
+
+        monkeypatch.setattr(phs.oracle, "kernel_basis", counted)
+        phs.agreement_campaign(n, count, seed)
+        assert len(calls) == count
+
     def test_campaign_deterministic(self):
         a = phs.agreement_campaign(3, 40, seed=8)
         b = phs.agreement_campaign(3, 40, seed=8)
