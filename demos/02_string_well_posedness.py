@@ -29,12 +29,11 @@ def string_system(t_coeffs):
 
 def report(label, system):
     v = phs.classify(system)
-    ok, smin, k = (v.c0_semigroup, v.direct_sum_min_singular_value, None)
     _, _, k = phs.direct_sum_check(system)
     print(f"--- {label}")
-    print(f"  contraction={v.contraction}  unitary={v.unitary_group}  C0={ok}")
+    print(f"  contraction={v.contraction}  unitary={v.unitary_group}  C0={v.c0_semigroup}")
     print(f"  boundary closure matrix K =\n{np.array_str(k.real, precision=4)}")
-    print(f"  sigma_min(K) = {smin:.4e}")
+    print(f"  sigma_min(K) = {v.direct_sum_min_singular_value:.4e}")
     for zeta in (0.0, 1.0):
         split = phs.eigensplit(system, zeta)
         print(f"  z={zeta:.0f}: wave speeds {split.lam[0]:+.4f}/{split.theta[0]:+.4f}, "

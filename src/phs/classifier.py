@@ -33,7 +33,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .model import PHSystem, eval_h, hermitian_part
+from .model import PHSystem, hermitian_part
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -166,64 +166,81 @@ class EigenSplit:
         return np.concatenate([self.lam, self.theta])
 
 
-def _phase_fix_columns(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is real positive."""
-    m = np.array(m)
-    for j in range(m.shape[1]):
-        col = m[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        i = int(np.argmax(mags > 1e-12 * top))
-        m[:, j] = col * (np.conj(col[i]) / mags[i])
-    return m
+def _similarity(system: PHSystem, zetas):
+    """Eigen-decompose P1 H(zeta) at all ``zetas`` at once through the
+    Hermitian similarity H^(1/2) P1 H^(1/2).
+
+    Returns H (N, n, n) as evaluated, the eigenvalues (N, n) in ascending
+    order and the eigenvectors H^(-1/2) q (N, n, n), not normalized.
+    Raises ValidationError at the first point, in the order given, where H
+    is not positive definite or an eigenvalue sits in the zero band, which
+    violates the standing assumptions (P1 invertible, H positive definite).
+    """
+    h = system.h.eval_many(zetas)
+    w_h, q_h = np.linalg.eigh(hermitian_part(h))
+    bad_h = np.flatnonzero(w_h[:, 0] <= 0.0)
+    # past the first point where H is not positive definite nothing is checked
+    stop = bad_h[0] if bad_h.size else len(h)
+    w_h, q_h = w_h[:stop], q_h[:stop]
+    sq = np.sqrt(w_h)[:, None, :]
+    q_h_adj = np.conj(np.swapaxes(q_h, 1, 2))
+    h_sqrt = (q_h * sq) @ q_h_adj
+    h_isqrt = (q_h / sq) @ q_h_adj
+    w, q = np.linalg.eigh(hermitian_part(h_sqrt @ system.p1 @ h_sqrt))
+    band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+    bad = np.flatnonzero(np.any(np.abs(w) <= band[:, None], axis=1))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"P1 H(zeta={zetas[k]:.6g}) has an eigenvalue within {band[k]:.3e} of zero"
+        )
+    if bad_h.size:
+        raise ValidationError(f"H(zeta={zetas[stop]:.6g}) is not positive definite")
+    return h, w, h_isqrt @ q
 
 
-def _orthonormal_basis(cols: np.ndarray) -> np.ndarray:
-    if cols.shape[1] == 0:
-        return cols.copy()
-    q, _ = np.linalg.qr(cols)
-    return _phase_fix_columns(q)
+def _phase_fix(m: np.ndarray) -> np.ndarray:
+    """Rotate each (non-zero) column of each matrix in a stack (..., n, k)
+    so that its first non-negligible entry is real positive."""
+    mags = np.abs(m)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=-2, keepdims=True), axis=-2)[..., None, :]
+    return m * (np.conj(np.take_along_axis(m, first, axis=-2))
+                / np.take_along_axis(mags, first, axis=-2))
+
+
+def _ordered_split(w: np.ndarray, vecs: np.ndarray):
+    """Put each point's eigenpairs from _similarity positive block first
+    (descending, ties in eigh's order), then the n2 negative ones most
+    negative first (eigh's ascending order), and normalize and phase fix
+    the columns; returns (n2, speeds, vecs).  The inertia is that of P1 at
+    every point (Sylvester), and the zero band keeps the signs exact."""
+    n2 = int(np.count_nonzero(w[0] < 0.0))
+    order = np.concatenate(
+        [n2 + np.argsort(-w[:, n2:], axis=1, kind="stable"),
+         np.broadcast_to(np.arange(n2), (len(w), n2))], axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return n2, np.take_along_axis(w, order, axis=1), _phase_fix(vecs)
 
 
 def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
     """Diagonalize P1 H(zeta) through the Hermitian similarity
     H^(1/2) P1 H^(1/2) and split eigenvectors by eigenvalue sign.
 
-    Raises ValidationError if an eigenvalue sits in the zero band, which
-    violates the standing assumptions (P1 invertible, H positive definite).
+    Raises ValidationError if H(zeta) is not positive definite or an
+    eigenvalue sits in the zero band, which violates the standing
+    assumptions (P1 invertible, H positive definite).
     """
-    h = hermitian_part(eval_h(system, zeta))
-    w_h, q_h = np.linalg.eigh(h)
-    if w_h[0] <= 0.0:
-        raise ValidationError(f"H(zeta={zeta:.6g}) is not positive definite")
-    sq = np.sqrt(w_h)
-    h_sqrt = (q_h * sq) @ q_h.conj().T
-    h_isqrt = (q_h / sq) @ q_h.conj().T
-    sym = hermitian_part(h_sqrt @ system.p1 @ h_sqrt)
-    w, q = np.linalg.eigh(sym)
-    band = TOL_EIG * max(1.0, float(np.abs(w).max()))
-    if np.any(np.abs(w) <= band):
-        raise ValidationError(
-            f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band:.3e} of zero"
-        )
-    pos_idx = np.flatnonzero(w > 0.0)
-    neg_idx = np.flatnonzero(w < 0.0)
-    order = np.concatenate([pos_idx[np.argsort(-w[pos_idx], kind="stable")],
-                            neg_idx[np.argsort(w[neg_idx], kind="stable")]])
-    n1 = pos_idx.size
-    vecs = h_isqrt @ q[:, order]
-    vecs = _phase_fix_columns(vecs / np.linalg.norm(vecs, axis=0))
+    if not 0.0 <= zeta <= 1.0:
+        raise DomainError(f"zeta = {zeta!r} outside [0, 1]")
+    _, w, vecs = _similarity(system, [zeta])
+    n2, speeds, vecs = _ordered_split(w, vecs)
+    n1 = system.n - n2
     return EigenSplit(
-        zeta=float(zeta),
-        n1=int(n1),
-        n2=int(system.n - n1),
-        lam=w[order[:n1]].copy(),
-        theta=w[order[n1:]].copy(),
-        s_inv=vecs,
-        z_plus=_orthonormal_basis(vecs[:, :n1]),
-        z_minus=_orthonormal_basis(vecs[:, n1:]),
+        zeta=float(zeta), n1=n1, n2=n2, lam=speeds[0, :n1], theta=speeds[0, n1:],
+        s_inv=vecs[0],
+        z_plus=_phase_fix(np.linalg.qr(vecs[0, :, :n1])[0]),
+        z_minus=_phase_fix(np.linalg.qr(vecs[0, :, n1:])[0]),
     )
 
 
@@ -253,12 +270,11 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     """Eigensplit at every grid point, with each eigenvector column phase
     aligned against its predecessor (maximal real inner product).
 
-    All points are diagonalized at once: H is evaluated on the whole grid
-    and both eigen-decompositions of eigensplit run stacked.  Raises the
-    ValidationError eigensplit raises at the first bad point.  A
-    ContinuityWarning is emitted when columns reorder between neighbouring
-    points: the smooth diagonalizability assumed by the generation test is
-    then in doubt.
+    All points are diagonalized at once, with eigensplit's ordering and
+    phase fix.  Raises the ValidationError eigensplit raises at the first
+    bad point.  A ContinuityWarning is emitted when columns reorder between
+    neighbouring points: the smooth diagonalizability assumed by the
+    generation test is then in doubt.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -267,43 +283,8 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
         raise DomainError("grid points must lie in [0, 1]")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
-
-    w_h, q_h = np.linalg.eigh(hermitian_part(system.h.eval_many(grid)))
-    bad_h = np.flatnonzero(w_h[:, 0] <= 0.0)
-    # past the first point where H is not positive definite nothing is checked
-    stop = bad_h[0] if bad_h.size else grid.size
-    w_h, q_h = w_h[:stop], q_h[:stop]
-    sq = np.sqrt(w_h)[:, None, :]
-    q_h_adj = np.conj(np.swapaxes(q_h, 1, 2))
-    h_sqrt = (q_h * sq) @ q_h_adj
-    h_isqrt = (q_h / sq) @ q_h_adj
-    w, q = np.linalg.eigh(hermitian_part(h_sqrt @ system.p1 @ h_sqrt))
-    band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
-    bad = np.flatnonzero(np.any(np.abs(w) <= band[:, None], axis=1))
-    if bad.size:
-        k = bad[0]
-        raise ValidationError(
-            f"P1 H(zeta={grid[k]:.6g}) has an eigenvalue within {band[k]:.3e} of zero"
-        )
-    if bad_h.size:
-        raise ValidationError(f"H(zeta={grid[stop]:.6g}) is not positive definite")
-
-    # The inertia is that of P1 at every point (Sylvester), and the zero band
-    # keeps the signs exact.  eigh sorts ascending: the n2 negative
-    # eigenvalues come first, most negative first; the positive ones are put
-    # in descending order, ties in eigh's order as in eigensplit.
-    n2 = int(np.count_nonzero(w[0] < 0.0))
-    order = np.concatenate(
-        [n2 + np.argsort(-w[:, n2:], axis=1, kind="stable"),
-         np.broadcast_to(np.arange(n2), (grid.size, n2))], axis=1)
-    speeds = np.take_along_axis(w, order, axis=1)
-    vecs = h_isqrt @ np.take_along_axis(q, order[:, None, :], axis=2)
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-
-    # per-point phase fix: each column's first non-negligible entry real positive
-    mags = np.abs(vecs)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)[:, None, :]
-    vecs *= np.conj(np.take_along_axis(vecs, first, axis=1)) / np.take_along_axis(mags, first, axis=1)
+    _, w, vecs = _similarity(system, grid)
+    n2, speeds, vecs = _ordered_split(w, vecs)
 
     # alignment along the grid: with inner_k the overlap of column j at points
     # k-1 and k, point k is rotated by prod_{i<=k} conj(inner_i) / |inner_i|
@@ -347,24 +328,55 @@ class BoundaryClosure:
     q: np.ndarray
 
 
+# The two endpoints, z = 1 first: the order in which they are checked.
+_ENDS = (1.0, 0.0)
+
+
 def boundary_closure_matrix(
     system: PHSystem, field: DiagonalizedField | None = None
 ) -> BoundaryClosure:
     """Assemble the boundary closure blocks from the eigenvectors at z = 1
     and z = 0: the last and first points of ``field``, whose grid must run
-    from 0 to 1, or eigensplit at both ends when ``field`` is not given."""
+    from 0 to 1, or eigensplit's at both ends when ``field`` is not given."""
     n = system.n
     if field is None:
-        split1 = eigensplit(system, 1.0)
-        n1, s_inv1, s_inv0 = split1.n1, split1.s_inv, eigensplit(system, 0.0).s_inv
+        (h1, h0), w, vecs = _similarity(system, _ENDS)
+        n2, _, (s_inv1, s_inv0) = _ordered_split(w, vecs)
+        n1 = n - n2
     elif field.zetas[0] != 0.0 or field.zetas[-1] != 1.0:
         raise DomainError("the field's grid must start at 0 and end at 1")
     else:
         n1, s_inv1, s_inv0 = field.n1, field.s_inv[-1], field.s_inv[0]
-    v = system.wb_tilde[:, :n] @ eval_h(system, 1.0) @ s_inv1
-    u = system.wb_tilde[:, n:] @ eval_h(system, 0.0) @ s_inv0
+        h1, h0 = system.h.eval_many(_ENDS)
+    v = system.wb_tilde[:, :n] @ h1 @ s_inv1
+    u = system.wb_tilde[:, n:] @ h0 @ s_inv0
     return BoundaryClosure(k=np.hstack([v[:, :n1], u[:, n1:]]),
                            q=np.hstack([u[:, :n1], v[:, n1:]]))
+
+
+def _direct_sum(
+    system: PHSystem, rank: int, tol_rank: float
+) -> tuple[bool, float, np.ndarray]:
+    """direct_sum_check given rank(wb_tilde), from one stacked decomposition
+    of both ends.  eigh sorts ascending: Z+(1) is spanned by the last n1
+    columns at z = 1 and Z-(0) by the first n2 at z = 0, so with the
+    columns at z = 1 reversed the leading columns of one stacked QR are
+    orthonormal bases of both.  K's singular values do not depend on the
+    basis within each block: no ordering, no phase fix."""
+    n = system.n
+    if rank != n:
+        raise PreconditionError(
+            f"rank(wb_tilde) = {rank} != n = {n}: generation test inapplicable"
+        )
+    (h1, h0), w, vecs = _similarity(system, _ENDS)
+    n2 = int(np.count_nonzero(w[0] < 0.0))
+    b1, b0 = np.linalg.qr(np.stack([vecs[0, :, ::-1], vecs[1]]))[0]
+    k = np.hstack([system.wb_tilde[:, :n] @ h1 @ b1[:, :n - n2],
+                   system.wb_tilde[:, n:] @ h0 @ b0[:, :n2]])
+    svals = np.linalg.svd(k, compute_uv=False)
+    smin = float(svals[-1])
+    ok = bool(svals[0] > 0.0 and smin >= tol_rank * float(svals[0]))
+    return ok, smin, k
 
 
 def direct_sum_check(
@@ -373,25 +385,11 @@ def direct_sum_check(
     """C0-generation test: do W1 H(1) Z+(1) and W0 H(0) Z-(0) together span C^n?
 
     Returns (verdict, smallest singular value of K, K) where
-    K = [W1 H(1) B+ | W0 H(0) B-].  Raises PreconditionError when
-    rank(wb_tilde) < n, in which case the test does not apply.
+    K = [W1 H(1) B+ | W0 H(0) B-] for orthonormal bases B+ and B-, which fix
+    K up to a unitary within each block and its singular values exactly.
+    Raises PreconditionError when rank(wb_tilde) < n: the test does not apply.
     """
-    n = system.n
-    rank = rank_of(system.wb_tilde, tol_rank)
-    if rank != n:
-        raise PreconditionError(
-            f"rank(wb_tilde) = {rank} != n = {n}: generation test inapplicable"
-        )
-    split1 = eigensplit(system, 1.0)
-    split0 = eigensplit(system, 0.0)
-    w1 = system.wb_tilde[:, :n]
-    w0 = system.wb_tilde[:, n:]
-    k = np.hstack([w1 @ eval_h(system, 1.0) @ split1.z_plus,
-                   w0 @ eval_h(system, 0.0) @ split0.z_minus])
-    svals = np.linalg.svd(k, compute_uv=False)
-    smin = float(svals[-1])
-    ok = bool(svals[0] > 0.0 and smin >= tol_rank * float(svals[0]))
-    return ok, smin, k
+    return _direct_sum(system, rank_of(system.wb_tilde, tol_rank), tol_rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +456,7 @@ def classify(
     c0: bool | None
     smin: float | None
     try:
-        c0, smin, _ = direct_sum_check(system, tol_rank)
+        c0, smin, _ = _direct_sum(system, check.rank_wb_tilde, tol_rank)
     except PreconditionError as exc:
         c0, smin = None, None
         notes.append(f"inconclusive-C0: {exc}")

@@ -35,6 +35,9 @@ TOL_HERM = 1e-10
 EPS_PD = 1e-8
 EPS_INV = 1e-10
 VALIDATION_POINTS = 257
+# Bisections of a gap between those samples that the Lipschitz bound on
+# lambda_min cannot clear before the field is refused as uncertifiable.
+CERTIFY_DEPTH = 8
 
 FIELD_KINDS = ("constant", "polynomial", "grid")
 
@@ -166,8 +169,9 @@ def validate_system(system: PHSystem) -> None:
     >= EPS_PD.  Where H is affine in zeta, the smallest eigenvalue of its
     Hermitian part is concave, so it is least at an end of the piece: a
     grid field is checked at its knots, a constant field and a polynomial
-    of degree <= 1 at 0 and 1, other polynomials at VALIDATION_POINTS
-    uniform points.
+    of degree <= 1 at 0 and 1.  Other polynomials are checked at
+    VALIDATION_POINTS uniform points and certified between them (see
+    _certify_between_samples).
     """
     n = system.n
     for name, m in (("p1", system.p1), ("p0", system.p0)):
@@ -192,12 +196,13 @@ def validate_system(system: PHSystem) -> None:
         raise ValidationError(f"H has dimension {system.h.n}, system has n = {n}")
 
     h = system.h
+    curved = h.kind == "polynomial" and h.data[0].shape[2] > 2
     if h.kind == "grid":
         zetas = h.data[0]
-    elif h.kind == "constant" or h.data[0].shape[2] <= 2:
-        zetas = np.array([0.0, 1.0])
-    else:
+    elif curved:
         zetas = np.linspace(0.0, 1.0, VALIDATION_POINTS)
+    else:
+        zetas = np.array([0.0, 1.0])
     values = h.eval_many(zetas)
     if not np.all(np.isfinite(values)):
         raise ValidationError("H evaluates to non-finite entries")
@@ -210,10 +215,50 @@ def validate_system(system: PHSystem) -> None:
     eigmin = np.linalg.eigvalsh(hermitian_part(values))[:, 0]
     bad = np.flatnonzero(eigmin < EPS_PD)
     if bad.size:
-        raise ValidationError(
-            f"H(zeta={zetas[bad[0]]:.6g}) is not positive definite "
-            f"(min eigenvalue {eigmin[bad[0]]:.3e} < {EPS_PD:g})"
-        )
+        raise _not_pd(zetas[bad[0]], eigmin[bad[0]])
+    if curved:
+        _certify_between_samples(h, zetas, eigmin)
+
+
+def _not_pd(zeta: float, eigmin: float) -> ValidationError:
+    return ValidationError(
+        f"H(zeta={zeta:.6g}) is not positive definite "
+        f"(min eigenvalue {eigmin:.3e} < {EPS_PD:g})"
+    )
+
+
+def _certify_between_samples(field: CoefficientField, zetas, eigmin) -> None:
+    """Certify lambda_min(H) >= EPS_PD between the samples ``zetas`` of a
+    polynomial field, given its smallest eigenvalues ``eigmin`` there.
+
+    On [0, 1], ||H'(z)||_2 <= L = sum_k k ||C_k||_F, so by Weyl's inequality
+    lambda_min on [a, b] is at least (eigmin(a) + eigmin(b) - L (b - a)) / 2.
+    A gap that bound cannot clear is bisected, at most CERTIFY_DEPTH times;
+    raises ValidationError naming a midpoint where H is not positive
+    definite, or a gap that still cannot be cleared.
+    """
+    (coeffs,) = field.data
+    lip = float(np.arange(coeffs.shape[2]) @ np.linalg.norm(coeffs, axis=(0, 1)))
+    lo, hi, lam_lo, lam_hi = zetas[:-1], zetas[1:], eigmin[:-1], eigmin[1:]
+    for depth in range(CERTIFY_DEPTH + 1):
+        keep = lam_lo + lam_hi - lip * (hi - lo) < 2.0 * EPS_PD
+        if not keep.any():
+            return
+        lo, hi, lam_lo, lam_hi = lo[keep], hi[keep], lam_lo[keep], lam_hi[keep]
+        if depth == CERTIFY_DEPTH:
+            raise ValidationError(
+                f"H cannot be certified positive definite on [{lo[0]:.6g}, {hi[0]:.6g}] "
+                f"(Lipschitz bound {lip:.3e} after {CERTIFY_DEPTH} bisections)"
+            )
+        mid = (lo + hi) / 2.0
+        lam_mid = np.linalg.eigvalsh(hermitian_part(field.eval_many(mid)))[:, 0]
+        bad = np.flatnonzero(lam_mid < EPS_PD)
+        if bad.size:
+            raise _not_pd(mid[bad[0]], lam_mid[bad[0]])
+        # the halves stay in increasing order, so the first failure is named
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        lam_lo = np.column_stack([lam_lo, lam_mid]).ravel()
+        lam_hi = np.column_stack([lam_mid, lam_hi]).ravel()
 
 
 def make_system(p1, p0, h, wb_tilde) -> PHSystem:

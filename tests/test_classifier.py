@@ -183,6 +183,25 @@ class TestEigensplit:
         with pytest.raises(ValidationError, match="eigenvalue"):
             phs.eigensplit(bad, 0.5)
 
+    @pytest.mark.parametrize("path", [*sorted(FIXTURES.glob("*.json")), None],
+                             ids=lambda p: p.stem if p else "random_complex")
+    def test_phase_convention_matches_per_column_loop(self, path):
+        # the per-column loop the batched phase fix replaced, as the reference:
+        # each column rotated so its first non-negligible entry is real positive
+        def loop(m):
+            m = np.array(m)
+            for j in range(m.shape[1]):
+                mags = np.abs(m[:, j])
+                i = int(np.argmax(mags > 1e-12 * mags.max()))
+                m[:, j] *= np.conj(m[i, j]) / mags[i]
+            return m
+
+        system = phs.load_system(path) if path else _random_polynomial_system()
+        for zeta in (0.0, 0.37, 1.0):
+            split = phs.eigensplit(system, zeta)
+            for m in (split.s_inv, split.z_plus, split.z_minus):
+                np.testing.assert_allclose(m, loop(m), rtol=0, atol=1e-15)
+
     def test_determinism(self):
         a = phs.eigensplit(string_system((1.0, 1.0)), 0.4)
         b = phs.eigensplit(string_system((1.0, 1.0)), 0.4)
@@ -404,6 +423,96 @@ class TestDirectSum:
             svals = np.linalg.svd(k_alt, compute_uv=False)
             ok_alt = svals[-1] >= 1e-10 * svals[0]
             assert ok_alt == ok
+
+
+def _eigensplit_direct_sum(system):
+    """The route the endpoint decomposition replaces: rank check, eigensplit
+    at z = 1 then z = 0, and K from their orthonormal eigenspace bases."""
+    n = system.n
+    if phs.rank_of(system.wb_tilde) != n:
+        raise PreconditionError("rank")
+    split1 = phs.eigensplit(system, 1.0)
+    split0 = phs.eigensplit(system, 0.0)
+    k = np.hstack([system.wb_tilde[:, :n] @ phs.eval_h(system, 1.0) @ split1.z_plus,
+                   system.wb_tilde[:, n:] @ phs.eval_h(system, 0.0) @ split0.z_minus])
+    svals = np.linalg.svd(k, compute_uv=False)
+    return bool(svals[0] > 0.0 and svals[-1] >= phs.classifier.TOL_RANK * svals[0]), svals[-1]
+
+
+def _assert_same_direct_sum(system):
+    try:
+        ref_ok, ref_smin = _eigensplit_direct_sum(system)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            phs.direct_sum_check(system)
+        return
+    ok, smin, _ = phs.direct_sum_check(system)
+    assert ok == ref_ok
+    assert abs(smin - ref_smin) <= max(1e-12 * ref_smin, 1e-15)
+    assert phs.classify(system).direct_sum_min_singular_value == smin
+
+
+def _negative_p1_system():
+    # P1 = -diag(1, 2): every eigenvalue of P1 H is negative
+    field = phs.CoefficientField.polynomial(
+        np.stack([np.eye(2), [[0.5, 0.2j], [-0.2j, 0.3]]], axis=2))
+    return phs.make_system(-np.diag([1.0, 2.0]), np.zeros((2, 2)), field,
+                           np.hstack([np.diag([0.0, 1.0]), np.diag([1.0, 2.0])]))
+
+
+class TestEndpointDecomposition:
+    """The C0 test reads one stacked decomposition of both endpoints; it must
+    decide as the eigensplit route does."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_fixtures_match_eigensplit_route(self, path):
+        _assert_same_direct_sum(phs.load_system(path))
+
+    def test_negative_definite_p1(self):
+        # the fixtures cover n2 = 0 (P1 = I); here Z+(1) is empty
+        system = _negative_p1_system()
+        assert phs.eigensplit(system, 1.0).n1 == 0
+        _assert_same_direct_sum(system)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_random_systems_match_eigensplit_route(self, n):
+        hints = ("general", "contraction", "unitary")
+        for seed in range(210):
+            _assert_same_direct_sum(phs.random_system(7000 * n + seed, n, hints[seed % 3]))
+
+    @pytest.mark.parametrize("system", [
+        # H(z) = diag(1 - 2z, 1) is not positive definite at z = 1
+        _unchecked_system(np.eye(2),
+                          np.array([[[1.0, -2.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])),
+        # H(z) = diag(1, 1e-12 + z): P1 H(0) has an eigenvalue in the zero band
+        _unchecked_system(np.eye(2),
+                          np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-12, 1.0]]])),
+        # singular P1: the zero band at both ends, z = 1 named first
+        _unchecked_system(np.diag([1.0, 0.0]),
+                          np.array([[[1.0], [0.0]], [[0.0], [1.0]]])),
+    ], ids=["h_not_pd_at_1", "band_at_0", "singular_p1"])
+    def test_same_validation_error_as_eigensplit(self, system):
+        with pytest.raises(ValidationError) as reference:
+            phs.eigensplit(system, 1.0)
+            phs.eigensplit(system, 0.0)
+        for check in (phs.direct_sum_check, phs.boundary_closure_matrix):
+            with pytest.raises(ValidationError) as got:
+                check(system)
+            assert str(got.value) == str(reference.value)
+
+    def test_one_rank_svd_per_classify(self, monkeypatch):
+        calls = []
+        rank_of = phs.classifier.rank_of
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rank_of(*args, **kwargs)
+
+        monkeypatch.setattr(phs.classifier, "rank_of", counting)
+        for system in (network_system(), string_system((1.0, 1.0)), transport_system(0.0, 1.0)):
+            calls.clear()
+            phs.classify(system)
+            assert len(calls) == 1
 
 
 class TestClassify:

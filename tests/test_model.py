@@ -273,3 +273,64 @@ def test_affine_fields_validated_exactly(seed, n, grid, targets, dip):
     assert expected
     dense = field.eval_many(np.linspace(0.0, 1.0, 4097))
     assert np.linalg.eigvalsh(phs.hermitian_part(dense))[:, 0].min() >= EPS_PD - 1e-12
+
+
+def _scalar_polynomial(coeffs):
+    return phs.CoefficientField.polynomial([[coeffs]])
+
+
+class TestCurvedPolynomialCertification:
+    A = 0.5 + 1.0 / 512.0
+
+    def test_dip_between_uniform_samples_rejected(self):
+        # H(z) = (z - a)^2 - 1e-6 is >= 2.8e-6 at all 257 uniform points (a
+        # lies halfway between 1/2 and 1/2 + 1/256) but negative around a
+        a = self.A
+        field = _scalar_polynomial([a * a - 1e-6, -2.0 * a, 1.0])
+        samples = field.eval_many(np.linspace(0.0, 1.0, phs.model.VALIDATION_POINTS))
+        assert np.linalg.eigvalsh(samples)[:, 0].min() >= EPS_PD
+        with pytest.raises(ValidationError, match=r"zeta=0\.501953\) is not positive definite"):
+            phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
+
+    def test_one_plus_z_squared_accepted(self):
+        system = phs.make_system([[1.0]], [[0.0]], _scalar_polynomial([1.0, 0.0, 1.0]),
+                                 [[1.0, 0.0]])
+        assert phs.classify(system).c0_semigroup
+
+    def test_too_close_to_certify_refused(self):
+        # (z - a)^2 + 1e-6 is positive definite, but closer to EPS_PD than the
+        # Lipschitz bound resolves after CERTIFY_DEPTH bisections
+        a = self.A
+        with pytest.raises(ValidationError, match="cannot be certified positive definite on"):
+            phs.make_system([[1.0]], [[0.0]], _scalar_polynomial([a * a + 1e-6, -2.0 * a, 1.0]),
+                            [[1.0, 0.0]])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), degree=st.integers(2, 3),
+       target=st.sampled_from([-1e-3, -1e-7, 0.0, EPS_PD * (1.0 - 1e-3), EPS_PD,
+                               1e-6, 1e-3, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_curved_polynomials_certified_soundly(seed, n, degree, target):
+    # H = sum_k C_k z^k with random Hermitian C_k, shifted so that the least
+    # eigenvalue on a fine grid is ``target``: an accepted field is positive
+    # definite on that grid, and a comfortable margin is always accepted
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((degree + 1, n, n)) + 1j * rng.standard_normal((degree + 1, n, n))
+    coeffs = phs.hermitian_part(m) / n
+    dense = np.linspace(0.0, 1.0, 4097)
+
+    def least(c):
+        field = phs.CoefficientField.polynomial(np.moveaxis(c, 0, 2))
+        return field, np.linalg.eigvalsh(phs.hermitian_part(field.eval_many(dense)))[:, 0]
+
+    _, lam = least(coeffs)
+    coeffs[0] += (target - lam.min()) * np.eye(n)
+    field, lam = least(coeffs)
+    try:
+        phs.make_system(np.eye(n), np.zeros((n, n)), field,
+                        np.hstack([np.eye(n), np.zeros((n, n))]))
+    except ValidationError as exc:
+        assert "positive definite" in str(exc)
+        assert target < 1e-3, str(exc)
+        return
+    assert lam.min() >= EPS_PD - 1e-12
