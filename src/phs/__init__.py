@@ -35,7 +35,6 @@ from .errors import (
     PreconditionError,
     SchemaError,
     ShapeError,
-    SingularityError,
     SpecError,
     StabilityError,
     ValidationError,
@@ -43,7 +42,6 @@ from .errors import (
 from .model import (
     CoefficientField,
     PHSystem,
-    eval_h,
     hermitian_part,
     load_system,
     make_system,
@@ -56,7 +54,6 @@ from .oracle import (
     check_contraction_via_c,
     kernel_basis,
     random_system,
-    sample_form_on_kernel,
 )
 from .simulator import (
     SimConfig,

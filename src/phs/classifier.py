@@ -30,7 +30,6 @@ from .errors import (
     ContinuityWarning,
     DomainError,
     PreconditionError,
-    SingularityError,
     ValidationError,
 )
 from .model import PHSystem, hermitian_part
@@ -43,12 +42,6 @@ TOL_RANK = 1e-10
 TOL_EIG = 1e-9
 
 
-def _sigma(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [eye, zero]])
-
-
 def _scaled(tol: float, norm: float) -> float:
     """tol * max(1, ||M||) for a matrix M of 2-norm ``norm``."""
     return tol * max(1.0, norm)
@@ -56,15 +49,13 @@ def _scaled(tol: float, norm: float) -> float:
 
 def compute_wb(system: PHSystem) -> np.ndarray:
     """Map the boundary matrix to trace-sum/difference coordinates:
-    wb = wb_tilde @ inv([[P1, -P1], [I, I]])."""
+    wb = wb_tilde @ inv([[P1, -P1], [I, I]]).
+
+    That inverse is [[P1^-1 / 2, I / 2], [-P1^-1 / 2, I / 2]], so with
+    wb_tilde = [W1 W0], wb = [(W1 - W0) P1^-1 / 2, (W1 + W0) / 2]."""
     n = system.n
-    eye = np.eye(n)
-    block = np.block([[system.p1, -system.p1], [eye, eye]])
-    svals = np.linalg.svd(block, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] < TOL_RANK * svals[0]:
-        # cannot happen for a validated system (P1 invertible)
-        raise SingularityError("[[P1, -P1], [I, I]] is numerically singular")
-    return np.linalg.solve(block.T, system.wb_tilde.T).T
+    w1, w0 = system.wb_tilde[:, :n], system.wb_tilde[:, n:]
+    return np.hstack([np.linalg.solve(system.p1.T, (w1 - w0).T).T / 2.0, (w1 + w0) / 2.0])
 
 
 def rank_of(m: np.ndarray, tol_rank: float = TOL_RANK) -> int:
@@ -109,8 +100,9 @@ def check_contraction(
     lambda_max <= max |lambda| and lambda_min >= -max |lambda|.
     """
     p0_eigs = np.linalg.eigvalsh(hermitian_part(system.p0))
-    wb = compute_wb(system)
-    form = hermitian_part(wb @ _sigma(system.n) @ wb.conj().T)
+    # wb Sigma wb* = A B* + B A* for wb = [A B]
+    a, b = np.hsplit(compute_wb(system), 2)
+    form = hermitian_part(a @ b.conj().T + b @ a.conj().T)
     form_eigs = np.linalg.eigvalsh(form)
     rank = rank_of(system.wb_tilde, tol_rank)
     p0_norm = float(max(-p0_eigs[0], p0_eigs[-1]))

@@ -22,10 +22,6 @@ class ShapeError(PHSError):
     """A matrix argument has the wrong shape or symmetry for the operation."""
 
 
-class SingularityError(PHSError):
-    """A matrix that should be invertible is numerically singular."""
-
-
 class PreconditionError(PHSError):
     """A test's standing assumption fails, so its verdict is inconclusive."""
 

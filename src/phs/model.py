@@ -23,21 +23,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ShapeError, ValidationError
+from .errors import SchemaError, ShapeError, ValidationError
 
 # Validation tolerances.  tol values are relative to the matrix scale,
 # eps_pd is the absolute floor for the smallest eigenvalue of H.
 TOL_HERM = 1e-10
 EPS_PD = 1e-8
 EPS_INV = 1e-10
-VALIDATION_POINTS = 257
-# Bisections of a gap between those samples that the Lipschitz bound on
-# lambda_min cannot clear before the field is refused as uncertifiable.
-CERTIFY_DEPTH = 8
+# Halvings of a Bernstein piece whose control matrices cannot certify
+# lambda_min >= EPS_PD before the field is refused as uncertifiable: the
+# finest piece is 2**-16 wide.
+CERTIFY_DEPTH = 16
 
 FIELD_KINDS = ("constant", "polynomial", "grid")
 
@@ -166,12 +167,15 @@ def validate_system(system: PHSystem) -> None:
     first violated one.
 
     H must be Hermitian within TOL_HERM (relative) with smallest eigenvalue
-    >= EPS_PD.  Where H is affine in zeta, the smallest eigenvalue of its
-    Hermitian part is concave, so it is least at an end of the piece: a
-    grid field is checked at its knots, a constant field and a polynomial
-    of degree <= 1 at 0 and 1.  Other polynomials are checked at
-    VALIDATION_POINTS uniform points and certified between them (see
-    _certify_between_samples).
+    >= EPS_PD on all of [0, 1].  The field is written as polynomial pieces
+    in Bernstein form (see _bernstein_pieces): on each piece H(z) is a
+    convex combination of its control matrices, which are Hermitian exactly
+    when H is, and lambda_min is concave, so the least control eigenvalue
+    bounds lambda_min(H) from below on the piece.  A piece the bound cannot
+    clear is halved (de Casteljau), at most CERTIFY_DEPTH times.  The end
+    control matrices are H at the ends of the piece: a refusal names the
+    first such point below EPS_PD, or else a piece still open at the cap.
+    Constant, affine and grid fields are decided exactly, without halving.
     """
     n = system.n
     for name, m in (("p1", system.p1), ("p0", system.p0)):
@@ -195,70 +199,69 @@ def validate_system(system: PHSystem) -> None:
     if system.h.n != n:
         raise ValidationError(f"H has dimension {system.h.n}, system has n = {n}")
 
-    h = system.h
-    curved = h.kind == "polynomial" and h.data[0].shape[2] > 2
-    if h.kind == "grid":
-        zetas = h.data[0]
-    elif curved:
-        zetas = np.linspace(0.0, 1.0, VALIDATION_POINTS)
-    else:
-        zetas = np.array([0.0, 1.0])
-    values = h.eval_many(zetas)
-    if not np.all(np.isfinite(values)):
+    knots, ctrl = _bernstein_pieces(system.h)
+    if not np.all(np.isfinite(ctrl)):
         raise ValidationError("H evaluates to non-finite entries")
-    defect = _herm_defect(values)
+    defect = _herm_defect(ctrl).max(axis=1)
     bad = np.flatnonzero(defect > TOL_HERM)
     if bad.size:
-        raise ValidationError(
-            f"H(zeta={zetas[bad[0]]:.6g}) is not Hermitian (relative defect {defect[bad[0]]:.3e})"
-        )
-    eigmin = np.linalg.eigvalsh(hermitian_part(values))[:, 0]
-    bad = np.flatnonzero(eigmin < EPS_PD)
-    if bad.size:
-        raise _not_pd(zetas[bad[0]], eigmin[bad[0]])
-    if curved:
-        _certify_between_samples(h, zetas, eigmin)
-
-
-def _not_pd(zeta: float, eigmin: float) -> ValidationError:
-    return ValidationError(
-        f"H(zeta={zeta:.6g}) is not positive definite "
-        f"(min eigenvalue {eigmin:.3e} < {EPS_PD:g})"
-    )
-
-
-def _certify_between_samples(field: CoefficientField, zetas, eigmin) -> None:
-    """Certify lambda_min(H) >= EPS_PD between the samples ``zetas`` of a
-    polynomial field, given its smallest eigenvalues ``eigmin`` there.
-
-    On [0, 1], ||H'(z)||_2 <= L = sum_k k ||C_k||_F, so by Weyl's inequality
-    lambda_min on [a, b] is at least (eigmin(a) + eigmin(b) - L (b - a)) / 2.
-    A gap that bound cannot clear is bisected, at most CERTIFY_DEPTH times;
-    raises ValidationError naming a midpoint where H is not positive
-    definite, or a gap that still cannot be cleared.
-    """
-    (coeffs,) = field.data
-    lip = float(np.arange(coeffs.shape[2]) @ np.linalg.norm(coeffs, axis=(0, 1)))
-    lo, hi, lam_lo, lam_hi = zetas[:-1], zetas[1:], eigmin[:-1], eigmin[1:]
+        k = bad[0]
+        raise ValidationError(f"H is not Hermitian on [{knots[k]:.6g}, {knots[k + 1]:.6g}] "
+                              f"(relative defect {defect[k]:.3e})")
+    lo, hi, ctrl = knots[:-1], knots[1:], hermitian_part(ctrl)
     for depth in range(CERTIFY_DEPTH + 1):
-        keep = lam_lo + lam_hi - lip * (hi - lo) < 2.0 * EPS_PD
-        if not keep.any():
+        eigmin = np.linalg.eigvalsh(ctrl)[..., 0]
+        if eigmin.min() >= EPS_PD:
             return
-        lo, hi, lam_lo, lam_hi = lo[keep], hi[keep], lam_lo[keep], lam_hi[keep]
+        # the pieces stay in increasing order, so the first failure is named
+        ends = eigmin[:, [0, -1]].ravel()
+        bad = np.flatnonzero(ends < EPS_PD)
+        if bad.size:
+            piece, side = divmod(bad[0], 2)
+            raise ValidationError(
+                f"H(zeta={(lo, hi)[side][piece]:.6g}) is not positive definite "
+                f"(min eigenvalue {ends[bad[0]]:.3e} < {EPS_PD:g})"
+            )
+        keep = eigmin.min(axis=1) < EPS_PD
+        lo, hi, ctrl = lo[keep], hi[keep], ctrl[keep]
         if depth == CERTIFY_DEPTH:
             raise ValidationError(
                 f"H cannot be certified positive definite on [{lo[0]:.6g}, {hi[0]:.6g}] "
-                f"(Lipschitz bound {lip:.3e} after {CERTIFY_DEPTH} bisections)"
+                f"(Bernstein bound after {CERTIFY_DEPTH} halvings)"
             )
+        # de Casteljau at t = 1/2: control matrix i of the left half is
+        # sum_k binom(i, k) B_k / 2^i, the right half mirrors the left
+        d = ctrl.shape[1] - 1
+        left = np.array([[comb(i, k) / 2**i for k in range(d + 1)] for i in range(d + 1)])
+        halves = np.concatenate([left, left[::-1, ::-1]]) @ ctrl.reshape(len(ctrl), d + 1, -1)
+        ctrl = halves.reshape((-1,) + ctrl.shape[1:])
         mid = (lo + hi) / 2.0
-        lam_mid = np.linalg.eigvalsh(hermitian_part(field.eval_many(mid)))[:, 0]
-        bad = np.flatnonzero(lam_mid < EPS_PD)
-        if bad.size:
-            raise _not_pd(mid[bad[0]], lam_mid[bad[0]])
-        # the halves stay in increasing order, so the first failure is named
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
-        lam_lo = np.column_stack([lam_lo, lam_mid]).ravel()
-        lam_hi = np.column_stack([lam_mid, lam_hi]).ravel()
+
+
+def _bernstein_pieces(field: CoefficientField):
+    """Write a field as polynomial pieces of one degree d in Bernstein form.
+
+    Returns the piece ends zeta_0 < ... < zeta_P and control matrices B of
+    shape (P, d + 1, n, n): on piece p, with t = (z - zeta_p) / (zeta_(p+1)
+    - zeta_p), H(z) = sum_j binom(d, j) t^j (1 - t)^(d - j) B[p, j], so
+    B[p, 0] and B[p, d] are H at the ends.  A constant field is one piece of
+    degree 0, a polynomial sum_k a_k z^k one piece with B_j = sum_(k <= j)
+    binom(j, k) / binom(d, k) a_k, and a grid field one affine piece per
+    knot interval, its knot values symmetrized as grid evaluation does.
+    """
+    if field.kind == "constant":
+        return np.array([0.0, 1.0]), field.data[0][None, None]
+    if field.kind == "grid":
+        zetas, values = field.data
+        values = hermitian_part(values)
+        return zetas, np.stack([values[:-1], values[1:]], axis=1)
+    (coeffs,) = field.data
+    d = coeffs.shape[2] - 1
+    to_bernstein = np.array([[comb(j, k) / comb(d, k) for k in range(d + 1)]
+                             for j in range(d + 1)])
+    ctrl = to_bernstein @ np.moveaxis(coeffs, 2, 0).reshape(d + 1, -1)
+    return np.array([0.0, 1.0]), ctrl.reshape(1, d + 1, field.n, field.n)
 
 
 def make_system(p1, p0, h, wb_tilde) -> PHSystem:
@@ -277,17 +280,6 @@ def make_system(p1, p0, h, wb_tilde) -> PHSystem:
     )
     validate_system(system)
     return system
-
-
-def eval_h(system: PHSystem, zeta: float) -> np.ndarray:
-    """Evaluate the Hamiltonian density H at a point of [0,1].
-
-    Grid fields are linearly interpolated and symmetrized; constant and
-    polynomial fields are evaluated as stored.
-    """
-    if not 0.0 <= zeta <= 1.0:
-        raise DomainError(f"zeta = {zeta!r} outside [0, 1]")
-    return system.h.eval(float(zeta))
 
 
 # ---------------------------------------------------------------------------

@@ -65,22 +65,6 @@ def boundary_form_on_kernel(
     return float(w[-1]), float(w[0])
 
 
-def sample_form_on_kernel(
-    system: PHSystem, samples: int = 10_000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte-Carlo smoke test of the same form: extremes of z* F z over
-    random unit vectors.  Bounded by the eigenvalue route, never above it."""
-    form = _restricted_form(system)
-    k = form.shape[0]
-    if k == 0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((samples, k)) + 1j * rng.standard_normal((samples, k))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    vals = np.real(np.einsum("si,ij,sj->s", z.conj(), form, z))
-    return float(vals.max()), float(vals.min())
-
-
 def _contraction_from_form(system: PHSystem, form_eigs: np.ndarray, tol_psd: float) -> bool:
     """Contraction decided from the eigenvalues of the kernel form (one per
     kernel dimension, ascending): Re P0 <= 0 and the form non-positive."""

@@ -159,7 +159,7 @@ class TestEigensplit:
                        transport_system(1.0, 0.0, h=2.0)):
             for zeta in (0.0, 0.33, 1.0):
                 split = phs.eigensplit(system, zeta)
-                p1h = system.p1 @ phs.eval_h(system, zeta)
+                p1h = system.p1 @ system.h.eval(zeta)
                 lhs = p1h @ split.s_inv
                 rhs = split.s_inv @ np.diag(split.speeds)
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(p1h))
@@ -328,8 +328,8 @@ class TestBoundaryClosure:
         split1 = phs.eigensplit(system, 1.0)
         split0 = phs.eigensplit(system, 0.0)
         n1 = split1.n1
-        v = system.wb_tilde[:, :n] @ phs.eval_h(system, 1.0) @ split1.s_inv
-        u = system.wb_tilde[:, n:] @ phs.eval_h(system, 0.0) @ split0.s_inv
+        v = system.wb_tilde[:, :n] @ system.h.eval(1.0) @ split1.s_inv
+        u = system.wb_tilde[:, n:] @ system.h.eval(0.0) @ split0.s_inv
         # k = [V1 U2] on the incoming traces, q = [U1 V2] on the outgoing ones
         np.testing.assert_allclose(closure.k[:, :n1], v[:, :n1])
         np.testing.assert_allclose(closure.k[:, n1:], u[:, n1:])
@@ -417,8 +417,8 @@ class TestDirectSum:
             bm = s0.z_minus @ haar(s0.n2) if s0.n2 else s0.z_minus
             n = system.n
             k_alt = np.hstack([
-                system.wb_tilde[:, :n] @ phs.eval_h(system, 1.0) @ bp,
-                system.wb_tilde[:, n:] @ phs.eval_h(system, 0.0) @ bm,
+                system.wb_tilde[:, :n] @ system.h.eval(1.0) @ bp,
+                system.wb_tilde[:, n:] @ system.h.eval(0.0) @ bm,
             ])
             svals = np.linalg.svd(k_alt, compute_uv=False)
             ok_alt = svals[-1] >= 1e-10 * svals[0]
@@ -433,8 +433,8 @@ def _eigensplit_direct_sum(system):
         raise PreconditionError("rank")
     split1 = phs.eigensplit(system, 1.0)
     split0 = phs.eigensplit(system, 0.0)
-    k = np.hstack([system.wb_tilde[:, :n] @ phs.eval_h(system, 1.0) @ split1.z_plus,
-                   system.wb_tilde[:, n:] @ phs.eval_h(system, 0.0) @ split0.z_minus])
+    k = np.hstack([system.wb_tilde[:, :n] @ system.h.eval(1.0) @ split1.z_plus,
+                   system.wb_tilde[:, n:] @ system.h.eval(0.0) @ split0.z_minus])
     svals = np.linalg.svd(k, compute_uv=False)
     return bool(svals[0] > 0.0 and svals[-1] >= phs.classifier.TOL_RANK * svals[0]), svals[-1]
 
@@ -625,7 +625,7 @@ class TestProperties:
         for system in (string_system((1.0, 0.5)), network_system()):
             expected = _sign_counts(system.p1)
             for zeta in np.linspace(0.0, 1.0, 7):
-                w, q = np.linalg.eigh(phs.hermitian_part(phs.eval_h(system, zeta)))
+                w, q = np.linalg.eigh(phs.hermitian_part(system.h.eval(zeta)))
                 sq = (q * np.sqrt(w)) @ q.conj().T
                 counts = _sign_counts(phs.hermitian_part(sq @ system.p1 @ sq))
                 assert counts == expected

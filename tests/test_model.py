@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phs
-from phs.errors import DomainError, SchemaError, ShapeError, ValidationError
+from phs.errors import SchemaError, ShapeError, ValidationError
 from phs.model import EPS_PD
 
 
@@ -82,7 +82,7 @@ class TestLoadSystem:
             "wb_tilde": pairs(np.hstack([np.eye(2), np.diag([-1.0, 1.0])])),
         }
         system = phs.load_system(doc)
-        np.testing.assert_allclose(phs.eval_h(system, 0.5), np.diag([1.0, 1.5]))
+        np.testing.assert_allclose(system.h.eval(0.5), np.diag([1.0, 1.5]))
 
     @pytest.mark.parametrize("mutate, match", [
         (lambda d: d.pop("p1"), "missing"),
@@ -119,7 +119,7 @@ class TestEvalH:
     def test_constant_field(self):
         system = phs.make_system([[0, 1], [1, 0]], np.zeros((2, 2)), np.eye(2),
                                  np.hstack([np.eye(2), np.eye(2)]))
-        np.testing.assert_array_equal(phs.eval_h(system, 0.3), np.eye(2))
+        np.testing.assert_array_equal(system.h.eval(0.3), np.eye(2))
 
     def test_string_density_form(self):
         # H = diag(1/rho, T) evaluated entrywise
@@ -127,14 +127,14 @@ class TestEvalH:
         system = phs.make_system([[0, 1], [1, 0]], np.zeros((2, 2)),
                                  np.diag([1.0 / rho, t]),
                                  np.hstack([np.eye(2), np.eye(2)]))
-        np.testing.assert_allclose(phs.eval_h(system, 0.7), np.diag([0.5, 3.0]))
+        np.testing.assert_allclose(system.h.eval(0.7), np.diag([0.5, 3.0]))
 
     def test_grid_interpolation(self):
         field = phs.CoefficientField.grid([0.0, 1.0], [[[1.0]], [[3.0]]])
         system = phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
-        np.testing.assert_allclose(phs.eval_h(system, 0.5), [[2.0]])
-        np.testing.assert_allclose(phs.eval_h(system, 0.0), [[1.0]])
-        np.testing.assert_allclose(phs.eval_h(system, 1.0), [[3.0]])
+        np.testing.assert_allclose(system.h.eval(0.5), [[2.0]])
+        np.testing.assert_allclose(system.h.eval(0.0), [[1.0]])
+        np.testing.assert_allclose(system.h.eval(1.0), [[3.0]])
 
     def test_grid_symmetrized(self):
         # slightly non-Hermitian samples are symmetrized on evaluation
@@ -144,15 +144,8 @@ class TestEvalH:
         field = phs.CoefficientField.grid([0.0, 1.0], vals)
         system = phs.make_system(np.eye(2), np.zeros((2, 2)), field,
                                  np.hstack([np.eye(2), np.eye(2)]))
-        h = phs.eval_h(system, 0.25)
+        h = system.h.eval(0.25)
         np.testing.assert_array_equal(h, h.conj().T)
-
-    def test_domain_error(self):
-        system = phs.load_system(transport_doc())
-        with pytest.raises(DomainError):
-            phs.eval_h(system, 1.2)
-        with pytest.raises(DomainError):
-            phs.eval_h(system, -0.1)
 
     @pytest.mark.parametrize("field", [
         phs.CoefficientField.polynomial(np.array([[[1.0, 0.5, 0.25]]])),
@@ -169,8 +162,8 @@ class TestEvalH:
 
     def test_determinism(self):
         system = phs.load_system(transport_doc())
-        a = phs.eval_h(system, 0.37)
-        b = phs.eval_h(system, 0.37)
+        a = system.h.eval(0.37)
+        b = system.h.eval(0.37)
         np.testing.assert_array_equal(a, b)
 
 
@@ -209,14 +202,13 @@ class TestHermitianPart:
 
 
 def test_validation_grid_invariants():
-    # every validated system satisfies the Hermitian/positivity bounds on
-    # the full validation grid, not just at construction samples
+    # every validated system satisfies the Hermitian/positivity bounds on a
+    # fine grid, not just at construction samples
     system = phs.make_system([[0, 1], [1, 0]], np.zeros((2, 2)),
                              phs.CoefficientField.polynomial(
                                  np.stack([np.eye(2), 0.5 * np.eye(2)], axis=2)),
                              np.hstack([np.eye(2), np.eye(2)]))
-    zs = np.linspace(0.0, 1.0, phs.model.VALIDATION_POINTS)
-    vals = system.h.eval_many(zs)
+    vals = system.h.eval_many(np.linspace(0.0, 1.0, 257))
     herm = np.conj(np.swapaxes(vals, 1, 2))
     assert np.linalg.norm(vals - herm) <= 1e-10 * np.linalg.norm(vals)
     assert np.linalg.eigvalsh((vals + herm) / 2).min() >= 1e-8
@@ -224,12 +216,12 @@ def test_validation_grid_invariants():
 
 def test_narrow_dip_between_uniform_samples_rejected():
     # H dips to -1e-3 at a knot a = 1/2 + 1/512 that lies strictly between two
-    # of the 257 uniform points (1/2 and 1/2 + 1/256), which both see H = 1
+    # of 257 uniform points (1/2 and 1/2 + 1/256), which both see H = 1
     a = 0.5 + 1.0 / 512.0
     zetas = [0.0, a - 1.0 / 1024.0, a, a + 1.0 / 1024.0, 1.0]
     field = phs.CoefficientField.grid(zetas, [[[1.0]], [[1.0]], [[-1e-3]], [[1.0]], [[1.0]]])
     assert np.linalg.eigvalsh(
-        field.eval_many(np.linspace(0.0, 1.0, phs.model.VALIDATION_POINTS)))[:, 0].min() == 1.0
+        field.eval_many(np.linspace(0.0, 1.0, 257)))[:, 0].min() == 1.0
     with pytest.raises(ValidationError, match=r"zeta=0\.501953\) is not positive definite"):
         phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
 
@@ -283,11 +275,11 @@ class TestCurvedPolynomialCertification:
     A = 0.5 + 1.0 / 512.0
 
     def test_dip_between_uniform_samples_rejected(self):
-        # H(z) = (z - a)^2 - 1e-6 is >= 2.8e-6 at all 257 uniform points (a
-        # lies halfway between 1/2 and 1/2 + 1/256) but negative around a
+        # H(z) = (z - a)^2 - 1e-6 is >= 2.8e-6 at 257 uniform points (a lies
+        # halfway between 1/2 and 1/2 + 1/256) but negative around a
         a = self.A
         field = _scalar_polynomial([a * a - 1e-6, -2.0 * a, 1.0])
-        samples = field.eval_many(np.linspace(0.0, 1.0, phs.model.VALIDATION_POINTS))
+        samples = field.eval_many(np.linspace(0.0, 1.0, 257))
         assert np.linalg.eigvalsh(samples)[:, 0].min() >= EPS_PD
         with pytest.raises(ValidationError, match=r"zeta=0\.501953\) is not positive definite"):
             phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
@@ -297,13 +289,39 @@ class TestCurvedPolynomialCertification:
                                  [[1.0, 0.0]])
         assert phs.classify(system).c0_semigroup
 
+    @pytest.mark.parametrize("a", [0.5, A])
+    def test_close_to_floor_accepted(self, a):
+        # (z - a)^2 + 1e-6 is positive definite with a margin of 1e-6 over
+        # EPS_PD at z = a, dyadic or not
+        phs.make_system([[1.0]], [[0.0]], _scalar_polynomial([a * a + 1e-6, -2.0 * a, 1.0]),
+                        [[1.0, 0.0]])
+
     def test_too_close_to_certify_refused(self):
-        # (z - a)^2 + 1e-6 is positive definite, but closer to EPS_PD than the
-        # Lipschitz bound resolves after CERTIFY_DEPTH bisections
-        a = self.A
-        with pytest.raises(ValidationError, match="cannot be certified positive definite on"):
-            phs.make_system([[1.0]], [[0.0]], _scalar_polynomial([a * a + 1e-6, -2.0 * a, 1.0]),
-                            [[1.0, 0.0]])
+        # (z - 0.3)^2 + EPS_PD (1 + 1e-6) is positive definite, but touches
+        # EPS_PD + 1e-14 at a non-dyadic point, closer than the Bernstein
+        # bound resolves on pieces 2**-CERTIFY_DEPTH wide
+        field = _scalar_polynomial([0.09 + EPS_PD * (1.0 + 1e-6), -0.6, 1.0])
+        with pytest.raises(ValidationError, match=r"cannot be certified positive definite "
+                                                  r"on \[0\.299988, 0\.300003\]"):
+            phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
+
+    def test_first_of_two_dips_named(self):
+        # H(z) = 25 ((z - 0.3)(z - 0.7))^2 - 1e-6 is negative near 0.3 and
+        # near 0.7, symmetrically about 1/2: the point near 0.3 is named
+        coeffs = 25.0 * np.polynomial.polynomial.polyfromroots([0.3, 0.3, 0.7, 0.7])
+        coeffs[0] -= 1e-6
+        field = _scalar_polynomial(coeffs)
+        with pytest.raises(ValidationError, match="is not positive definite") as info:
+            phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
+        zeta = float(str(info.value).split("zeta=")[1].split(")")[0])
+        assert abs(zeta - 0.3) < 1e-3
+
+    def test_first_of_two_bad_knots_named(self):
+        field = phs.CoefficientField.grid([0.0, 0.25, 0.5, 0.75, 1.0],
+                                          [[[1.0]], [[1.0]], [[-1.0]], [[-2.0]], [[1.0]]])
+        with pytest.raises(ValidationError, match=r"H\(zeta=0\.5\) is not positive definite "
+                                                  r"\(min eigenvalue -1\.000e\+00"):
+            phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), degree=st.integers(2, 3),
@@ -313,7 +331,7 @@ class TestCurvedPolynomialCertification:
 def test_curved_polynomials_certified_soundly(seed, n, degree, target):
     # H = sum_k C_k z^k with random Hermitian C_k, shifted so that the least
     # eigenvalue on a fine grid is ``target``: an accepted field is positive
-    # definite on that grid, and a comfortable margin is always accepted
+    # definite on that grid, and a margin of 1e-6 is always accepted
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((degree + 1, n, n)) + 1j * rng.standard_normal((degree + 1, n, n))
     coeffs = phs.hermitian_part(m) / n
@@ -331,6 +349,6 @@ def test_curved_polynomials_certified_soundly(seed, n, degree, target):
                         np.hstack([np.eye(n), np.zeros((n, n))]))
     except ValidationError as exc:
         assert "positive definite" in str(exc)
-        assert target < 1e-3, str(exc)
+        assert target < 1e-6, str(exc)
         return
     assert lam.min() >= EPS_PD - 1e-12
