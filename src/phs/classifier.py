@@ -22,17 +22,12 @@ in symmetric eigensolvers throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ContinuityWarning,
-    DomainError,
-    PreconditionError,
-    ValidationError,
-)
-from .model import PHSystem, hermitian_part
+from .errors import ContinuityWarning, DomainError, PreconditionError, ValidationError
+from .model import PHSystem, _adjoint, hermitian_part
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -42,40 +37,40 @@ TOL_RANK = 1e-10
 TOL_EIG = 1e-9
 
 
-def _scaled(tol: float, norm: float) -> float:
-    """tol * max(1, ||M||) for a matrix M of 2-norm ``norm``."""
-    return tol * max(1.0, norm)
-
-
 def compute_wb(system: PHSystem) -> np.ndarray:
     """Map the boundary matrix to trace-sum/difference coordinates:
     wb = wb_tilde @ inv([[P1, -P1], [I, I]]).
 
     That inverse is [[P1^-1 / 2, I / 2], [-P1^-1 / 2, I / 2]], so with
     wb_tilde = [W1 W0], wb = [(W1 - W0) P1^-1 / 2, (W1 + W0) / 2]."""
-    n = system.n
-    w1, w0 = system.wb_tilde[:, :n], system.wb_tilde[:, n:]
-    return np.hstack([np.linalg.solve(system.p1.T, (w1 - w0).T).T / 2.0, (w1 + w0) / 2.0])
+    return np.concatenate(_wb(system.p1, system.wb_tilde), axis=-1)
 
 
-def rank_of(m: np.ndarray, tol_rank: float = TOL_RANK) -> int:
-    """Numerical rank: number of singular values >= tol_rank * sigma_max."""
+def _wb(p1: np.ndarray, wb_tilde: np.ndarray) -> tuple:
+    """The halves [A B] of compute_wb's wb for p1 (..., n, n) and wb_tilde (..., n, 2n)."""
+    n = p1.shape[-1]
+    w1, w0 = wb_tilde[..., :n], wb_tilde[..., n:]
+    a = np.linalg.solve(p1.swapaxes(-1, -2), (w1 - w0).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return a / 2.0, (w1 + w0) / 2.0
+
+
+def rank_of(m: np.ndarray, tol_rank: float = TOL_RANK):
+    """Numerical rank: number of singular values >= tol_rank * sigma_max;
+    an int array of ranks for a stack (..., rows, cols)."""
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
-        return 0
+        return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
     svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals >= tol_rank * svals[0]))
+    top = svals[..., :1]
+    rank = ((svals >= tol_rank * top) & (top > 0.0)).sum(axis=-1)
+    return int(rank) if m.ndim == 2 else rank
 
 
 @dataclass(frozen=True, eq=False)
 class ContractionCheck:
-    """Outcome and witnesses of the contraction and unitary-group tests.
-
-    Both tests read the same eigenvalues of Re P0 and of the sigma form;
-    the 2-norms are their largest magnitudes (both matrices are Hermitian).
-    """
+    """Outcome and witnesses of the contraction and unitary-group tests: both
+    read the same eigenvalues of Re P0 and of the sigma form, whose largest
+    magnitudes are the 2-norms (both matrices are Hermitian)."""
 
     contraction: bool
     unitary_group: bool
@@ -89,9 +84,8 @@ class ContractionCheck:
     rank_wb_tilde: int
 
 
-def check_contraction(
-    system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
-) -> ContractionCheck:
+def check_contraction(system: PHSystem, tol_psd: float = TOL_PSD,
+                      tol_rank: float = TOL_RANK) -> ContractionCheck:
     """Contraction: Re P0 negative semidefinite, wb Sigma wb* positive
     semidefinite and wb_tilde of full rank n.  Unitary group: the same with
     both forms zero.  Independent of the coefficient field H.
@@ -99,35 +93,32 @@ def check_contraction(
     With a shared scale, unitary implies contraction exactly:
     lambda_max <= max |lambda| and lambda_min >= -max |lambda|.
     """
-    p0_eigs = np.linalg.eigvalsh(hermitian_part(system.p0))
+    return ContractionCheck(*(field[0] for field in _contraction(
+        system.p1[None], system.p0[None], system.wb_tilde[None], tol_psd, tol_rank)))
+
+
+def _contraction(p1, p0, wb_tilde, tol_psd: float, tol_rank: float) -> tuple:
+    """check_contraction for a stack: p1, p0 (B, n, n), wb_tilde (B, n, 2n).
+    Returns the ContractionCheck fields in order, each a list over the stack."""
+    n = p1.shape[-1]
+    a, b = _wb(p1, wb_tilde)
     # wb Sigma wb* = A B* + B A* for wb = [A B]
-    a, b = np.hsplit(compute_wb(system), 2)
-    form = hermitian_part(a @ b.conj().T + b @ a.conj().T)
-    form_eigs = np.linalg.eigvalsh(form)
-    rank = rank_of(system.wb_tilde, tol_rank)
-    p0_norm = float(max(-p0_eigs[0], p0_eigs[-1]))
-    form_norm = float(max(-form_eigs[0], form_eigs[-1]))
-    p0_scale = _scaled(tol_psd, p0_norm)
-    form_scale = _scaled(tol_psd, form_norm)
-    nsd = bool(p0_eigs[-1] <= p0_scale)
+    ab = a @ _adjoint(b)
+    form = ab + _adjoint(ab)  # Hermitian entry by entry
+    (p0_eigs, form_eigs) = eigs = np.linalg.eigvalsh(np.array([hermitian_part(p0), form]))
+    p0_norm, form_norm = norms = np.maximum(-eigs[..., 0], eigs[..., -1])
+    p0_scale, form_scale = tol_psd * np.maximum(1.0, norms)
+    rank = rank_of(wb_tilde, tol_rank)
+    full = rank == n
+    nsd = p0_eigs[:, -1] <= p0_scale
     zero = p0_norm <= p0_scale
-    return ContractionCheck(
-        contraction=bool(nsd and form_eigs[0] >= -form_scale and rank == system.n),
-        unitary_group=bool(zero and form_norm <= form_scale and rank == system.n),
-        re_p0_nsd=nsd,
-        re_p0_zero=zero,
-        re_p0_max_eigenvalue=float(p0_eigs[-1]),
-        re_p0_norm=p0_norm,
-        sigma_form=form,
-        sigma_form_min_eigenvalue=float(form_eigs[0]),
-        sigma_form_norm=form_norm,
-        rank_wb_tilde=rank,
-    )
+    return ((nsd & (form_eigs[:, 0] >= -form_scale) & full).tolist(),
+            (zero & (form_norm <= form_scale) & full).tolist(),
+            nsd.tolist(), zero.tolist(), p0_eigs[:, -1].tolist(), p0_norm.tolist(),
+            list(form), form_eigs[:, 0].tolist(), form_norm.tolist(), rank.tolist())
 
 
-def check_unitary(
-    system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
-) -> bool:
+def check_unitary(system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK) -> bool:
     """Re P0 = 0, wb Sigma wb* = 0, and wb_tilde of full rank n."""
     return check_contraction(system, tol_psd, tol_rank).unitary_group
 
@@ -159,36 +150,39 @@ class EigenSplit:
 
 
 def _similarity(system: PHSystem, zetas):
-    """Eigen-decompose P1 H(zeta) at all ``zetas`` at once through the
-    Hermitian similarity H^(1/2) P1 H^(1/2).
-
-    Returns H (N, n, n) as evaluated, the eigenvalues (N, n) in ascending
-    order and the eigenvectors H^(-1/2) q (N, n, n), not normalized.
-    Raises ValidationError at the first point, in the order given, where H
-    is not positive definite or an eigenvalue sits in the zero band, which
-    violates the standing assumptions (P1 invertible, H positive definite).
-    """
+    """H at ``zetas`` and _similarity_stack's eigenpairs; raises its error."""
     h = system.h.eval_many(zetas)
+    w, vecs, _, error = _similarity_stack(system.p1, h, zetas)
+    if error is not None:
+        raise error
+    return h, w, vecs
+
+
+def _similarity_stack(p1, h, zetas):
+    """Eigen-decompose P1 H(zeta) through the Hermitian similarity
+    H^(1/2) P1 H^(1/2); h (..., N, n, n) holds H at ``zetas`` for each
+    system of a stack, p1 broadcasts against it.  Returns the eigenvalues
+    (ascending), the eigenvectors H^(-1/2) q (not normalized), and the flat
+    index and ValidationError of the first point, systems first, where H is
+    not positive definite or an eigenvalue sits in the zero band (P1 not
+    invertible), or (None, None).  Values past that point mean nothing."""
     w_h, q_h = np.linalg.eigh(hermitian_part(h))
-    bad_h = np.flatnonzero(w_h[:, 0] <= 0.0)
-    # past the first point where H is not positive definite nothing is checked
-    stop = bad_h[0] if bad_h.size else len(h)
-    w_h, q_h = w_h[:stop], q_h[:stop]
-    sq = np.sqrt(w_h)[:, None, :]
-    q_h_adj = np.conj(np.swapaxes(q_h, 1, 2))
+    h_pd = w_h[..., 0] > 0.0
+    # any positive stand-in where H is not positive definite
+    sq = np.sqrt(np.abs(w_h) + ~h_pd[..., None])[..., None, :]
+    q_h_adj = _adjoint(q_h)
     h_sqrt = (q_h * sq) @ q_h_adj
     h_isqrt = (q_h / sq) @ q_h_adj
-    w, q = np.linalg.eigh(hermitian_part(h_sqrt @ system.p1 @ h_sqrt))
-    band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
-    bad = np.flatnonzero(np.any(np.abs(w) <= band[:, None], axis=1))
-    if bad.size:
-        k = bad[0]
-        raise ValidationError(
-            f"P1 H(zeta={zetas[k]:.6g}) has an eigenvalue within {band[k]:.3e} of zero"
-        )
-    if bad_h.size:
-        raise ValidationError(f"H(zeta={zetas[stop]:.6g}) is not positive definite")
-    return h, w, h_isqrt @ q
+    w, q = np.linalg.eigh(hermitian_part(h_sqrt @ p1 @ h_sqrt))
+    band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    bad = ~h_pd | (np.abs(w) <= band[..., None]).any(axis=-1)
+    if not bad.any():
+        return w, h_isqrt @ q, None, None
+    k = bad.argmax()
+    zeta = zetas[k % len(zetas)]
+    return w, h_isqrt @ q, k, ValidationError(
+        f"H(zeta={zeta:.6g}) is not positive definite" if not h_pd.flat[k] else
+        f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band.flat[k]:.3e} of zero")
 
 
 def _phase_fix(m: np.ndarray) -> np.ndarray:
@@ -228,12 +222,10 @@ def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
     _, w, vecs = _similarity(system, [zeta])
     n2, speeds, vecs = _ordered_split(w, vecs)
     n1 = system.n - n2
-    return EigenSplit(
-        zeta=float(zeta), n1=n1, n2=n2, lam=speeds[0, :n1], theta=speeds[0, n1:],
-        s_inv=vecs[0],
-        z_plus=_phase_fix(np.linalg.qr(vecs[0, :, :n1])[0]),
-        z_minus=_phase_fix(np.linalg.qr(vecs[0, :, n1:])[0]),
-    )
+    return EigenSplit(zeta=float(zeta), n1=n1, n2=n2, lam=speeds[0, :n1],
+                      theta=speeds[0, n1:], s_inv=vecs[0],
+                      z_plus=_phase_fix(np.linalg.qr(vecs[0, :, :n1])[0]),
+                      z_minus=_phase_fix(np.linalg.qr(vecs[0, :, n1:])[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +285,11 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     max_jump = float(np.linalg.norm(np.diff(vecs, axis=0), axis=1).max(initial=0.0))
 
     if crossings:
-        warnings.warn(
-            f"eigenvalue ordering changes along the grid at indices {list(crossings)}; "
-            "the diagonalizing transform may fail to be continuously differentiable",
-            ContinuityWarning,
-            stacklevel=2,
-        )
-    return DiagonalizedField(
-        zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
-        crossings=crossings, max_column_jump=max_jump,
-    )
+        warnings.warn(f"eigenvalue ordering changes along the grid at indices {list(crossings)}; "
+                      "the diagonalizing transform may fail to be continuously differentiable",
+                      ContinuityWarning, stacklevel=2)
+    return DiagonalizedField(zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
+                             crossings=crossings, max_column_jump=max_jump)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +311,8 @@ class BoundaryClosure:
 _ENDS = (1.0, 0.0)
 
 
-def boundary_closure_matrix(
-    system: PHSystem, field: DiagonalizedField | None = None
-) -> BoundaryClosure:
+def boundary_closure_matrix(system: PHSystem,
+                            field: DiagonalizedField | None = None) -> BoundaryClosure:
     """Assemble the boundary closure blocks from the eigenvectors at z = 1
     and z = 0: the last and first points of ``field``, whose grid must run
     from 0 to 1, or eigensplit's at both ends when ``field`` is not given."""
@@ -346,34 +332,39 @@ def boundary_closure_matrix(
                            q=np.hstack([u[:, :n1], v[:, n1:]]))
 
 
-def _direct_sum(
-    system: PHSystem, rank: int, tol_rank: float
-) -> tuple[bool, float, np.ndarray]:
-    """direct_sum_check given rank(wb_tilde), from one stacked decomposition
-    of both ends.  eigh sorts ascending: Z+(1) is spanned by the last n1
-    columns at z = 1 and Z-(0) by the first n2 at z = 0, so with the
-    columns at z = 1 reversed the leading columns of one stacked QR are
-    orthonormal bases of both.  K's singular values do not depend on the
-    basis within each block: no ordering, no phase fix."""
-    n = system.n
-    if rank != n:
-        raise PreconditionError(
-            f"rank(wb_tilde) = {rank} != n = {n}: generation test inapplicable"
-        )
-    (h1, h0), w, vecs = _similarity(system, _ENDS)
-    n2 = int(np.count_nonzero(w[0] < 0.0))
-    b1, b0 = np.linalg.qr(np.stack([vecs[0, :, ::-1], vecs[1]]))[0]
-    k = np.hstack([system.wb_tilde[:, :n] @ h1 @ b1[:, :n - n2],
-                   system.wb_tilde[:, n:] @ h0 @ b0[:, :n2]])
+def _inapplicable(rank: int, n: int) -> str:
+    return f"rank(wb_tilde) = {rank} != n = {n}: generation test inapplicable"
+
+
+def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
+    """direct_sum_check for systems of one n with rank(wb_tilde) = n, from
+    one decomposition of both ends of all of them.  eigh sorts ascending:
+    Z+(1) is spanned by the last n1 columns at z = 1 and Z-(0) by the first
+    n2 at z = 0, so with the columns at z = 1 reversed the leading columns
+    of one QR are orthonormal bases of both; K's singular values do not
+    depend on the basis within each block.  Returns (ok, smin, K) for the
+    systems before the first whose ends are refused, and its error."""
+    n = p1.shape[-1]
+    h = np.array([system.h.eval_many(_ENDS) for system in systems])
+    w, vecs, bad, error = _similarity_stack(p1[:, None], h, _ENDS)
+    if error is not None:
+        stop = bad // len(_ENDS)
+        wb_tilde, h, w, vecs = wb_tilde[:stop], h[:stop], w[:stop], vecs[:stop]
+    b = np.linalg.qr(np.array([vecs[:, 0, :, ::-1], vecs[:, 1]]))[0]
+    # [W1 H(1) B(1) | W0 H(0) B(0)] for every system, (count, n, 2n)
+    ends = np.concatenate(wb_tilde.reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
+                          @ h.swapaxes(0, 1) @ b, axis=-1)
+    n1 = n - (w[:, 0] < 0.0).sum(axis=-1)[:, None]
+    cols = np.arange(n)
+    # column j of K: column j of W1 H(1) B+ if j < n1, else column j - n1 of W0 H(0) B-
+    k = ends[np.arange(len(w))[:, None], :, cols + (cols >= n1) * (n - n1)].swapaxes(1, 2)
     svals = np.linalg.svd(k, compute_uv=False)
-    smin = float(svals[-1])
-    ok = bool(svals[0] > 0.0 and smin >= tol_rank * float(svals[0]))
-    return ok, smin, k
+    ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= tol_rank * svals[:, 0])
+    return ok.tolist(), svals[:, -1].tolist(), k, error
 
 
-def direct_sum_check(
-    system: PHSystem, tol_rank: float = TOL_RANK
-) -> tuple[bool, float, np.ndarray]:
+def direct_sum_check(system: PHSystem,
+                     tol_rank: float = TOL_RANK) -> tuple[bool, float, np.ndarray]:
     """C0-generation test: do W1 H(1) Z+(1) and W0 H(0) Z-(0) together span C^n?
 
     Returns (verdict, smallest singular value of K, K) where
@@ -381,18 +372,21 @@ def direct_sum_check(
     K up to a unitary within each block and its singular values exactly.
     Raises PreconditionError when rank(wb_tilde) < n: the test does not apply.
     """
-    return _direct_sum(system, rank_of(system.wb_tilde, tol_rank), tol_rank)
+    rank = rank_of(system.wb_tilde, tol_rank)
+    if rank != system.n:
+        raise PreconditionError(_inapplicable(rank, system.n))
+    ok, smin, k, error = _direct_sums([system], system.p1[None], system.wb_tilde[None], tol_rank)
+    if error is not None:
+        raise error
+    return ok[0], smin[0], k[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Verdict(ContractionCheck):
     """Classification record: the contraction check of the system plus the
-    generation test and its witness.
-
-    c0_semigroup is None when rank(wb_tilde) < n, where the generation test
-    has nothing to say (the contraction test still decides: rank < n means
-    no contraction).
-    """
+    generation test and its witness.  c0_semigroup is None when
+    rank(wb_tilde) < n, where the generation test has nothing to say (the
+    contraction test still decides: rank < n means no contraction)."""
 
     n: int
     c0_semigroup: bool | None
@@ -402,36 +396,20 @@ class Verdict(ContractionCheck):
     def as_dict(self, include_matrices: bool = True) -> dict:
         from .model import matrix_to_pairs
 
-        out = {
-            "n": self.n,
-            "rank_wb_tilde": self.rank_wb_tilde,
-            "re_p0": {
-                "nsd": self.re_p0_nsd,
-                "zero": self.re_p0_zero,
-                "max_eigenvalue": self.re_p0_max_eigenvalue,
-                "norm": self.re_p0_norm,
-            },
-            "sigma_form": {
-                "min_eigenvalue": self.sigma_form_min_eigenvalue,
-                "norm": self.sigma_form_norm,
-            },
-            "contraction": self.contraction,
-            "unitary_group": self.unitary_group,
-            "c0_semigroup": self.c0_semigroup,
-            "direct_sum_min_singular_value": self.direct_sum_min_singular_value,
-            "notes": list(self.notes),
-        }
+        sigma = {"min_eigenvalue": self.sigma_form_min_eigenvalue, "norm": self.sigma_form_norm}
         if include_matrices:
-            out["sigma_form"]["matrix"] = matrix_to_pairs(self.sigma_form)
-        return out
+            sigma["matrix"] = matrix_to_pairs(self.sigma_form)
+        return {"n": self.n, "rank_wb_tilde": self.rank_wb_tilde,
+                "re_p0": {"nsd": self.re_p0_nsd, "zero": self.re_p0_zero,
+                          "max_eigenvalue": self.re_p0_max_eigenvalue, "norm": self.re_p0_norm},
+                "sigma_form": sigma, "contraction": self.contraction,
+                "unitary_group": self.unitary_group, "c0_semigroup": self.c0_semigroup,
+                "direct_sum_min_singular_value": self.direct_sum_min_singular_value,
+                "notes": list(self.notes)}
 
 
-def classify(
-    system: PHSystem,
-    tol_psd: float = TOL_PSD,
-    tol_rank: float = TOL_RANK,
-    diagnostic_grid: int | None = None,
-) -> Verdict:
+def classify(system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK,
+             diagnostic_grid: int | None = None) -> Verdict:
     """Run all three tests and assemble a Verdict.
 
     The verdicts are nested (unitary implies contraction implies
@@ -442,38 +420,51 @@ def classify(
     additionally diagonalizes the field on that many points and records an
     eigenvalue-crossing note.
     """
-    check = check_contraction(system, tol_psd, tol_rank)
-    notes: list[str] = []
-
-    c0: bool | None
-    smin: float | None
-    try:
-        c0, smin, _ = _direct_sum(system, check.rank_wb_tilde, tol_rank)
-    except PreconditionError as exc:
-        c0, smin = None, None
-        notes.append(f"inconclusive-C0: {exc}")
-
-    if check.contraction and c0 is False:
-        notes.append(
-            "InternalInconsistency: contraction holds but direct-sum test failed; "
-            "coerced c0_semigroup to True"
-        )
-        c0 = True
-
-    if system.h.kind == "grid":
-        notes.append(
-            "coefficient field is sampled: smoothness assumption of the generation "
-            "test is not verifiable; its verdict uses endpoint data only"
-        )
+    verdicts, error = _classify_stack([system], system.p1[None], system.p0[None],
+                                      system.wb_tilde[None], tol_psd, tol_rank)
+    if error is not None:
+        raise error
+    (verdict,) = verdicts
     if diagnostic_grid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ContinuityWarning)
             dfield = diagonalize_field(system, np.linspace(0.0, 1.0, diagnostic_grid))
         if dfield.crossings:
-            notes.append(
+            verdict = replace(verdict, notes=verdict.notes + (
                 f"eigenvalue crossing on diagnostic grid at indices {list(dfield.crossings)} "
-                f"(max column jump {dfield.max_column_jump:.3e})"
-            )
+                f"(max column jump {dfield.max_column_jump:.3e})",))
+    return verdict
 
-    return Verdict(**vars(check), n=system.n, c0_semigroup=c0,
-                   direct_sum_min_singular_value=smin, notes=tuple(notes))
+
+def _classify_stack(systems, p1, p0, wb_tilde, tol_psd: float, tol_rank: float):
+    """classify, without a diagnostic grid, for systems of one n, with their
+    matrices stacked, each test made once for the stack.  Returns the
+    verdicts of the systems before the first that classify refuses, and its
+    ValidationError (or None)."""
+    n = p1.shape[-1]
+    fields = _contraction(p1, p0, wb_tilde, tol_psd, tol_rank)
+    contraction, rank = fields[0], fields[-1]
+    full = [i for i, r in enumerate(rank) if r == n]
+    c0, smin, error = [None] * len(systems), [None] * len(systems), None
+    if full:
+        ok, svals, _, error = _direct_sums([systems[i] for i in full], p1[full], wb_tilde[full],
+                                           tol_rank)
+        for i, ok_i, smin_i in zip(full, ok, svals):
+            c0[i], smin[i] = ok_i, smin_i
+        if error is not None:
+            systems = systems[:full[len(ok)]]
+
+    verdicts = []
+    for i, (system, check) in enumerate(zip(systems, zip(*fields))):
+        notes = []
+        if c0[i] is None:
+            notes.append(f"inconclusive-C0: {_inapplicable(rank[i], n)}")
+        if contraction[i] and c0[i] is False:
+            notes.append("InternalInconsistency: contraction holds but direct-sum test failed; "
+                         "coerced c0_semigroup to True")
+            c0[i] = True
+        if system.h.kind == "grid":
+            notes.append("coefficient field is sampled: smoothness assumption of the generation "
+                         "test is not verifiable; its verdict uses endpoint data only")
+        verdicts.append(Verdict(*check, n, c0[i], smin[i], tuple(notes)))
+    return verdicts, error

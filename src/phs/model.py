@@ -52,7 +52,12 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"hermitian_part needs square matrices, got shape {m.shape}")
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return (m + _adjoint(m)) / 2.0
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -166,69 +171,133 @@ def validate_system(system: PHSystem) -> None:
     """Check all structural invariants; raise ValidationError naming the
     first violated one.
 
-    H must be Hermitian within TOL_HERM (relative) with smallest eigenvalue
-    >= EPS_PD on all of [0, 1].  The field is written as polynomial pieces
-    in Bernstein form (see _bernstein_pieces): on each piece H(z) is a
-    convex combination of its control matrices, which are Hermitian exactly
-    when H is, and lambda_min is concave, so the least control eigenvalue
-    bounds lambda_min(H) from below on the piece.  A piece the bound cannot
-    clear is halved (de Casteljau), at most CERTIFY_DEPTH times.  The end
-    control matrices are H at the ends of the piece: a refusal names the
-    first such point below EPS_PD, or else a piece still open at the cap.
-    Constant, affine and grid fields are decided exactly, without halving.
+    P1 must be Hermitian within TOL_HERM (relative) and invertible: its
+    smallest singular value at least EPS_INV * max(1, largest), the
+    absolute floor of the classifier's zero bands.  H must be Hermitian
+    within TOL_HERM with smallest eigenvalue >= EPS_PD on all of [0, 1].
+    The field is written as polynomial pieces in Bernstein form (see
+    _bernstein_pieces): on each piece H(z) is a convex combination of its
+    control matrices, which are Hermitian exactly when H is, and lambda_min
+    is concave, so the least control eigenvalue bounds lambda_min(H) from
+    below on the piece.  A piece the bound cannot clear is halved (de
+    Casteljau), at most CERTIFY_DEPTH times.  The end control matrices are
+    H at the ends of the piece: a refusal names the first such point below
+    EPS_PD, or else a piece still open at the cap.  Constant, affine and
+    grid fields are decided exactly, without halving.
     """
+    error = _validate([system])[1]
+    if error is not None:
+        raise error
+
+
+class _FirstFailure:
+    """The first failing system found so far and its error.  Checks run in
+    validate_system's order, each on the systems before that one, so the
+    error kept is the first in system order and, for that system, the one
+    validate_system raises."""
+
+    def __init__(self, count: int):
+        self.stop, self.error = count, None
+
+    def record(self, k, message: str) -> None:
+        if k < self.stop:
+            self.stop, self.error = int(k), ValidationError(message)
+
+
+def _structure_error(system: PHSystem) -> str | None:
     n = system.n
     for name, m in (("p1", system.p1), ("p0", system.p0)):
         if m.shape != (n, n):
-            raise ValidationError(f"{name} must be {n}x{n}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError(f"{name} contains non-finite entries")
-    if not np.all(np.isfinite(system.wb_tilde)):
-        raise ValidationError("wb_tilde contains non-finite entries")
+            return f"{name} must be {n}x{n}, got {m.shape}"
+        if not np.isfinite(m).all():
+            return f"{name} contains non-finite entries"
+    if not np.isfinite(system.wb_tilde).all():
+        return "wb_tilde contains non-finite entries"
     if system.wb_tilde.shape != (n, 2 * n):
-        raise ValidationError(
-            f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
-        )
-    if _herm_defect(system.p1) > TOL_HERM:
-        raise ValidationError("p1 is not Hermitian")
-    svals = np.linalg.svd(system.p1, compute_uv=False)
-    if svals[-1] < EPS_INV * svals[0] or svals[0] == 0.0:
-        raise ValidationError(
-            f"p1 is numerically singular (smallest singular value {svals[-1]:.3e})"
-        )
-    if system.h.n != n:
-        raise ValidationError(f"H has dimension {system.h.n}, system has n = {n}")
+        return f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
+    return None
 
-    knots, ctrl = _bernstein_pieces(system.h)
-    if not np.all(np.isfinite(ctrl)):
-        raise ValidationError("H evaluates to non-finite entries")
-    defect = _herm_defect(ctrl).max(axis=1)
-    bad = np.flatnonzero(defect > TOL_HERM)
-    if bad.size:
-        k = bad[0]
-        raise ValidationError(f"H is not Hermitian on [{knots[k]:.6g}, {knots[k + 1]:.6g}] "
-                              f"(relative defect {defect[k]:.3e})")
-    lo, hi, ctrl = knots[:-1], knots[1:], hermitian_part(ctrl)
+
+def _validate(systems) -> tuple[int, ValidationError | None]:
+    """validate_system on a list of systems of one dimension n, each check
+    made once for the whole stack.  Returns (k, error): the first k systems
+    are valid and ``error`` is what validate_system raises for system k
+    (None when k = len(systems))."""
+    first = _FirstFailure(len(systems))
+    for k, system in enumerate(systems):
+        message = _structure_error(system)
+        if message:
+            first.record(k, message)
+            break
+    if first.stop:
+        p1 = np.array([s.p1 for s in systems[:first.stop]])
+        bad = _herm_defect(p1) > TOL_HERM
+        if bad.any():
+            first.record(bad.argmax(), "p1 is not Hermitian")
+        svals = np.linalg.svd(p1[:first.stop], compute_uv=False)
+        bad = svals[:, -1] < EPS_INV * np.maximum(1.0, svals[:, 0])
+        if bad.any():
+            k = bad.argmax()
+            first.record(k, "p1 is numerically singular "
+                            f"(smallest singular value {svals[k, -1]:.3e})")
+    # the pieces of every field, by degree: owner, piece ends, control matrices
+    groups: dict[int, list] = {}
+    for k, system in enumerate(systems[:first.stop]):
+        if system.h.n != system.n:
+            first.record(k, f"H has dimension {system.h.n}, system has n = {system.n}")
+            break
+        knots, ctrl = _bernstein_pieces(system.h)
+        for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [], [])),
+                               ([k] * len(ctrl), knots[:-1], knots[1:], ctrl)):
+            part.append(value)
+    groups = [tuple(np.concatenate(part) for part in g) for g in groups.values()]
+    # pieces are in system order, so the first failing piece has the first
+    # failing owner (a later owner than first.stop is ignored)
+    for owner, _, _, ctrl in groups:
+        if not np.isfinite(ctrl).all():
+            k = (~np.isfinite(ctrl).all(axis=(1, 2, 3))).argmax()
+            first.record(owner[k], "H evaluates to non-finite entries")
+    for owner, lo, hi, ctrl in groups:
+        # NaN on non-finite pieces, which compares false
+        defect = _herm_defect(ctrl).max(axis=1)
+        bad = defect > TOL_HERM
+        if bad.any():
+            k = bad.argmax()
+            first.record(owner[k], f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
+                                   f"(relative defect {defect[k]:.3e})")
+    for group in groups:
+        _certify(*group, first)
+    return first.stop, first.error
+
+
+def _certify(owner, lo, hi, ctrl, first: _FirstFailure) -> None:
+    """The Bernstein certification of validate_system for pieces of one
+    degree of many fields at once: piece p belongs to system owner[p], and
+    the pieces of each system are contiguous and in increasing order, which
+    halving keeps.  A system is certified once none of its pieces is open;
+    the pieces of systems past first.stop (perhaps not finite) are dropped
+    after one pass, and whatever they show is not recorded."""
+    ctrl = hermitian_part(ctrl)
     for depth in range(CERTIFY_DEPTH + 1):
         eigmin = np.linalg.eigvalsh(ctrl)[..., 0]
-        if eigmin.min() >= EPS_PD:
+        if eigmin.min(initial=np.inf) >= EPS_PD:
             return
-        # the pieces stay in increasing order, so the first failure is named
+        # an end below EPS_PD is on an open piece; the first is named
         ends = eigmin[:, [0, -1]].ravel()
         bad = np.flatnonzero(ends < EPS_PD)
         if bad.size:
             piece, side = divmod(bad[0], 2)
-            raise ValidationError(
-                f"H(zeta={(lo, hi)[side][piece]:.6g}) is not positive definite "
-                f"(min eigenvalue {ends[bad[0]]:.3e} < {EPS_PD:g})"
-            )
-        keep = eigmin.min(axis=1) < EPS_PD
-        lo, hi, ctrl = lo[keep], hi[keep], ctrl[keep]
+            first.record(owner[piece], f"H(zeta={(lo, hi)[side][piece]:.6g}) is not positive "
+                                       f"definite (min eigenvalue {ends[bad[0]]:.3e} < {EPS_PD:g})")
+        keep = (eigmin.min(axis=1) < EPS_PD) & (owner < first.stop)
+        owner, lo, hi, ctrl = owner[keep], lo[keep], hi[keep], ctrl[keep]
+        if not owner.size:
+            return
         if depth == CERTIFY_DEPTH:
-            raise ValidationError(
-                f"H cannot be certified positive definite on [{lo[0]:.6g}, {hi[0]:.6g}] "
-                f"(Bernstein bound after {CERTIFY_DEPTH} halvings)"
-            )
+            first.record(owner[0], f"H cannot be certified positive definite on "
+                                   f"[{lo[0]:.6g}, {hi[0]:.6g}] "
+                                   f"(Bernstein bound after {CERTIFY_DEPTH} halvings)")
+            return
         # de Casteljau at t = 1/2: control matrix i of the left half is
         # sum_k binom(i, k) B_k / 2^i, the right half mirrors the left
         d = ctrl.shape[1] - 1
@@ -237,6 +306,7 @@ def validate_system(system: PHSystem) -> None:
         ctrl = halves.reshape((-1,) + ctrl.shape[1:])
         mid = (lo + hi) / 2.0
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        owner = np.repeat(owner, 2)
 
 
 def _bernstein_pieces(field: CoefficientField):
@@ -264,20 +334,24 @@ def _bernstein_pieces(field: CoefficientField):
     return np.array([0.0, 1.0]), ctrl.reshape(1, d + 1, field.n, field.n)
 
 
-def make_system(p1, p0, h, wb_tilde) -> PHSystem:
-    """Build and validate a PHSystem from raw matrices and a field.
-
-    ``h`` may be a CoefficientField, a matrix, or a scalar (constant field).
-    """
+def _system(p1, p0, h, wb_tilde) -> PHSystem:
+    """A PHSystem from raw matrices and a field, not validated."""
     p1 = np.atleast_2d(np.asarray(p1, dtype=complex))
-    n = p1.shape[0]
-    system = PHSystem(
-        n=n,
+    return PHSystem(
+        n=p1.shape[0],
         p1=_freeze(p1),
         p0=_freeze(np.atleast_2d(np.asarray(p0, dtype=complex))),
         h=_as_field(h),
         wb_tilde=_freeze(np.atleast_2d(np.asarray(wb_tilde, dtype=complex))),
     )
+
+
+def make_system(p1, p0, h, wb_tilde) -> PHSystem:
+    """Build and validate a PHSystem from raw matrices and a field.
+
+    ``h`` may be a CoefficientField, a matrix, or a scalar (constant field).
+    """
+    system = _system(p1, p0, h, wb_tilde)
     validate_system(system)
     return system
 

@@ -21,63 +21,66 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classifier import TOL_PSD, TOL_RANK, _scaled, classify
+from .classifier import TOL_PSD, TOL_RANK, _classify_stack
 from .errors import InvariantError
-from .model import CoefficientField, PHSystem, hermitian_part, make_system
+from .model import CoefficientField, PHSystem, _adjoint, _system, _validate, hermitian_part
+
+# Systems per stacked batch of agreement_campaign: bounds its memory.
+CAMPAIGN_BATCH = 100
 
 
 def kernel_basis(m: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     """Orthonormal basis of ker(m) as the columns of a (cols x k) matrix,
     by SVD thresholding; k = cols - rank."""
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    ((_, bases),) = _kernel_bases(np.atleast_2d(np.asarray(m, dtype=complex))[None], tol_rank)
+    return bases[0]
+
+
+def _kernel_bases(m: np.ndarray, tol_rank: float = TOL_RANK) -> list:
+    """kernel_basis for a stack m (B, rows, cols) by one SVD: one pair
+    (indices or slice, bases (len, cols, k)) per kernel dimension k."""
     _, svals, vh = np.linalg.svd(m)
-    if svals.size and svals[0] > 0.0:
-        rank = int(np.count_nonzero(svals >= tol_rank * svals[0]))
-    else:
-        rank = 0
-    return vh[rank:].conj().T
+    top = svals[..., :1]
+    dims = m.shape[-1] - ((svals >= tol_rank * top) & (top > 0.0)).sum(axis=-1)
+    basis, ks = _adjoint(vh), sorted(set(dims.tolist()))
+    if len(ks) == 1:  # the usual case: a slice, not a copy
+        return [(slice(None), basis[..., basis.shape[-1] - ks[0]:])]
+    return [(idx, basis[idx, :, basis.shape[-1] - k:])
+            for k in ks for idx in [np.flatnonzero(dims == k)]]
 
 
-def _restricted_form(system: PHSystem, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """The Hermitian form diag(P1, -P1) restricted to ker(wb_tilde); its
-    order is the kernel dimension."""
-    basis = kernel_basis(system.wb_tilde, tol_rank)
-    n = system.n
-    zero = np.zeros((n, n))
-    big = np.block([[system.p1, zero], [zero, -system.p1]])
-    return hermitian_part(basis.conj().T @ big @ basis)
+def _kernel_test(p1, p0, wb_tilde, tol_psd: float, tol_rank: float = TOL_RANK):
+    """Contraction for a stack of systems of one n: Re P0 <= 0 and the form
+    diag(P1, -P1) restricted to ker(wb_tilde) non-positive.  Returns per
+    system the kernel dimension, the form's largest and smallest eigenvalue
+    (0 if empty) and the verdict."""
+    count, n = p1.shape[:2]
+    big = np.zeros((count, 2 * n, 2 * n), dtype=complex)
+    big[:, :n, :n] = p1
+    big[:, n:, n:] = -p1
+    dim, top, bottom = np.zeros(count, dtype=int), np.zeros(count), np.zeros(count)
+    for idx, basis in _kernel_bases(wb_tilde, tol_rank):
+        eigs = np.linalg.eigvalsh(hermitian_part(_adjoint(basis) @ big[idx] @ basis))
+        dim[idx] = eigs.shape[1]
+        if eigs.size:
+            top[idx], bottom[idx] = eigs[:, -1], eigs[:, 0]
+    p0_eigs = np.linalg.eigvalsh(hermitian_part(p0))
+    p0_nsd = p0_eigs[:, -1] <= tol_psd * np.maximum(1.0, np.abs(p0_eigs).max(axis=1))
+    return dim, top, bottom, p0_nsd & (top <= tol_psd * np.maximum(1.0, np.maximum(top, -bottom)))
 
 
-def _norm(eigs: np.ndarray) -> float:
-    """2-norm of a Hermitian matrix from its eigenvalues (0 when empty)."""
-    return float(np.abs(eigs).max(initial=0.0))
+def _dimension_error(dim: int, n: int) -> InvariantError:
+    """When the form is non-positive on the kernel, its dimension is n."""
+    return InvariantError(f"kernel dimension {dim} != n = {n} although the "
+                          "boundary form is non-positive on the kernel")
 
 
-def boundary_form_on_kernel(
-    system: PHSystem, tol_rank: float = TOL_RANK
-) -> tuple[float, float]:
+def boundary_form_on_kernel(system: PHSystem, tol_rank: float = TOL_RANK) -> tuple[float, float]:
     """Extreme values of u* P1 u - y* P1 y over unit vectors [u; y] in
     ker(wb_tilde); returns (max, min) eigenvalues of the restricted form."""
-    form = _restricted_form(system, tol_rank)
-    if form.shape[0] == 0:
-        return 0.0, 0.0
-    w = np.linalg.eigvalsh(form)
-    return float(w[-1]), float(w[0])
-
-
-def _contraction_from_form(system: PHSystem, form_eigs: np.ndarray, tol_psd: float) -> bool:
-    """Contraction decided from the eigenvalues of the kernel form (one per
-    kernel dimension, ascending): Re P0 <= 0 and the form non-positive."""
-    p0_eigs = np.linalg.eigvalsh(hermitian_part(system.p0))
-    if p0_eigs[-1] > _scaled(tol_psd, _norm(p0_eigs)):
-        return False
-    holds = (form_eigs[-1] if form_eigs.size else 0.0) <= _scaled(tol_psd, _norm(form_eigs))
-    if holds and form_eigs.size != system.n:
-        raise InvariantError(
-            f"kernel dimension {form_eigs.size} != n = {system.n} although the "
-            "boundary form is non-positive on the kernel"
-        )
-    return bool(holds)
+    _, (top,), (bottom,), _ = _kernel_test(system.p1[None], system.p0[None],
+                                           system.wb_tilde[None], TOL_PSD, tol_rank)
+    return float(top), float(bottom)
 
 
 def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
@@ -90,44 +93,105 @@ def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
     n.  That implication is checked on every passing instance, and its
     failure raises InvariantError.
     """
-    return _contraction_from_form(system, np.linalg.eigvalsh(_restricted_form(system)), tol_psd)
+    (dim,), _, _, (holds,) = _kernel_test(system.p1[None], system.p0[None],
+                                          system.wb_tilde[None], tol_psd)
+    if holds and dim != system.n:
+        raise _dimension_error(dim, system.n)
+    return bool(holds)
 
 
 # ---------------------------------------------------------------------------
 # Randomized instances
 # ---------------------------------------------------------------------------
 
-def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _draws(seed: int, n: int, hint: str) -> dict:
+    """The draws of random_system(seed, n, hint) in its order: per complex
+    matrix its real and imaginary parts (2, n, cols)."""
+    rng = np.random.default_rng(seed)
+    d: dict = {}
+
+    def normals(*keys, cols=n):
+        d.update(zip(keys, rng.standard_normal((len(keys), 2, n, cols))))
+
+    normals("p1", "base")
+    h_keys = ("slope", "skew") if rng.random() >= 0.5 else ("skew",)
+    if hint == "general":
+        normals(*h_keys, "p0")
+        normals("wb_tilde", cols=2 * n)
+        return d
+    if hint == "unitary":
+        normals(*h_keys, "v", "g_left")
+    else:
+        normals(*h_keys, "c", "v")
+        d["v_norm"] = rng.uniform(0.2, 0.999)
+        normals("g_left")
+    d["g_sing"] = rng.uniform(0.5, 2.0, n)
+    normals("g_right")
+    return d
 
 
-def _random_hermitian_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = hermitian_part(_crandn(rng, (n, n)))
-    w, q = np.linalg.eigh(g)
-    w = np.where(w >= 0.0, w + 0.5, w - 0.5)  # push eigenvalues off zero
-    return hermitian_part((q * w) @ q.conj().T)
+def _unitary(z: np.ndarray) -> np.ndarray:
+    """The Q of each QR in a stack, columns rotated to make diag(R) > 0."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_crandn(rng, (n, n)))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def _random_systems(seeds, n: int, hints) -> tuple[list, Exception | None]:
+    """random_system for each (seed, hint), the linear algebra and the
+    validation done on stacks.  Returns the systems before the first that
+    validate_system refuses, and its ValidationError (or None)."""
+    draws = [_draws(seed, n, hint) for seed, hint in zip(seeds, hints)]
 
+    def stack(key, group):  # complex standard normal for matrix draws
+        z = np.array([draws[i][key] for i in group])
+        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if z.ndim == 4 else z
 
-def _random_well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _random_unitary(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ _random_unitary(rng, n)
+    everyone = range(len(draws))
+    eye = np.eye(n)
+    # P1: a random Hermitian matrix with its eigenvalues pushed off zero
+    w, q = np.linalg.eigh(hermitian_part(stack("p1", everyone)))
+    w = np.where(w >= 0.0, w + 0.5, w - 0.5)
+    p1 = hermitian_part((q * w[:, None, :]) @ _adjoint(q))
+    # H: a constant h0 or the affine h0 + zeta * (positive semidefinite slope)
+    base = stack("base", everyone)
+    h = list(hermitian_part(base @ _adjoint(base)) + 0.3 * eye)
+    affine = [i for i in everyone if "slope" in draws[i]]
+    if affine:
+        slope = stack("slope", affine)
+        coeffs = np.stack([[h[i] for i in affine], hermitian_part(slope @ _adjoint(slope))],
+                          axis=-1)
+        for i, c in zip(affine, coeffs):
+            h[i] = CoefficientField.polynomial(c)
+    general, unitary, contraction = ([i for i in everyone if hints[i] == hint]
+                                     for hint in ("general", "unitary", "contraction"))
+    p0, wb_tilde = [None] * len(draws), [None] * len(draws)
+    for i, p0_i, wb_i in zip(general, stack("p0", general), stack("wb_tilde", general)):
+        p0[i], wb_tilde[i] = p0_i, wb_i
+    bounded, u = unitary + contraction, len(unitary)
+    if bounded:
+        # P0 skew-Hermitian, or skew - C C* for a contraction; wb = G [I+V, I-V]
+        # with V unitary, or ||V|| <= 1 for a contraction
+        skew = stack("skew", bounded)
+        p0_b = (skew - _adjoint(skew)) / 2.0
+        v, nb = stack("v", bounded), len(bounded)
+        # one QR for both unitary factors of G and the unitary V
+        q = _unitary(np.concatenate([stack("g_left", bounded), stack("g_right", bounded), v[:u]]))
+        g, v[:u] = (q[:nb] * stack("g_sing", bounded)[:, None, :]) @ q[nb:2 * nb], q[2 * nb:]
+        if contraction:
+            c = stack("c", contraction)
+            p0_b[u:] -= c @ _adjoint(c)
+            v[u:] *= (stack("v_norm", contraction)
+                      / np.linalg.svd(v[u:], compute_uv=False)[:, 0])[:, None, None]
+        # wb_tilde = wb @ [[P1, -P1], [I, I]] = [A P1 + B, B - A P1] for wb = [A B]
+        a, b = g @ (eye + v), g @ (eye - v)
+        a_p1 = a @ p1[bounded]
+        for i, p0_i, wb_i in zip(bounded, p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)):
+            p0[i], wb_tilde[i] = p0_i, wb_i
 
-
-def _random_field(rng: np.random.Generator, n: int) -> CoefficientField:
-    base = _crandn(rng, (n, n))
-    h0 = hermitian_part(base @ base.conj().T) + 0.3 * np.eye(n)
-    if rng.random() < 0.5:
-        return CoefficientField.constant(h0)
-    # affine field h0 + zeta * (positive semidefinite slope): positive on [0,1]
-    slope = _crandn(rng, (n, n))
-    h1 = hermitian_part(slope @ slope.conj().T)
-    coeffs = np.stack([h0, h1], axis=2)
-    return CoefficientField.polynomial(coeffs)
+    systems = [_system(p1[i], p0[i], h[i], wb_tilde[i]) for i in everyone]
+    valid, error = _validate(systems)
+    return systems[:valid], error
 
 
 def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
@@ -144,38 +208,14 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
         raise ValueError(f"n must be >= 1, got {n}")
     if class_hint not in ("general", "contraction", "unitary"):
         raise ValueError(f"unknown class_hint {class_hint!r}")
-    rng = np.random.default_rng(seed)
-    p1 = _random_hermitian_invertible(rng, n)
-    h = _random_field(rng, n)
-    eye = np.eye(n)
-
-    skew = (lambda m: (m - m.conj().T) / 2.0)(_crandn(rng, (n, n)))
-    if class_hint == "unitary":
-        p0 = skew
-        v = _random_unitary(rng, n)
-    elif class_hint == "contraction":
-        c = _crandn(rng, (n, n))
-        p0 = skew - c @ c.conj().T
-        v = _crandn(rng, (n, n))
-        v *= rng.uniform(0.2, 0.999) / np.linalg.norm(v, 2)
-    else:
-        p0 = _crandn(rng, (n, n))
-        wb_tilde = _crandn(rng, (n, 2 * n))
-        return make_system(p1, p0, h, wb_tilde)
-
-    g = _random_well_conditioned(rng, n)
-    wb = g @ np.hstack([eye + v, eye - v])
-    wb_tilde = wb @ np.block([[p1, -p1], [eye, eye]])
-    return make_system(p1, p0, h, wb_tilde)
+    systems, error = _random_systems([seed], n, [class_hint])
+    if error is not None:
+        raise error
+    return systems[0]
 
 
-def agreement_campaign(
-    n: int,
-    count: int,
-    seed: int,
-    tol_psd: float = TOL_PSD,
-    hint_weights: tuple[float, float, float] = (0.57, 0.40, 0.03),
-) -> dict:
+def agreement_campaign(n: int, count: int, seed: int, tol_psd: float = TOL_PSD,
+                       hint_weights: tuple[float, float, float] = (0.57, 0.40, 0.03)) -> dict:
     """Compare the sigma-form contraction test against the kernel-form oracle
     on ``count`` random systems of dimension ``n``.
 
@@ -185,75 +225,67 @@ def agreement_campaign(
     unitary hint weight is kept small because those instances sit exactly
     on the frontier by construction.
 
+    The systems are generated, validated, classified and cross-checked in
+    stacked batches of CAMPAIGN_BATCH; a failure is raised at the first
+    failing system in seed order, with the error it raises on its own.
+
     Returns a JSON-ready report including full-verdict counts and the
     number of verdict-monotonicity violations (expected 0).
     """
     w_general, w_contraction, _ = hint_weights
     draws = np.random.default_rng(seed).random(count)
+    hints = ["general" if d < w_general else
+             "contraction" if d < w_general + w_contraction else "unitary" for d in draws]
     agree = disagree = frontier = 0
     mismatches: list[int] = []
     mono_violations = 0
-    verdict_counts = {
-        "unitary": 0,
-        "contraction": 0,
-        "c0_true": 0,
-        "c0_false": 0,
-        "c0_inconclusive": 0,
-    }
-    for i in range(count):
-        if draws[i] < w_general:
-            hint = "general"
-        elif draws[i] < w_general + w_contraction:
-            hint = "contraction"
-        else:
-            hint = "unitary"
-        system = random_system(seed + i, n, hint)
+    verdict_counts = dict.fromkeys(
+        ("unitary", "contraction", "c0_true", "c0_false", "c0_inconclusive"), 0)
+    for start in range(0, count, CAMPAIGN_BATCH):
+        stop = min(count, start + CAMPAIGN_BATCH)
+        systems, error = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
+        if not systems:
+            raise error
+        mats = [np.array([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde")]
+        verdicts, classify_error = _classify_stack(systems, *mats, tol_psd, TOL_RANK)
+        error = classify_error or error
+        dim, top, bottom, holds = (a.tolist() for a in _kernel_test(
+            *(m[:len(verdicts)] for m in mats), tol_psd))
+        # every system before `error` is cross-checked: the first to break an
+        # invariant is the first failing system
+        for i, verdict in enumerate(verdicts):
+            if dim[i] != 2 * n - verdict.rank_wb_tilde:
+                raise InvariantError(f"kernel dimension law violated: dim ker(wb_tilde) = "
+                                     f"{dim[i]}, 2n - rank = {2 * n - verdict.rank_wb_tilde}")
+            if holds[i] and dim[i] != n:
+                raise _dimension_error(dim[i], n)
+            # dim ker(wb_tilde) = 2n - rank >= n: the form is never empty here
+            witnesses = ((verdict.re_p0_max_eigenvalue, verdict.re_p0_norm),
+                         (verdict.sigma_form_min_eigenvalue, verdict.sigma_form_norm),
+                         (top[i], max(top[i], -bottom[i])))
+            if any(abs(w) <= 10.0 * tol_psd * max(1.0, scale) for w, scale in witnesses):
+                frontier += 1
+            elif verdict.contraction == holds[i]:
+                agree += 1
+            else:
+                disagree += 1
+                mismatches.append(start + i)
 
-        verdict = classify(system, tol_psd)
-        form = _restricted_form(system)
-        if form.shape[0] != 2 * n - verdict.rank_wb_tilde:
-            raise InvariantError(
-                f"kernel dimension law violated: dim ker(wb_tilde) = {form.shape[0]}, "
-                f"2n - rank = {2 * n - verdict.rank_wb_tilde}"
-            )
-        # dim ker(wb_tilde) = 2n - rank >= n: the form is never empty here
-        form_eigs = np.linalg.eigvalsh(form)
-        oracle_ok = _contraction_from_form(system, form_eigs, tol_psd)
-        witnesses = (
-            (verdict.re_p0_max_eigenvalue, verdict.re_p0_norm),
-            (verdict.sigma_form_min_eigenvalue, verdict.sigma_form_norm),
-            (form_eigs[-1], _norm(form_eigs)),
-        )
-        is_frontier = any(abs(w) <= _scaled(10.0 * tol_psd, norm) for w, norm in witnesses)
-        if is_frontier:
-            frontier += 1
-        elif verdict.contraction == oracle_ok:
-            agree += 1
-        else:
-            disagree += 1
-            mismatches.append(i)
+            verdict_counts["unitary"] += verdict.unitary_group
+            verdict_counts["contraction"] += verdict.contraction
+            if verdict.c0_semigroup is None:
+                verdict_counts["c0_inconclusive"] += 1
+            elif verdict.c0_semigroup:
+                verdict_counts["c0_true"] += 1
+            else:
+                verdict_counts["c0_false"] += 1
+            # classify() coerces inconsistent triples and leaves a note, so the
+            # raw violations are counted through the notes
+            mono_violations += sum("InternalInconsistency" in note for note in verdict.notes)
+        if error is not None:
+            raise error
 
-        verdict_counts["unitary"] += verdict.unitary_group
-        verdict_counts["contraction"] += verdict.contraction
-        if verdict.c0_semigroup is None:
-            verdict_counts["c0_inconclusive"] += 1
-        elif verdict.c0_semigroup:
-            verdict_counts["c0_true"] += 1
-        else:
-            verdict_counts["c0_false"] += 1
-        # classify() coerces inconsistent triples and leaves a note, so the
-        # raw violations are counted through the notes
-        mono_violations += sum("InternalInconsistency" in note for note in verdict.notes)
-
-    return {
-        "n": n,
-        "count": count,
-        "seed": seed,
-        "agree": agree,
-        "disagree": disagree,
-        "frontier": frontier,
-        "frontier_fraction": frontier / count if count else 0.0,
-        "mismatch_indices": mismatches,
-        "verdicts": verdict_counts,
-        "monotonicity_violations": mono_violations,
-    }
+    return {"n": n, "count": count, "seed": seed, "agree": agree, "disagree": disagree,
+            "frontier": frontier, "frontier_fraction": frontier / count if count else 0.0,
+            "mismatch_indices": mismatches, "verdicts": verdict_counts,
+            "monotonicity_violations": mono_violations}

@@ -1,5 +1,7 @@
-"""Shared builders for the canonical test systems."""
+"""Shared builders for the canonical test systems, and the pinned
+agreement-campaign reports."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,14 @@ import pytest
 import phs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# written by scripts/make_campaign_reports.py
+CAMPAIGN_REPORTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "campaign_reports.json").read_text())
+
+
+def pinned_report(n: int, count: int, seed: int) -> dict:
+    """The recorded report of agreement_campaign(n, count, seed)."""
+    return CAMPAIGN_REPORTS[f"n={n} count={count} seed={seed}"]
 
 
 def transport_system(w1: float, w0: float, h=1.0) -> phs.PHSystem:

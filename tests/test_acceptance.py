@@ -7,7 +7,7 @@ import numpy as np
 
 import phs
 
-from conftest import network_system, string_system, transport_system
+from conftest import network_system, pinned_report, string_system, transport_system
 
 
 class _Timer:
@@ -80,10 +80,12 @@ def test_criterion_3_network_of_transport_lines():
 
 def test_criterion_4_oracle_equivalence_campaign():
     """1000 random systems per n in {1,2,3,4,6}: the boundary-form oracle and
-    the sigma-form test agree on all non-frontier instances; frontier < 5%."""
+    the sigma-form test agree on all non-frontier instances; frontier < 5%.
+    Each report equals the pinned one."""
     with _Timer("criterion 4: oracle equivalence", 60.0):
         for n in (1, 2, 3, 4, 6):
             report = phs.agreement_campaign(n, 1000, seed=42)
+            assert report == pinned_report(n, 1000, 42)
             assert report["disagree"] == 0, report["mismatch_indices"]
             assert report["frontier_fraction"] < 0.05
             assert report["monotonicity_violations"] == 0
@@ -145,11 +147,13 @@ def test_criterion_6_simulator_convergence_and_conservation():
 
 def test_criterion_7_verdict_monotonicity():
     """Across all random campaigns: no unitary verdict without contraction,
-    no contraction verdict with a failed generation test."""
+    no contraction verdict with a failed generation test.  Each campaign
+    report equals the pinned one."""
     with _Timer("criterion 7: verdict monotonicity", 60.0):
         violations = 0
         for n in (1, 2, 3, 4, 6):
             report = phs.agreement_campaign(n, 200, seed=7)
+            assert report == pinned_report(n, 200, 7)
             violations += report["monotonicity_violations"]
         for i in range(300):
             hint = ("general", "contraction", "unitary")[i % 3]

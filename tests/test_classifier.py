@@ -515,6 +515,71 @@ class TestEndpointDecomposition:
             assert len(calls) == 1
 
 
+def _mixed_stack(n=3):
+    """Systems of one n mixing full-rank and rank-deficient wb_tilde (the
+    latter with c0_semigroup None), P1 of every inertia, constant, affine,
+    curved and sampled fields, and every class hint."""
+    rng = np.random.default_rng(31)
+    hints = ("general", "contraction", "unitary")
+    systems = [phs.random_system(900 + i, n, hints[i % 3]) for i in range(9)]
+    for i, p1 in enumerate((np.eye(n), -np.eye(n), np.diag([1.0, -2.0, 3.0][:n]))):
+        base = systems[i]
+        wb = base.wb_tilde
+        if i == 2:
+            # rank n - 1: the generation test does not apply
+            wb = np.vstack([wb[:-1], 2.0 * wb[0]])
+        systems.append(phs.make_system(p1, base.p0, base.h, wb))
+    field = phs.CoefficientField.grid([0.0, 0.4, 1.0], [np.eye(n), 2.0 * np.eye(n), np.eye(n)])
+    systems.append(phs.make_system(systems[0].p1, systems[0].p0, field, systems[0].wb_tilde))
+    rank1 = rng.standard_normal((n, 1)) @ rng.standard_normal((1, 2 * n))
+    systems.append(phs.make_system(systems[1].p1, systems[1].p0, systems[1].h, rank1))
+    return systems
+
+
+def _classify_stack(systems):
+    stacks = (np.array([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde"))
+    return phs.classifier._classify_stack(systems, *stacks, phs.classifier.TOL_PSD,
+                                          phs.classifier.TOL_RANK)
+
+
+def _assert_same_record(got, ref):
+    """Booleans, ranks, None and notes equal, witnesses within 1e-12 relative."""
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, (float, np.ndarray)):
+            np.testing.assert_allclose(a, b, rtol=1e-12,
+                                       atol=1e-12 * max(1.0, float(np.max(np.abs(b)))))
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def test_stacked_verdicts_equal_classify():
+    systems = _mixed_stack()
+    verdicts, error = _classify_stack(systems)
+    assert error is None and len(verdicts) == len(systems)
+    seen = set()
+    for system, verdict in zip(systems, verdicts):
+        _assert_same_record(verdict, phs.classify(system))
+        seen.add((verdict.c0_semigroup, verdict.rank_wb_tilde == system.n,
+                  int(np.count_nonzero(np.linalg.eigvalsh(system.p1) > 0))))
+    # full rank and rank deficient, and n1 = 0, ..., n among the full-rank ones
+    assert {None} < {c0 for c0, _, _ in seen}
+    assert {n1 for _, full, n1 in seen if full} == {0, 1, 2, 3}
+
+
+def test_stacked_classification_stops_at_first_refused_system():
+    # P1 H with an eigenvalue in the zero band passes validation but not
+    # classify; the stack yields the verdicts before it and classify's error
+    n = 3
+    good = _mixed_stack(n)[:4]
+    tiny = phs.make_system(np.diag([1.0, 2e-10, 1.0]), np.zeros((n, n)), np.eye(n),
+                           np.hstack([np.eye(n), np.zeros((n, n))]))
+    with pytest.raises(ValidationError) as reference:
+        phs.classify(tiny)
+    verdicts, error = _classify_stack(good + [tiny] + good)
+    assert len(verdicts) == len(good) and str(error) == str(reference.value)
+
+
 class TestClassify:
     def test_unitary_transport(self):
         v = phs.classify(transport_system(1.0, -1.0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phs
@@ -45,6 +45,13 @@ class TestLoadSystem:
         with pytest.raises(ValidationError, match="singular"):
             phs.make_system(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2),
                             np.hstack([np.eye(2), np.eye(2)]))
+
+    def test_tiny_p1_rejected(self):
+        # every singular value of P1 is far below the absolute floor of the
+        # classifier's zero band, which would refuse the system later
+        with pytest.raises(ValidationError, match="numerically singular"):
+            phs.make_system(1e-20 * np.eye(2), np.zeros((2, 2)), np.eye(2),
+                            np.hstack([np.eye(2), np.zeros((2, 2))]))
 
     def test_indefinite_h_rejected(self):
         with pytest.raises(ValidationError, match="positive definite"):
@@ -352,3 +359,75 @@ def test_curved_polynomials_certified_soundly(seed, n, degree, target):
         assert target < 1e-6, str(exc)
         return
     assert lam.min() >= EPS_PD - 1e-12
+
+
+def _raw_system(p1=None, h=None, p0=None, wb_tilde=None, n=2):
+    """A PHSystem of dimension n, valid unless a part is given, built
+    without validation."""
+    as_field = lambda v: v if isinstance(v, phs.CoefficientField) else \
+        phs.CoefficientField.constant(v)
+    return phs.PHSystem(
+        n=n,
+        p1=np.asarray(np.eye(n) if p1 is None else p1, dtype=complex),
+        p0=np.asarray(np.zeros((n, n)) if p0 is None else p0, dtype=complex),
+        h=as_field(np.eye(n) if h is None else h),
+        wb_tilde=np.asarray(np.hstack([np.eye(n), np.eye(n)]) if wb_tilde is None
+                            else wb_tilde, dtype=complex))
+
+
+def _dip(depth):
+    # diag(1, (2z - 1)^2 + depth): certified only after halving when depth > 0
+    coeffs = np.zeros((2, 2, 3), dtype=complex)
+    coeffs[0, 0, 0] = 1.0
+    coeffs[1, 1] = [1.0 + depth, -4.0, 4.0]
+    return phs.CoefficientField.polynomial(coeffs)
+
+
+# each fails a different check of validate_system, some two; with the
+# message validate_system gives
+INVALID = {
+    "p0_shape": (_raw_system(p0=np.zeros((3, 3))), "p0 must be 2x2, got (3, 3)"),
+    "p1_nan_and_p0_shape": (_raw_system(p1=[[np.nan, 0], [0, 1]], p0=np.zeros((3, 3))),
+                            "p1 contains non-finite entries"),
+    "wb_shape": (_raw_system(wb_tilde=np.eye(2)), "wb_tilde must be 2x4, got (2, 2)"),
+    "p1_not_hermitian": (_raw_system(p1=[[1, 1], [0, 1]]), "p1 is not Hermitian"),
+    "p1_not_hermitian_and_h_indefinite": (_raw_system(p1=[[1, 1], [0, 1]], h=-np.eye(2)),
+                                          "p1 is not Hermitian"),
+    "p1_singular": (_raw_system(p1=np.diag([1.0, 0.0])),
+                    "p1 is numerically singular (smallest singular value 0.000e+00)"),
+    "h_dimension": (_raw_system(h=np.eye(3)), "H has dimension 3, system has n = 2"),
+    "h_nan": (_raw_system(h=[[1, 0], [0, np.nan]]), "H evaluates to non-finite entries"),
+    "h_not_hermitian": (_raw_system(h=[[1, 1], [0, 1]]),
+                        "H is not Hermitian on [0, 1] (relative defect 8.165e-01)"),
+    "h_indefinite": (_raw_system(h=np.diag([1.0, -1.0])),
+                     "H(zeta=0) is not positive definite (min eigenvalue -1.000e+00 < 1e-08)"),
+    "h_dips_below_zero": (_raw_system(h=_dip(-1e-3)), "H(zeta=0.5) is not positive definite "
+                          "(min eigenvalue -1.000e-03 < 1e-08)"),
+}
+VALID = [_raw_system(), _raw_system(h=_dip(1e-2)), _raw_system(p1=np.diag([1.0, -2.0]))]
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_validation_message(name):
+    system, message = INVALID[name]
+    with pytest.raises(ValidationError) as exc:
+        phs.validate_system(system)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+# a later check that finds a failure past the first failing system
+@example(["h_nan", "h_not_hermitian"])
+@example(["h_nan", "h_dips_below_zero"])
+@example([0, "h_indefinite", "p1_not_hermitian"])
+@example([1, "p1_singular", "p1_not_hermitian"])
+@given(st.lists(st.sampled_from(sorted(INVALID)) | st.integers(0, len(VALID) - 1),
+                min_size=1, max_size=8))
+def test_stacked_validation_fails_first_in_system_order(picks):
+    # the whole-stack validation names the first invalid system, with the
+    # message validate_system gives it alone
+    systems = [VALID[p] if isinstance(p, int) else INVALID[p][0] for p in picks]
+    expected = next(((k, INVALID[p][1]) for k, p in enumerate(picks) if isinstance(p, str)),
+                    (len(picks), None))
+    valid, error = phs.model._validate(systems)
+    assert (valid, None if error is None else str(error)) == expected

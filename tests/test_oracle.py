@@ -5,7 +5,7 @@ import pytest
 
 import phs
 
-from conftest import transport_system
+from conftest import pinned_report, transport_system
 
 
 def sample_form_on_kernel(system, samples, seed):
@@ -143,6 +143,40 @@ class TestRandomSystem:
             phs.random_system(seed=0, n=2, class_hint="weird")
 
 
+def test_stacked_generation_equals_random_system():
+    seeds = range(300, 340)
+    hints = [("general", "contraction", "unitary")[s % 3] for s in seeds]
+    systems, error = phs.oracle._random_systems(seeds, 3, hints)
+    assert error is None
+    for seed, hint, system in zip(seeds, hints, systems):
+        ref = phs.random_system(seed, 3, hint)
+        for name in ("p1", "p0", "wb_tilde"):
+            np.testing.assert_allclose(getattr(system, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12)
+        assert system.h.kind == ref.h.kind
+        np.testing.assert_allclose(system.h.data[0], ref.h.data[0], rtol=1e-12, atol=1e-12)
+
+
+def test_stacked_kernel_test_equals_single_system_oracle():
+    # full-rank and rank-deficient wb_tilde: kernels of dimension n to 2n - 1
+    rng = np.random.default_rng(4)
+    systems = [phs.random_system(60 + i, 3, ("general", "contraction", "unitary")[i % 3])
+               for i in range(12)]
+    for r in (1, 2):
+        wb = (rng.standard_normal((3, r)) @ rng.standard_normal((r, 6))).astype(complex)
+        systems.append(phs.make_system(systems[r].p1, -np.eye(3), systems[r].h, wb))
+    dim, top, bottom, holds = phs.oracle._kernel_test(
+        *(np.stack([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde")),
+        phs.classifier.TOL_PSD)
+    assert set(dim.tolist()) == {3, 4, 5}
+    for k, system in enumerate(systems):
+        assert dim[k] == phs.kernel_basis(system.wb_tilde).shape[1]
+        assert holds[k] == phs.check_contraction_via_c(system)
+        mx, mn = phs.boundary_form_on_kernel(system)
+        assert top[k] == pytest.approx(mx, rel=1e-12, abs=1e-14)
+        assert bottom[k] == pytest.approx(mn, rel=1e-12, abs=1e-14)
+
+
 class TestCampaign:
     def test_small_campaign_report(self):
         rep = phs.agreement_campaign(2, 60, seed=5)
@@ -155,18 +189,53 @@ class TestCampaign:
         assert rep["verdicts"]["c0_true"] + rep["verdicts"]["c0_false"] \
             + rep["verdicts"]["c0_inconclusive"] == 60
 
-    @pytest.mark.parametrize("n, count, seed", [(1, 40, 3), (3, 30, 11)])
+    @pytest.mark.parametrize("n, count, seed", [(1, 40, 3), (3, 30, 11), (2, 250, 5)])
     def test_one_kernel_form_per_system(self, monkeypatch, n, count, seed):
-        calls = []
-        real = phs.oracle.kernel_basis
+        # the kernel bases come in stacks, one per kernel dimension and batch;
+        # their sizes add up to one basis, hence one form, per system
+        sizes = []
+        real = phs.oracle._kernel_bases
 
         def counted(m, tol_rank=phs.classifier.TOL_RANK):
-            calls.append(1)
-            return real(m, tol_rank)
+            groups = real(m, tol_rank)
+            sizes.extend(len(bases) for _, bases in groups)
+            return groups
 
-        monkeypatch.setattr(phs.oracle, "kernel_basis", counted)
+        monkeypatch.setattr(phs.oracle, "_kernel_bases", counted)
         phs.agreement_campaign(n, count, seed)
-        assert len(calls) == count
+        assert sum(sizes) == count
+        assert len(sizes) <= (n + 1) * -(-count // phs.oracle.CAMPAIGN_BATCH)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_pinned_reports(self, n):
+        assert phs.agreement_campaign(n, 100, seed=0) == pinned_report(n, 100, 0)
+
+    @pytest.mark.parametrize("refused, unclassifiable", [(20, 30), (30, 20), (150, 120), (150, 60)])
+    def test_raises_at_first_failing_system(self, monkeypatch, refused, unclassifiable):
+        # system `refused` fails validation, system `unclassifiable` passes it
+        # but not classify: the campaign raises what a system-by-system run
+        # raises first, also within a later batch and across batches
+        eye = np.eye(2)
+        bad = {refused: phs.PHSystem(2, eye.astype(complex), 0 * eye.astype(complex),
+                                     phs.CoefficientField.constant(-eye),
+                                     np.hstack([eye, eye]).astype(complex)),
+               unclassifiable: phs.make_system(np.diag([1.0, 2e-10]), 0 * eye, eye,
+                                               np.hstack([eye, 0 * eye]))}
+        expected = {}
+        for k, check in ((refused, phs.validate_system), (unclassifiable, phs.classify)):
+            with pytest.raises(phs.ValidationError) as exc:
+                check(bad[k])
+            expected[k] = str(exc.value)
+        real, built = phs.oracle._system, []
+
+        def substituted(*args):
+            built.append(1)
+            return bad.get(len(built) - 1) or real(*args)
+
+        monkeypatch.setattr(phs.oracle, "_system", substituted)
+        with pytest.raises(phs.ValidationError) as got:
+            phs.agreement_campaign(2, 200, seed=3)
+        assert str(got.value) == expected[min(refused, unclassifiable)]
 
     def test_campaign_deterministic(self):
         a = phs.agreement_campaign(3, 40, seed=8)
@@ -180,14 +249,14 @@ class TestInvariants:
 
     @pytest.fixture
     def broken_kernel(self, monkeypatch):
-        real = phs.oracle.kernel_basis
+        real = phs.oracle._kernel_bases
 
         def off_by_one(m, tol_rank=phs.classifier.TOL_RANK):
-            # one column too many: the kernel dimension is off by one
-            basis = real(m, tol_rank)
-            return np.hstack([basis, np.zeros((basis.shape[0], 1))])
+            # one column too many in every basis: the kernel dimension is off by one
+            return [(idx, np.concatenate([bases, np.zeros(bases.shape[:2] + (1,))], axis=2))
+                    for idx, bases in real(m, tol_rank)]
 
-        monkeypatch.setattr(phs.oracle, "kernel_basis", off_by_one)
+        monkeypatch.setattr(phs.oracle, "_kernel_bases", off_by_one)
 
     def test_contraction_via_c(self, broken_kernel):
         with pytest.raises(phs.InvariantError, match="kernel dimension"):
