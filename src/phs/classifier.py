@@ -26,7 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContinuityWarning, DomainError, PreconditionError, ValidationError
+from .errors import (
+    ContinuityWarning,
+    DomainError,
+    PreconditionError,
+    ValidationError,
+)
 from .model import PHSystem, _adjoint, hermitian_part
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
@@ -68,9 +73,11 @@ def rank_of(m: np.ndarray, tol_rank: float = TOL_RANK):
 
 @dataclass(frozen=True, eq=False)
 class ContractionCheck:
-    """Outcome and witnesses of the contraction and unitary-group tests: both
-    read the same eigenvalues of Re P0 and of the sigma form, whose largest
-    magnitudes are the 2-norms (both matrices are Hermitian)."""
+    """Outcome and witnesses of the contraction and unitary-group tests.
+
+    Both tests read the same eigenvalues of Re P0 and of the sigma form;
+    the 2-norms are their largest magnitudes (both matrices are Hermitian).
+    """
 
     contraction: bool
     unitary_group: bool
@@ -84,8 +91,9 @@ class ContractionCheck:
     rank_wb_tilde: int
 
 
-def check_contraction(system: PHSystem, tol_psd: float = TOL_PSD,
-                      tol_rank: float = TOL_RANK) -> ContractionCheck:
+def check_contraction(
+    system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
+) -> ContractionCheck:
     """Contraction: Re P0 negative semidefinite, wb Sigma wb* positive
     semidefinite and wb_tilde of full rank n.  Unitary group: the same with
     both forms zero.  Independent of the coefficient field H.
@@ -118,7 +126,9 @@ def _contraction(p1, p0, wb_tilde, tol_psd: float, tol_rank: float) -> tuple:
             list(form), form_eigs[:, 0].tolist(), form_norm.tolist(), rank.tolist())
 
 
-def check_unitary(system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK) -> bool:
+def check_unitary(
+    system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
+) -> bool:
     """Re P0 = 0, wb Sigma wb* = 0, and wb_tilde of full rank n."""
     return check_contraction(system, tol_psd, tol_rank).unitary_group
 
@@ -222,10 +232,12 @@ def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
     _, w, vecs = _similarity(system, [zeta])
     n2, speeds, vecs = _ordered_split(w, vecs)
     n1 = system.n - n2
-    return EigenSplit(zeta=float(zeta), n1=n1, n2=n2, lam=speeds[0, :n1],
-                      theta=speeds[0, n1:], s_inv=vecs[0],
-                      z_plus=_phase_fix(np.linalg.qr(vecs[0, :, :n1])[0]),
-                      z_minus=_phase_fix(np.linalg.qr(vecs[0, :, n1:])[0]))
+    return EigenSplit(
+        zeta=float(zeta), n1=n1, n2=n2, lam=speeds[0, :n1], theta=speeds[0, n1:],
+        s_inv=vecs[0],
+        z_plus=_phase_fix(np.linalg.qr(vecs[0, :, :n1])[0]),
+        z_minus=_phase_fix(np.linalg.qr(vecs[0, :, n1:])[0]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,11 +297,16 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     max_jump = float(np.linalg.norm(np.diff(vecs, axis=0), axis=1).max(initial=0.0))
 
     if crossings:
-        warnings.warn(f"eigenvalue ordering changes along the grid at indices {list(crossings)}; "
-                      "the diagonalizing transform may fail to be continuously differentiable",
-                      ContinuityWarning, stacklevel=2)
-    return DiagonalizedField(zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
-                             crossings=crossings, max_column_jump=max_jump)
+        warnings.warn(
+            f"eigenvalue ordering changes along the grid at indices {list(crossings)}; "
+            "the diagonalizing transform may fail to be continuously differentiable",
+            ContinuityWarning,
+            stacklevel=2,
+        )
+    return DiagonalizedField(
+        zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
+        crossings=crossings, max_column_jump=max_jump,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +328,9 @@ class BoundaryClosure:
 _ENDS = (1.0, 0.0)
 
 
-def boundary_closure_matrix(system: PHSystem,
-                            field: DiagonalizedField | None = None) -> BoundaryClosure:
+def boundary_closure_matrix(
+    system: PHSystem, field: DiagonalizedField | None = None
+) -> BoundaryClosure:
     """Assemble the boundary closure blocks from the eigenvectors at z = 1
     and z = 0: the last and first points of ``field``, whose grid must run
     from 0 to 1, or eigensplit's at both ends when ``field`` is not given."""
@@ -351,20 +369,20 @@ def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
         stop = bad // len(_ENDS)
         wb_tilde, h, w, vecs = wb_tilde[:stop], h[:stop], w[:stop], vecs[:stop]
     b = np.linalg.qr(np.array([vecs[:, 0, :, ::-1], vecs[:, 1]]))[0]
-    # [W1 H(1) B(1) | W0 H(0) B(0)] for every system, (count, n, 2n)
-    ends = np.concatenate(wb_tilde.reshape(-1, n, 2, n).transpose(2, 0, 1, 3)
-                          @ h.swapaxes(0, 1) @ b, axis=-1)
-    n1 = n - (w[:, 0] < 0.0).sum(axis=-1)[:, None]
-    cols = np.arange(n)
-    # column j of K: column j of W1 H(1) B+ if j < n1, else column j - n1 of W0 H(0) B-
-    k = ends[np.arange(len(w))[:, None], :, cols + (cols >= n1) * (n - n1)].swapaxes(1, 2)
+    # W1 H(1) B(1) and W0 H(0) B(0) for every system, each (count, n, n)
+    v, u = wb_tilde.reshape(-1, n, 2, n).transpose(2, 0, 1, 3) @ h.swapaxes(0, 1) @ b
+    # K: column j < n1 from V, column j >= n1 the column n - 1 - j of U, one of
+    # its first n2 (B- taken backwards)
+    n1 = n - (w[:, 0] < 0.0).sum(axis=-1)
+    k = np.where(np.arange(n) < n1[:, None, None], v, u[..., ::-1])
     svals = np.linalg.svd(k, compute_uv=False)
     ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= tol_rank * svals[:, 0])
     return ok.tolist(), svals[:, -1].tolist(), k, error
 
 
-def direct_sum_check(system: PHSystem,
-                     tol_rank: float = TOL_RANK) -> tuple[bool, float, np.ndarray]:
+def direct_sum_check(
+    system: PHSystem, tol_rank: float = TOL_RANK
+) -> tuple[bool, float, np.ndarray]:
     """C0-generation test: do W1 H(1) Z+(1) and W0 H(0) Z-(0) together span C^n?
 
     Returns (verdict, smallest singular value of K, K) where
@@ -384,9 +402,12 @@ def direct_sum_check(system: PHSystem,
 @dataclass(frozen=True, eq=False)
 class Verdict(ContractionCheck):
     """Classification record: the contraction check of the system plus the
-    generation test and its witness.  c0_semigroup is None when
-    rank(wb_tilde) < n, where the generation test has nothing to say (the
-    contraction test still decides: rank < n means no contraction)."""
+    generation test and its witness.
+
+    c0_semigroup is None when rank(wb_tilde) < n, where the generation test
+    has nothing to say (the contraction test still decides: rank < n means
+    no contraction).
+    """
 
     n: int
     c0_semigroup: bool | None
@@ -396,20 +417,36 @@ class Verdict(ContractionCheck):
     def as_dict(self, include_matrices: bool = True) -> dict:
         from .model import matrix_to_pairs
 
-        sigma = {"min_eigenvalue": self.sigma_form_min_eigenvalue, "norm": self.sigma_form_norm}
+        out = {
+            "n": self.n,
+            "rank_wb_tilde": self.rank_wb_tilde,
+            "re_p0": {
+                "nsd": self.re_p0_nsd,
+                "zero": self.re_p0_zero,
+                "max_eigenvalue": self.re_p0_max_eigenvalue,
+                "norm": self.re_p0_norm,
+            },
+            "sigma_form": {
+                "min_eigenvalue": self.sigma_form_min_eigenvalue,
+                "norm": self.sigma_form_norm,
+            },
+            "contraction": self.contraction,
+            "unitary_group": self.unitary_group,
+            "c0_semigroup": self.c0_semigroup,
+            "direct_sum_min_singular_value": self.direct_sum_min_singular_value,
+            "notes": list(self.notes),
+        }
         if include_matrices:
-            sigma["matrix"] = matrix_to_pairs(self.sigma_form)
-        return {"n": self.n, "rank_wb_tilde": self.rank_wb_tilde,
-                "re_p0": {"nsd": self.re_p0_nsd, "zero": self.re_p0_zero,
-                          "max_eigenvalue": self.re_p0_max_eigenvalue, "norm": self.re_p0_norm},
-                "sigma_form": sigma, "contraction": self.contraction,
-                "unitary_group": self.unitary_group, "c0_semigroup": self.c0_semigroup,
-                "direct_sum_min_singular_value": self.direct_sum_min_singular_value,
-                "notes": list(self.notes)}
+            out["sigma_form"]["matrix"] = matrix_to_pairs(self.sigma_form)
+        return out
 
 
-def classify(system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK,
-             diagnostic_grid: int | None = None) -> Verdict:
+def classify(
+    system: PHSystem,
+    tol_psd: float = TOL_PSD,
+    tol_rank: float = TOL_RANK,
+    diagnostic_grid: int | None = None,
+) -> Verdict:
     """Run all three tests and assemble a Verdict.
 
     The verdicts are nested (unitary implies contraction implies

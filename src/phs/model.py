@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 
@@ -69,8 +70,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _herm_defect(m: np.ndarray) -> np.ndarray:
     """Relative deviation ||m - m*|| / ||m|| (Frobenius; 0 for m = 0) of a
     matrix or of each matrix in a stack (..., n, n)."""
-    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
-    return np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / scale
+    return _frobenius(m - _adjoint(m)) / np.maximum(_frobenius(m), 1e-300)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(m, axis=(-2, -1)), without its per-call overhead."""
+    return np.sqrt((m.conj() * m).real.sum(axis=(-2, -1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,18 +252,17 @@ def _validate(systems) -> tuple[int, ValidationError | None]:
             first.record(k, f"H has dimension {system.h.n}, system has n = {system.n}")
             break
         knots, ctrl = _bernstein_pieces(system.h)
+        # a Hermitian part that overflows counts as non-finite too
+        if not np.isfinite(ctrl + _adjoint(ctrl)).all():
+            first.record(k, "H evaluates to non-finite entries")
+            break
         for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [], [])),
                                ([k] * len(ctrl), knots[:-1], knots[1:], ctrl)):
             part.append(value)
-    groups = [tuple(np.concatenate(part) for part in g) for g in groups.values()]
     # pieces are in system order, so the first failing piece has the first
     # failing owner (a later owner than first.stop is ignored)
-    for owner, _, _, ctrl in groups:
-        if not np.isfinite(ctrl).all():
-            k = (~np.isfinite(ctrl).all(axis=(1, 2, 3))).argmax()
-            first.record(owner[k], "H evaluates to non-finite entries")
+    groups = [tuple(np.concatenate(part) for part in g) for g in groups.values()]
     for owner, lo, hi, ctrl in groups:
-        # NaN on non-finite pieces, which compares false
         defect = _herm_defect(ctrl).max(axis=1)
         bad = defect > TOL_HERM
         if bad.any():
@@ -275,8 +279,8 @@ def _certify(owner, lo, hi, ctrl, first: _FirstFailure) -> None:
     degree of many fields at once: piece p belongs to system owner[p], and
     the pieces of each system are contiguous and in increasing order, which
     halving keeps.  A system is certified once none of its pieces is open;
-    the pieces of systems past first.stop (perhaps not finite) are dropped
-    after one pass, and whatever they show is not recorded."""
+    the pieces of systems past first.stop are dropped after one pass, and
+    whatever they show is not recorded."""
     ctrl = hermitian_part(ctrl)
     for depth in range(CERTIFY_DEPTH + 1):
         eigmin = np.linalg.eigvalsh(ctrl)[..., 0]
@@ -328,10 +332,17 @@ def _bernstein_pieces(field: CoefficientField):
         return zetas, np.stack([values[:-1], values[1:]], axis=1)
     (coeffs,) = field.data
     d = coeffs.shape[2] - 1
-    to_bernstein = np.array([[comb(j, k) / comb(d, k) for k in range(d + 1)]
-                             for j in range(d + 1)])
-    ctrl = to_bernstein @ np.moveaxis(coeffs, 2, 0).reshape(d + 1, -1)
+    ctrl = _to_bernstein(d) @ coeffs.transpose(2, 0, 1).reshape(d + 1, -1)
     return np.array([0.0, 1.0]), ctrl.reshape(1, d + 1, field.n, field.n)
+
+
+@lru_cache(maxsize=None)
+def _to_bernstein(d: int) -> np.ndarray:
+    """The matrix of binom(j, k) / binom(d, k) (rows j, columns k) that maps
+    the power coefficients of a polynomial of degree d to its Bernstein ones."""
+    m = np.array([[comb(j, k) / comb(d, k) for k in range(d + 1)] for j in range(d + 1)])
+    m.flags.writeable = False
+    return m
 
 
 def _system(p1, p0, h, wb_tilde) -> PHSystem:

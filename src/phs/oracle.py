@@ -38,15 +38,13 @@ def kernel_basis(m: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
 
 def _kernel_bases(m: np.ndarray, tol_rank: float = TOL_RANK) -> list:
     """kernel_basis for a stack m (B, rows, cols) by one SVD: one pair
-    (indices or slice, bases (len, cols, k)) per kernel dimension k."""
+    (indices, bases (len, cols, k)) per kernel dimension k."""
     _, svals, vh = np.linalg.svd(m)
     top = svals[..., :1]
     dims = m.shape[-1] - ((svals >= tol_rank * top) & (top > 0.0)).sum(axis=-1)
-    basis, ks = _adjoint(vh), sorted(set(dims.tolist()))
-    if len(ks) == 1:  # the usual case: a slice, not a copy
-        return [(slice(None), basis[..., basis.shape[-1] - ks[0]:])]
+    basis = _adjoint(vh)
     return [(idx, basis[idx, :, basis.shape[-1] - k:])
-            for k in ks for idx in [np.flatnonzero(dims == k)]]
+            for k in sorted(set(dims.tolist())) for idx in (dims == k).nonzero()]
 
 
 def _kernel_test(p1, p0, wb_tilde, tol_psd: float, tol_rank: float = TOL_RANK):
@@ -75,7 +73,9 @@ def _dimension_error(dim: int, n: int) -> InvariantError:
                           "boundary form is non-positive on the kernel")
 
 
-def boundary_form_on_kernel(system: PHSystem, tol_rank: float = TOL_RANK) -> tuple[float, float]:
+def boundary_form_on_kernel(
+    system: PHSystem, tol_rank: float = TOL_RANK
+) -> tuple[float, float]:
     """Extreme values of u* P1 u - y* P1 y over unit vectors [u; y] in
     ker(wb_tilde); returns (max, min) eigenvalues of the restricted form."""
     _, (top,), (bottom,), _ = _kernel_test(system.p1[None], system.p0[None],
@@ -141,6 +141,8 @@ def _random_systems(seeds, n: int, hints) -> tuple[list, Exception | None]:
     """random_system for each (seed, hint), the linear algebra and the
     validation done on stacks.  Returns the systems before the first that
     validate_system refuses, and its ValidationError (or None)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     draws = [_draws(seed, n, hint) for seed, hint in zip(seeds, hints)]
 
     def stack(key, group):  # complex standard normal for matrix draws
@@ -204,8 +206,6 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
       * "contraction": same with ||V|| <= 1 and Re P0 <= 0;
       * "general":     dense random wb_tilde and unrestricted P0.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if class_hint not in ("general", "contraction", "unitary"):
         raise ValueError(f"unknown class_hint {class_hint!r}")
     systems, error = _random_systems([seed], n, [class_hint])
@@ -214,8 +214,13 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
     return systems[0]
 
 
-def agreement_campaign(n: int, count: int, seed: int, tol_psd: float = TOL_PSD,
-                       hint_weights: tuple[float, float, float] = (0.57, 0.40, 0.03)) -> dict:
+def agreement_campaign(
+    n: int,
+    count: int,
+    seed: int,
+    tol_psd: float = TOL_PSD,
+    hint_weights: tuple[float, float, float] = (0.57, 0.40, 0.03),
+) -> dict:
     """Compare the sigma-form contraction test against the kernel-form oracle
     on ``count`` random systems of dimension ``n``.
 
@@ -239,8 +244,13 @@ def agreement_campaign(n: int, count: int, seed: int, tol_psd: float = TOL_PSD,
     agree = disagree = frontier = 0
     mismatches: list[int] = []
     mono_violations = 0
-    verdict_counts = dict.fromkeys(
-        ("unitary", "contraction", "c0_true", "c0_false", "c0_inconclusive"), 0)
+    verdict_counts = {
+        "unitary": 0,
+        "contraction": 0,
+        "c0_true": 0,
+        "c0_false": 0,
+        "c0_inconclusive": 0,
+    }
     for start in range(0, count, CAMPAIGN_BATCH):
         stop = min(count, start + CAMPAIGN_BATCH)
         systems, error = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
@@ -285,7 +295,15 @@ def agreement_campaign(n: int, count: int, seed: int, tol_psd: float = TOL_PSD,
         if error is not None:
             raise error
 
-    return {"n": n, "count": count, "seed": seed, "agree": agree, "disagree": disagree,
-            "frontier": frontier, "frontier_fraction": frontier / count if count else 0.0,
-            "mismatch_indices": mismatches, "verdicts": verdict_counts,
-            "monotonicity_violations": mono_violations}
+    return {
+        "n": n,
+        "count": count,
+        "seed": seed,
+        "agree": agree,
+        "disagree": disagree,
+        "frontier": frontier,
+        "frontier_fraction": frontier / count if count else 0.0,
+        "mismatch_indices": mismatches,
+        "verdicts": verdict_counts,
+        "monotonicity_violations": mono_violations,
+    }

@@ -397,6 +397,13 @@ INVALID = {
                     "p1 is numerically singular (smallest singular value 0.000e+00)"),
     "h_dimension": (_raw_system(h=np.eye(3)), "H has dimension 3, system has n = 2"),
     "h_nan": (_raw_system(h=[[1, 0], [0, np.nan]]), "H evaluates to non-finite entries"),
+    "h_nan_off_diagonal": (_raw_system(h=[[1, np.nan], [np.nan, 1]]),
+                           "H evaluates to non-finite entries"),
+    "h_inf_off_diagonal_grid": (_raw_system(h=phs.CoefficientField.grid(
+        [0.0, 0.5, 1.0], [np.eye(2), [[1, np.inf], [np.inf, 1]], np.eye(2)])),
+                                "H evaluates to non-finite entries"),
+    # finite entries whose Hermitian part overflows
+    "h_overflows": (_raw_system(h=[[1, 1e308], [1e308, 1]]), "H evaluates to non-finite entries"),
     "h_not_hermitian": (_raw_system(h=[[1, 1], [0, 1]]),
                         "H is not Hermitian on [0, 1] (relative defect 8.165e-01)"),
     "h_indefinite": (_raw_system(h=np.diag([1.0, -1.0])),
@@ -413,6 +420,23 @@ def test_validation_message(name):
     with pytest.raises(ValidationError) as exc:
         phs.validate_system(system)
     assert str(exc.value) == message
+
+
+def test_certification_sees_finite_matrices_only(monkeypatch):
+    # NaN or inf off the diagonal can stop LAPACK's eigenvalue iteration
+    # from converging: such fields are refused before any eigensolver runs
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(m):
+        assert np.isfinite(m).all()
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    names = [k for k in sorted(INVALID) if k.startswith(("h_nan", "h_inf", "h_overflows"))]
+    assert len(names) == 4
+    for name in names:
+        valid, error = phs.model._validate([VALID[0], INVALID[name][0], VALID[1]])
+        assert (valid, str(error)) == (1, INVALID[name][1])
 
 
 @settings(max_examples=60, deadline=None)

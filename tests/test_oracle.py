@@ -137,7 +137,7 @@ class TestRandomSystem:
             assert phs.check_contraction_via_c(system)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             phs.random_system(seed=0, n=0)
         with pytest.raises(ValueError):
             phs.random_system(seed=0, n=2, class_hint="weird")
@@ -236,6 +236,12 @@ class TestCampaign:
         with pytest.raises(phs.ValidationError) as got:
             phs.agreement_campaign(2, 200, seed=3)
         assert str(got.value) == expected[min(refused, unclassifiable)]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bad_dimension(self, n):
+        # refused before any draw, as random_system refuses it
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            phs.agreement_campaign(n, 5, 0)
 
     def test_campaign_deterministic(self):
         a = phs.agreement_campaign(3, 40, seed=8)
