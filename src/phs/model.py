@@ -137,9 +137,12 @@ class CoefficientField:
             return np.broadcast_to(value, (zetas.size,) + value.shape).copy()
         if self.kind == "polynomial":
             (coeffs,) = self.data
-            # polyval wants coefficients along the first axis
-            vals = np.polynomial.polynomial.polyval(zetas, np.moveaxis(coeffs, 2, 0))
-            return np.moveaxis(vals, 2, 0)
+            # Horner's rule with the operations of np.polynomial.polynomial.polyval,
+            # in its order (so the same values), without its per-call overhead
+            vals = coeffs[..., -1:] + zetas * 0.0
+            for k in range(coeffs.shape[2] - 2, -1, -1):
+                vals = coeffs[..., k:k + 1] + vals * zetas
+            return vals.transpose(2, 0, 1)
         zs, values = self.data
         idx = np.clip(np.searchsorted(zs, zetas, side="right") - 1, 0, zs.size - 2)
         w = (zetas - zs[idx]) / (zs[idx + 1] - zs[idx])

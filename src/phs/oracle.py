@@ -168,8 +168,9 @@ def _random_systems(seeds, n: int, hints) -> tuple[list, Exception | None]:
     general, unitary, contraction = ([i for i in everyone if hints[i] == hint]
                                      for hint in ("general", "unitary", "contraction"))
     p0, wb_tilde = [None] * len(draws), [None] * len(draws)
-    for i, p0_i, wb_i in zip(general, stack("p0", general), stack("wb_tilde", general)):
-        p0[i], wb_tilde[i] = p0_i, wb_i
+    if general:
+        for i, p0_i, wb_i in zip(general, stack("p0", general), stack("wb_tilde", general)):
+            p0[i], wb_tilde[i] = p0_i, wb_i
     bounded, u = unitary + contraction, len(unitary)
     if bounded:
         # P0 skew-Hermitian, or skew - C C* for a contraction; wb = G [I+V, I-V]

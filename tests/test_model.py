@@ -167,6 +167,17 @@ class TestEvalH:
 
         assert max_jump(513) <= 0.75 * max_jump(257)
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5])
+    def test_polynomial_equals_polyval(self, degree):
+        # Horner's rule in polyval's order gives polyval's values bit for bit
+        rng = np.random.default_rng(degree)
+        shape = (3, 3, degree + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zs = np.concatenate([[1.0, 0.0], rng.uniform(0.0, 1.0, 97)])
+        values = np.polynomial.polynomial.polyval(zs, np.moveaxis(coeffs, 2, 0))
+        np.testing.assert_array_equal(phs.CoefficientField.polynomial(coeffs).eval_many(zs),
+                                      np.moveaxis(values, 2, 0))
+
     def test_determinism(self):
         system = phs.load_system(transport_doc())
         a = system.h.eval(0.37)
