@@ -159,23 +159,14 @@ class EigenSplit:
         return np.concatenate([self.lam, self.theta])
 
 
-def _similarity(system: PHSystem, zetas):
-    """H at ``zetas`` and _similarity_stack's eigenpairs; raises its error."""
-    h = system.h.eval_many(zetas)
-    w, vecs, _, error = _similarity_stack(system.p1, h, zetas)
-    if error is not None:
-        raise error
-    return h, w, vecs
-
-
 def _similarity_stack(p1, h, zetas):
     """Eigen-decompose P1 H(zeta) through the Hermitian similarity
     H^(1/2) P1 H^(1/2); h (..., N, n, n) holds H at ``zetas`` for each
     system of a stack, p1 broadcasts against it.  Returns the eigenvalues
-    (ascending), the eigenvectors H^(-1/2) q (not normalized), and the flat
-    index and ValidationError of the first point, systems first, where H is
-    not positive definite or an eigenvalue sits in the zero band (P1 not
-    invertible), or (None, None).  Values past that point mean nothing."""
+    (ascending) and the eigenvectors H^(-1/2) q (not normalized).  Raises a
+    ValidationError at the first point, systems first, where H is not
+    positive definite or an eigenvalue sits in the zero band (P1 not
+    invertible)."""
     w_h, q_h = np.linalg.eigh(hermitian_part(h))
     h_pd = w_h[..., 0] > 0.0
     # any positive stand-in where H is not positive definite
@@ -186,13 +177,13 @@ def _similarity_stack(p1, h, zetas):
     w, q = np.linalg.eigh(hermitian_part(h_sqrt @ p1 @ h_sqrt))
     band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
     bad = ~h_pd | (np.abs(w) <= band[..., None]).any(axis=-1)
-    if not bad.any():
-        return w, h_isqrt @ q, None, None
-    k = bad.argmax()
-    zeta = zetas[k % len(zetas)]
-    return w, h_isqrt @ q, k, ValidationError(
-        f"H(zeta={zeta:.6g}) is not positive definite" if not h_pd.flat[k] else
-        f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band.flat[k]:.3e} of zero")
+    if bad.any():
+        k = bad.argmax()
+        zeta = zetas[k % len(zetas)]
+        raise ValidationError(
+            f"H(zeta={zeta:.6g}) is not positive definite" if not h_pd.flat[k] else
+            f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band.flat[k]:.3e} of zero")
+    return w, h_isqrt @ q
 
 
 def _phase_fix(m: np.ndarray) -> np.ndarray:
@@ -205,7 +196,7 @@ def _phase_fix(m: np.ndarray) -> np.ndarray:
 
 
 def _ordered_split(w: np.ndarray, vecs: np.ndarray):
-    """Put each point's eigenpairs from _similarity positive block first
+    """Put each point's eigenpairs from _similarity_stack positive block first
     (descending, ties in eigh's order), then the n2 negative ones most
     negative first (eigh's ascending order), and normalize and phase fix
     the columns; returns (n2, speeds, vecs).  The inertia is that of P1 at
@@ -229,7 +220,7 @@ def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
     """
     if not 0.0 <= zeta <= 1.0:
         raise DomainError(f"zeta = {zeta!r} outside [0, 1]")
-    _, w, vecs = _similarity(system, [zeta])
+    w, vecs = _similarity_stack(system.p1, system.h.eval_many([zeta]), [zeta])
     n2, speeds, vecs = _ordered_split(w, vecs)
     n1 = system.n - n2
     return EigenSplit(
@@ -279,7 +270,7 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
         raise DomainError("grid points must lie in [0, 1]")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
-    _, w, vecs = _similarity(system, grid)
+    w, vecs = _similarity_stack(system.p1, system.h.eval_many(grid), grid)
     n2, speeds, vecs = _ordered_split(w, vecs)
 
     # alignment along the grid: with inner_k the overlap of column j at points
@@ -328,24 +319,16 @@ class BoundaryClosure:
 _ENDS = (1.0, 0.0)
 
 
-def boundary_closure_matrix(
-    system: PHSystem, field: DiagonalizedField | None = None
-) -> BoundaryClosure:
+def boundary_closure_matrix(system: PHSystem, field: DiagonalizedField) -> BoundaryClosure:
     """Assemble the boundary closure blocks from the eigenvectors at z = 1
     and z = 0: the last and first points of ``field``, whose grid must run
-    from 0 to 1, or eigensplit's at both ends when ``field`` is not given."""
-    n = system.n
-    if field is None:
-        (h1, h0), w, vecs = _similarity(system, _ENDS)
-        n2, _, (s_inv1, s_inv0) = _ordered_split(w, vecs)
-        n1 = n - n2
-    elif field.zetas[0] != 0.0 or field.zetas[-1] != 1.0:
+    from 0 to 1."""
+    if field.zetas[0] != 0.0 or field.zetas[-1] != 1.0:
         raise DomainError("the field's grid must start at 0 and end at 1")
-    else:
-        n1, s_inv1, s_inv0 = field.n1, field.s_inv[-1], field.s_inv[0]
-        h1, h0 = system.h.eval_many(_ENDS)
-    v = system.wb_tilde[:, :n] @ h1 @ s_inv1
-    u = system.wb_tilde[:, n:] @ h0 @ s_inv0
+    n, n1 = system.n, field.n1
+    h1, h0 = system.h.eval_many(_ENDS)
+    v = system.wb_tilde[:, :n] @ h1 @ field.s_inv[-1]
+    u = system.wb_tilde[:, n:] @ h0 @ field.s_inv[0]
     return BoundaryClosure(k=np.hstack([v[:, :n1], u[:, n1:]]),
                            q=np.hstack([u[:, :n1], v[:, n1:]]))
 
@@ -360,14 +343,11 @@ def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
     Z+(1) is spanned by the last n1 columns at z = 1 and Z-(0) by the first
     n2 at z = 0, so with the columns at z = 1 reversed the leading columns
     of one QR are orthonormal bases of both; K's singular values do not
-    depend on the basis within each block.  Returns (ok, smin, K) for the
-    systems before the first whose ends are refused, and its error."""
+    depend on the basis within each block.  Returns (ok, smin, K); raises
+    the ValidationError of the first refused end, systems first."""
     n = p1.shape[-1]
     h = np.array([system.h.eval_many(_ENDS) for system in systems])
-    w, vecs, bad, error = _similarity_stack(p1[:, None], h, _ENDS)
-    if error is not None:
-        stop = bad // len(_ENDS)
-        wb_tilde, h, w, vecs = wb_tilde[:stop], h[:stop], w[:stop], vecs[:stop]
+    w, vecs = _similarity_stack(p1[:, None], h, _ENDS)
     b = np.linalg.qr(np.array([vecs[:, 0, :, ::-1], vecs[:, 1]]))[0]
     # W1 H(1) B(1) and W0 H(0) B(0) for every system, each (count, n, n)
     v, u = wb_tilde.reshape(-1, n, 2, n).transpose(2, 0, 1, 3) @ h.swapaxes(0, 1) @ b
@@ -377,7 +357,7 @@ def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
     k = np.where(np.arange(n) < n1[:, None, None], v, u[..., ::-1])
     svals = np.linalg.svd(k, compute_uv=False)
     ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= tol_rank * svals[:, 0])
-    return ok.tolist(), svals[:, -1].tolist(), k, error
+    return ok.tolist(), svals[:, -1].tolist(), k
 
 
 def direct_sum_check(
@@ -393,9 +373,7 @@ def direct_sum_check(
     rank = rank_of(system.wb_tilde, tol_rank)
     if rank != system.n:
         raise PreconditionError(_inapplicable(rank, system.n))
-    ok, smin, k, error = _direct_sums([system], system.p1[None], system.wb_tilde[None], tol_rank)
-    if error is not None:
-        raise error
+    ok, smin, k = _direct_sums([system], system.p1[None], system.wb_tilde[None], tol_rank)
     return ok[0], smin[0], k[0]
 
 
@@ -457,11 +435,8 @@ def classify(
     additionally diagonalizes the field on that many points and records an
     eigenvalue-crossing note.
     """
-    verdicts, error = _classify_stack([system], system.p1[None], system.p0[None],
-                                      system.wb_tilde[None], tol_psd, tol_rank)
-    if error is not None:
-        raise error
-    (verdict,) = verdicts
+    (verdict,) = _classify_stack([system], system.p1[None], system.p0[None],
+                                 system.wb_tilde[None], tol_psd, tol_rank)
     if diagnostic_grid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ContinuityWarning)
@@ -476,20 +451,17 @@ def classify(
 def _classify_stack(systems, p1, p0, wb_tilde, tol_psd: float, tol_rank: float):
     """classify, without a diagnostic grid, for systems of one n, with their
     matrices stacked, each test made once for the stack.  Returns the
-    verdicts of the systems before the first that classify refuses, and its
-    ValidationError (or None)."""
+    verdicts; raises the ValidationError of the first system that classify
+    refuses, as classify raises it."""
     n = p1.shape[-1]
     fields = _contraction(p1, p0, wb_tilde, tol_psd, tol_rank)
     contraction, rank = fields[0], fields[-1]
     full = [i for i, r in enumerate(rank) if r == n]
-    c0, smin, error = [None] * len(systems), [None] * len(systems), None
+    c0, smin = [None] * len(systems), [None] * len(systems)
     if full:
-        ok, svals, _, error = _direct_sums([systems[i] for i in full], p1[full], wb_tilde[full],
-                                           tol_rank)
+        ok, svals, _ = _direct_sums([systems[i] for i in full], p1[full], wb_tilde[full], tol_rank)
         for i, ok_i, smin_i in zip(full, ok, svals):
             c0[i], smin[i] = ok_i, smin_i
-        if error is not None:
-            systems = systems[:full[len(ok)]]
 
     verdicts = []
     for i, (system, check) in enumerate(zip(systems, zip(*fields))):
@@ -504,4 +476,4 @@ def _classify_stack(systems, p1, p0, wb_tilde, tol_psd: float, tol_rank: float):
             notes.append("coefficient field is sampled: smoothness assumption of the generation "
                          "test is not verifiable; its verdict uses endpoint data only")
         verdicts.append(Verdict(*check, n, c0[i], smin[i], tuple(notes)))
-    return verdicts, error
+    return verdicts

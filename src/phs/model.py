@@ -69,7 +69,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _herm_defect(m: np.ndarray) -> np.ndarray:
     """Relative deviation ||m - m*|| / ||m|| (Frobenius; 0 for m = 0) of a
-    matrix or of each matrix in a stack (..., n, n)."""
+    matrix or of each matrix in a stack (..., n, n), each scaled by its
+    largest entry magnitude first so that squaring cannot overflow."""
+    m = m / np.abs(m).max(axis=(-2, -1), initial=1e-300, keepdims=True)
     return _frobenius(m - _adjoint(m)) / np.maximum(_frobenius(m), 1e-300)
 
 
@@ -193,23 +195,7 @@ def validate_system(system: PHSystem) -> None:
     EPS_PD, or else a piece still open at the cap.  Constant, affine and
     grid fields are decided exactly, without halving.
     """
-    error = _validate([system])[1]
-    if error is not None:
-        raise error
-
-
-class _FirstFailure:
-    """The first failing system found so far and its error.  Checks run in
-    validate_system's order, each on the systems before that one, so the
-    error kept is the first in system order and, for that system, the one
-    validate_system raises."""
-
-    def __init__(self, count: int):
-        self.stop, self.error = count, None
-
-    def record(self, k, message: str) -> None:
-        if k < self.stop:
-            self.stop, self.error = int(k), ValidationError(message)
+    _validate([system])
 
 
 def _structure_error(system: PHSystem) -> str | None:
@@ -226,85 +212,74 @@ def _structure_error(system: PHSystem) -> str | None:
     return None
 
 
-def _validate(systems) -> tuple[int, ValidationError | None]:
+def _validate(systems) -> None:
     """validate_system on a list of systems of one dimension n, each check
-    made once for the whole stack.  Returns (k, error): the first k systems
-    are valid and ``error`` is what validate_system raises for system k
-    (None when k = len(systems))."""
-    first = _FirstFailure(len(systems))
-    for k, system in enumerate(systems):
+    made once for the whole stack.  Raises at the first check that fails
+    for any system, with the ValidationError validate_system raises for
+    that system; it need not be the first invalid system of the list (the
+    agreement campaign replays a failed stack system by system)."""
+    for system in systems:
         message = _structure_error(system)
         if message:
-            first.record(k, message)
-            break
-    if first.stop:
-        p1 = np.array([s.p1 for s in systems[:first.stop]])
-        bad = _herm_defect(p1) > TOL_HERM
-        if bad.any():
-            first.record(bad.argmax(), "p1 is not Hermitian")
-        svals = np.linalg.svd(p1[:first.stop], compute_uv=False)
-        bad = svals[:, -1] < EPS_INV * np.maximum(1.0, svals[:, 0])
-        if bad.any():
-            k = bad.argmax()
-            first.record(k, "p1 is numerically singular "
-                            f"(smallest singular value {svals[k, -1]:.3e})")
-    # the pieces of every field, by degree: owner, piece ends, control matrices
+            raise ValidationError(message)
+    p1 = np.array([s.p1 for s in systems])
+    if (_herm_defect(p1) > TOL_HERM).any():
+        raise ValidationError("p1 is not Hermitian")
+    svals = np.linalg.svd(p1, compute_uv=False)
+    bad = svals[:, -1] < EPS_INV * np.maximum(1.0, svals[:, 0])
+    if bad.any():
+        raise ValidationError("p1 is numerically singular "
+                              f"(smallest singular value {svals[bad.argmax(), -1]:.3e})")
+    # the pieces of every field, by degree: piece ends and control matrices;
+    # non-finite fields are refused here, before any arithmetic warns about them
     groups: dict[int, list] = {}
-    for k, system in enumerate(systems[:first.stop]):
-        if system.h.n != system.n:
-            first.record(k, f"H has dimension {system.h.n}, system has n = {system.n}")
-            break
-        knots, ctrl = _bernstein_pieces(system.h)
-        # a Hermitian part that overflows counts as non-finite too
-        if not np.isfinite(ctrl + _adjoint(ctrl)).all():
-            first.record(k, "H evaluates to non-finite entries")
-            break
-        for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [], [])),
-                               ([k] * len(ctrl), knots[:-1], knots[1:], ctrl)):
-            part.append(value)
-    # pieces are in system order, so the first failing piece has the first
-    # failing owner (a later owner than first.stop is ignored)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for system in systems:
+            if system.h.n != system.n:
+                raise ValidationError(f"H has dimension {system.h.n}, system has n = {system.n}")
+            knots, ctrl = _bernstein_pieces(system.h)
+            # a Hermitian part that overflows counts as non-finite too
+            if not np.isfinite(ctrl + _adjoint(ctrl)).all():
+                raise ValidationError("H evaluates to non-finite entries")
+            for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [])),
+                                   (knots[:-1], knots[1:], ctrl)):
+                part.append(value)
     groups = [tuple(np.concatenate(part) for part in g) for g in groups.values()]
-    for owner, lo, hi, ctrl in groups:
+    for lo, hi, ctrl in groups:
         defect = _herm_defect(ctrl).max(axis=1)
         bad = defect > TOL_HERM
         if bad.any():
             k = bad.argmax()
-            first.record(owner[k], f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
-                                   f"(relative defect {defect[k]:.3e})")
+            raise ValidationError(f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
+                                  f"(relative defect {defect[k]:.3e})")
     for group in groups:
-        _certify(*group, first)
-    return first.stop, first.error
+        _certify(*group)
 
 
-def _certify(owner, lo, hi, ctrl, first: _FirstFailure) -> None:
+def _certify(lo, hi, ctrl) -> None:
     """The Bernstein certification of validate_system for pieces of one
-    degree of many fields at once: piece p belongs to system owner[p], and
-    the pieces of each system are contiguous and in increasing order, which
-    halving keeps.  A system is certified once none of its pieces is open;
-    the pieces of systems past first.stop are dropped after one pass, and
-    whatever they show is not recorded."""
+    degree of one or many fields at once, the pieces of each field
+    contiguous and in increasing order, which halving keeps.  Raises at the
+    first piece end below EPS_PD at the first level that has one, or at the
+    first piece still open at the cap."""
     ctrl = hermitian_part(ctrl)
     for depth in range(CERTIFY_DEPTH + 1):
         eigmin = np.linalg.eigvalsh(ctrl)[..., 0]
-        if eigmin.min(initial=np.inf) >= EPS_PD:
+        keep = eigmin.min(axis=1) < EPS_PD
+        if not keep.any():
             return
         # an end below EPS_PD is on an open piece; the first is named
         ends = eigmin[:, [0, -1]].ravel()
         bad = np.flatnonzero(ends < EPS_PD)
         if bad.size:
             piece, side = divmod(bad[0], 2)
-            first.record(owner[piece], f"H(zeta={(lo, hi)[side][piece]:.6g}) is not positive "
-                                       f"definite (min eigenvalue {ends[bad[0]]:.3e} < {EPS_PD:g})")
-        keep = (eigmin.min(axis=1) < EPS_PD) & (owner < first.stop)
-        owner, lo, hi, ctrl = owner[keep], lo[keep], hi[keep], ctrl[keep]
-        if not owner.size:
-            return
+            raise ValidationError(f"H(zeta={(lo, hi)[side][piece]:.6g}) is not positive "
+                                  f"definite (min eigenvalue {ends[bad[0]]:.3e} < {EPS_PD:g})")
+        lo, hi, ctrl = lo[keep], hi[keep], ctrl[keep]
         if depth == CERTIFY_DEPTH:
-            first.record(owner[0], f"H cannot be certified positive definite on "
-                                   f"[{lo[0]:.6g}, {hi[0]:.6g}] "
-                                   f"(Bernstein bound after {CERTIFY_DEPTH} halvings)")
-            return
+            raise ValidationError(f"H cannot be certified positive definite on "
+                                  f"[{lo[0]:.6g}, {hi[0]:.6g}] "
+                                  f"(Bernstein bound after {CERTIFY_DEPTH} halvings)")
         # de Casteljau at t = 1/2: control matrix i of the left half is
         # sum_k binom(i, k) B_k / 2^i, the right half mirrors the left
         d = ctrl.shape[1] - 1
@@ -313,7 +288,6 @@ def _certify(owner, lo, hi, ctrl, first: _FirstFailure) -> None:
         ctrl = halves.reshape((-1,) + ctrl.shape[1:])
         mid = (lo + hi) / 2.0
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
-        owner = np.repeat(owner, 2)
 
 
 def _bernstein_pieces(field: CoefficientField):

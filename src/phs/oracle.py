@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classifier import TOL_PSD, TOL_RANK, _classify_stack
-from .errors import InvariantError
+from .errors import InvariantError, PHSError
 from .model import CoefficientField, PHSystem, _adjoint, _system, _validate, hermitian_part
 
 # Systems per stacked batch of agreement_campaign: bounds its memory.
@@ -137,10 +137,9 @@ def _unitary(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _random_systems(seeds, n: int, hints) -> tuple[list, Exception | None]:
-    """random_system for each (seed, hint), the linear algebra and the
-    validation done on stacks.  Returns the systems before the first that
-    validate_system refuses, and its ValidationError (or None)."""
+def _random_systems(seeds, n: int, hints) -> list:
+    """The systems of random_system for each (seed, hint), not validated,
+    the linear algebra done on stacks."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     draws = [_draws(seed, n, hint) for seed, hint in zip(seeds, hints)]
@@ -192,9 +191,7 @@ def _random_systems(seeds, n: int, hints) -> tuple[list, Exception | None]:
         for i, p0_i, wb_i in zip(bounded, p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)):
             p0[i], wb_tilde[i] = p0_i, wb_i
 
-    systems = [_system(p1[i], p0[i], h[i], wb_tilde[i]) for i in everyone]
-    valid, error = _validate(systems)
-    return systems[:valid], error
+    return [_system(p1[i], p0[i], h[i], wb_tilde[i]) for i in everyone]
 
 
 def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
@@ -209,10 +206,34 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
     """
     if class_hint not in ("general", "contraction", "unitary"):
         raise ValueError(f"unknown class_hint {class_hint!r}")
-    systems, error = _random_systems([seed], n, [class_hint])
-    if error is not None:
-        raise error
+    systems = _random_systems([seed], n, [class_hint])
+    _validate(systems)
     return systems[0]
+
+
+def _cross_checked(systems, tol_psd: float):
+    """Validate, classify and cross-check systems of one n as stacks.
+    Returns the verdicts and the oracle's (top, bottom, holds) as lists;
+    raises the first error any stage finds, for some system of the stack."""
+    _validate(systems)
+    mats = [np.array([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde")]
+    verdicts = _classify_stack(systems, *mats, tol_psd, TOL_RANK)
+    dim, top, bottom, holds = (a.tolist() for a in _kernel_test(*mats, tol_psd))
+    n = mats[0].shape[-1]
+    for verdict, dim_i, holds_i in zip(verdicts, dim, holds):
+        if dim_i != 2 * n - verdict.rank_wb_tilde:
+            raise InvariantError(f"kernel dimension law violated: dim ker(wb_tilde) = "
+                                 f"{dim_i}, 2n - rank = {2 * n - verdict.rank_wb_tilde}")
+        if holds_i and dim_i != n:
+            raise _dimension_error(dim_i, n)
+    return verdicts, top, bottom, holds
+
+
+def _first_failure(systems, tol_psd: float) -> None:
+    """Replay _cross_checked on each system alone, in order: the first
+    system that fails raises the error it raises on its own."""
+    for system in systems:
+        _cross_checked([system], tol_psd)
 
 
 def agreement_campaign(
@@ -232,8 +253,10 @@ def agreement_campaign(
     on the frontier by construction.
 
     The systems are generated, validated, classified and cross-checked in
-    stacked batches of CAMPAIGN_BATCH; a failure is raised at the first
-    failing system in seed order, with the error it raises on its own.
+    stacked batches of CAMPAIGN_BATCH.  When a stage raises on a batch, its
+    systems are checked again one at a time in seed order, so the first
+    failing system raises the error it raises on its own; if each passes
+    alone, the batch's error is raised.
 
     Returns a JSON-ready report including full-verdict counts and the
     number of verdict-monotonicity violations (expected 0).
@@ -254,22 +277,13 @@ def agreement_campaign(
     }
     for start in range(0, count, CAMPAIGN_BATCH):
         stop = min(count, start + CAMPAIGN_BATCH)
-        systems, error = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
-        if not systems:
-            raise error
-        mats = [np.array([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde")]
-        verdicts, classify_error = _classify_stack(systems, *mats, tol_psd, TOL_RANK)
-        error = classify_error or error
-        dim, top, bottom, holds = (a.tolist() for a in _kernel_test(
-            *(m[:len(verdicts)] for m in mats), tol_psd))
-        # every system before `error` is cross-checked: the first to break an
-        # invariant is the first failing system
+        systems = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
+        try:
+            verdicts, top, bottom, holds = _cross_checked(systems, tol_psd)
+        except PHSError:
+            _first_failure(systems, tol_psd)
+            raise
         for i, verdict in enumerate(verdicts):
-            if dim[i] != 2 * n - verdict.rank_wb_tilde:
-                raise InvariantError(f"kernel dimension law violated: dim ker(wb_tilde) = "
-                                     f"{dim[i]}, 2n - rank = {2 * n - verdict.rank_wb_tilde}")
-            if holds[i] and dim[i] != n:
-                raise _dimension_error(dim[i], n)
             # dim ker(wb_tilde) = 2n - rank >= n: the form is never empty here
             witnesses = ((verdict.re_p0_max_eigenvalue, verdict.re_p0_norm),
                          (verdict.sigma_form_min_eigenvalue, verdict.sigma_form_norm),
@@ -293,8 +307,6 @@ def agreement_campaign(
             # classify() coerces inconsistent triples and leaves a note, so the
             # raw violations are counted through the notes
             mono_violations += sum("InternalInconsistency" in note for note in verdict.notes)
-        if error is not None:
-            raise error
 
     return {
         "n": n,

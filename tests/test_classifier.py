@@ -323,13 +323,11 @@ class TestDiagonalizeField:
 class TestBoundaryClosure:
     def test_block_structure(self):
         system = string_system((1.0, 1.0))
-        closure = phs.boundary_closure_matrix(system)
-        n = system.n
-        split1 = phs.eigensplit(system, 1.0)
-        split0 = phs.eigensplit(system, 0.0)
-        n1 = split1.n1
-        v = system.wb_tilde[:, :n] @ system.h.eval(1.0) @ split1.s_inv
-        u = system.wb_tilde[:, n:] @ system.h.eval(0.0) @ split0.s_inv
+        field = phs.diagonalize_field(system, [0.0, 1.0])
+        closure = phs.boundary_closure_matrix(system, field)
+        n, n1 = system.n, field.n1
+        v = system.wb_tilde[:, :n] @ system.h.eval(1.0) @ field.s_inv[-1]
+        u = system.wb_tilde[:, n:] @ system.h.eval(0.0) @ field.s_inv[0]
         # k = [V1 U2] on the incoming traces, q = [U1 V2] on the outgoing ones
         np.testing.assert_allclose(closure.k[:, :n1], v[:, :n1])
         np.testing.assert_allclose(closure.k[:, n1:], u[:, n1:])
@@ -341,8 +339,8 @@ class TestBoundaryClosure:
         system = string_system((1.0, 1.0))
         field = phs.diagonalize_field(system, np.linspace(0.0, 1.0, 9))
         closure = phs.boundary_closure_matrix(system, field)
-        pointwise = phs.boundary_closure_matrix(system)
-        # the field's endpoint columns are eigensplit's up to unit phases
+        pointwise = phs.boundary_closure_matrix(system, phs.diagonalize_field(system, [0.0, 1.0]))
+        # the endpoint columns of both fields are eigensplit's up to unit phases
         np.testing.assert_allclose(np.abs(closure.k), np.abs(pointwise.k), atol=1e-12)
         np.testing.assert_allclose(np.abs(closure.q), np.abs(pointwise.q), atol=1e-12)
         with pytest.raises(DomainError):
@@ -350,14 +348,15 @@ class TestBoundaryClosure:
 
     def test_network_closure_is_identity(self, network):
         # W1 = H = S = I, so K = I and outgoing block is W0
-        closure = phs.boundary_closure_matrix(network)
+        closure = phs.boundary_closure_matrix(network, phs.diagonalize_field(network, [0.0, 1.0]))
         np.testing.assert_allclose(closure.k, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(closure.q, network.wb_tilde[:, 3:], atol=1e-12)
 
     def test_invertibility_matches_direct_sum(self):
         for system in (string_system(), string_system((1.0, 1.0)), network_system(),
                        transport_system(0.0, 1.0), transport_system(1.0, 0.0)):
-            closure = phs.boundary_closure_matrix(system)
+            closure = phs.boundary_closure_matrix(system,
+                                                  phs.diagonalize_field(system, [0.0, 1.0]))
             svals = np.linalg.svd(closure.k, compute_uv=False)
             invertible = svals[0] > 0 and svals[-1] >= 1e-10 * svals[0]
             ok, _, _ = phs.direct_sum_check(system)
@@ -495,10 +494,9 @@ class TestEndpointDecomposition:
         with pytest.raises(ValidationError) as reference:
             phs.eigensplit(system, 1.0)
             phs.eigensplit(system, 0.0)
-        for check in (phs.direct_sum_check, phs.boundary_closure_matrix):
-            with pytest.raises(ValidationError) as got:
-                check(system)
-            assert str(got.value) == str(reference.value)
+        with pytest.raises(ValidationError) as got:
+            phs.direct_sum_check(system)
+        assert str(got.value) == str(reference.value)
 
     def test_one_rank_svd_per_classify(self, monkeypatch):
         calls = []
@@ -555,8 +553,8 @@ def _assert_same_record(got, ref):
 
 def test_stacked_verdicts_equal_classify():
     systems = _mixed_stack()
-    verdicts, error = _classify_stack(systems)
-    assert error is None and len(verdicts) == len(systems)
+    verdicts = _classify_stack(systems)
+    assert len(verdicts) == len(systems)
     seen = set()
     for system, verdict in zip(systems, verdicts):
         _assert_same_record(verdict, phs.classify(system))
@@ -569,15 +567,29 @@ def test_stacked_verdicts_equal_classify():
 
 def test_stacked_classification_stops_at_first_refused_system():
     # P1 H with an eigenvalue in the zero band passes validation but not
-    # classify; the stack yields the verdicts before it and classify's error
+    # classify, at z = 1 for one system and only at z = 0 for the other: the
+    # stack raises one of their errors, and the campaign's replay the first's
     n = 3
     good = _mixed_stack(n)[:4]
-    tiny = phs.make_system(np.diag([1.0, 2e-10, 1.0]), np.zeros((n, n)), np.eye(n),
-                           np.hstack([np.eye(n), np.zeros((n, n))]))
-    with pytest.raises(ValidationError) as reference:
-        phs.classify(tiny)
-    verdicts, error = _classify_stack(good + [tiny] + good)
-    assert len(verdicts) == len(good) and str(error) == str(reference.value)
+    wb = np.hstack([np.eye(n), np.zeros((n, n))])
+    p1 = np.diag([1.0, 2e-10, 1.0])
+    tiny = [phs.make_system(p1, np.zeros((n, n)), np.eye(n), wb),
+            phs.make_system(p1, np.zeros((n, n)), phs.CoefficientField.polynomial(
+                np.stack([np.eye(n), np.diag([0.0, 9.0, 0.0])], axis=-1)), wb)]
+    messages = []
+    for system in tiny:
+        with pytest.raises(ValidationError) as reference:
+            phs.classify(system)
+        messages.append(str(reference.value))
+    assert messages[0] != messages[1]
+    for first, second in ((0, 1), (1, 0)):
+        systems = good + [tiny[first]] + good + [tiny[second]] + good
+        with pytest.raises(ValidationError) as stacked:
+            _classify_stack(systems)
+        assert str(stacked.value) in messages
+        with pytest.raises(ValidationError) as replayed:
+            phs.oracle._first_failure(systems, phs.classifier.TOL_PSD)
+        assert str(replayed.value) == messages[first]
 
 
 class TestClassify:

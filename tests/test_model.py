@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import phs
 from phs.errors import SchemaError, ShapeError, ValidationError
+from phs.classifier import TOL_PSD
 from phs.model import EPS_PD
 
 
@@ -417,6 +418,11 @@ INVALID = {
     "h_overflows": (_raw_system(h=[[1, 1e308], [1e308, 1]]), "H evaluates to non-finite entries"),
     "h_not_hermitian": (_raw_system(h=[[1, 1], [0, 1]]),
                         "H is not Hermitian on [0, 1] (relative defect 8.165e-01)"),
+    # entries whose squares overflow: the defect is measured on scaled matrices
+    "h_huge_not_hermitian": (_raw_system(h=[[1e200, 1e200], [0, 1e200]]),
+                             "H is not Hermitian on [0, 1] (relative defect 8.165e-01)"),
+    "p1_huge_not_hermitian": (_raw_system(p1=[[1e200, 1e200], [0, 1e200]]),
+                              "p1 is not Hermitian"),
     "h_indefinite": (_raw_system(h=np.diag([1.0, -1.0])),
                      "H(zeta=0) is not positive definite (min eigenvalue -1.000e+00 < 1e-08)"),
     "h_dips_below_zero": (_raw_system(h=_dip(-1e-3)), "H(zeta=0.5) is not positive definite "
@@ -446,8 +452,9 @@ def test_certification_sees_finite_matrices_only(monkeypatch):
     names = [k for k in sorted(INVALID) if k.startswith(("h_nan", "h_inf", "h_overflows"))]
     assert len(names) == 4
     for name in names:
-        valid, error = phs.model._validate([VALID[0], INVALID[name][0], VALID[1]])
-        assert (valid, str(error)) == (1, INVALID[name][1])
+        with pytest.raises(ValidationError) as exc:
+            phs.model._validate([VALID[0], INVALID[name][0], VALID[1]])
+        assert str(exc.value) == INVALID[name][1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,10 +466,19 @@ def test_certification_sees_finite_matrices_only(monkeypatch):
 @given(st.lists(st.sampled_from(sorted(INVALID)) | st.integers(0, len(VALID) - 1),
                 min_size=1, max_size=8))
 def test_stacked_validation_fails_first_in_system_order(picks):
-    # the whole-stack validation names the first invalid system, with the
-    # message validate_system gives it alone
+    # the whole-stack validation raises the message validate_system gives
+    # one of the invalid systems alone, and the campaign's replay of the
+    # stack one system at a time names the first
     systems = [VALID[p] if isinstance(p, int) else INVALID[p][0] for p in picks]
-    expected = next(((k, INVALID[p][1]) for k, p in enumerate(picks) if isinstance(p, str)),
-                    (len(picks), None))
-    valid, error = phs.model._validate(systems)
-    assert (valid, None if error is None else str(error)) == expected
+    messages = [INVALID[p][1] for p in picks if isinstance(p, str)]
+    assert _raised(phs.model._validate, systems) in (messages or [None])
+    assert _raised(phs.oracle._first_failure, systems, TOL_PSD) == next(iter(messages), None)
+
+
+def _raised(check, *args):
+    """The message of the ValidationError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ValidationError as error:
+        return str(error)
+    return None

@@ -146,8 +146,8 @@ class TestRandomSystem:
 def test_stacked_generation_equals_random_system():
     seeds = range(300, 340)
     hints = [("general", "contraction", "unitary")[s % 3] for s in seeds]
-    systems, error = phs.oracle._random_systems(seeds, 3, hints)
-    assert error is None
+    systems = phs.oracle._random_systems(seeds, 3, hints)
+    phs.model._validate(systems)
     for seed, hint, system in zip(seeds, hints, systems):
         ref = phs.random_system(seed, 3, hint)
         for name in ("p1", "p0", "wb_tilde"):
@@ -236,6 +236,22 @@ class TestCampaign:
         with pytest.raises(phs.ValidationError) as got:
             phs.agreement_campaign(2, 200, seed=3)
         assert str(got.value) == expected[min(refused, unclassifiable)]
+
+    def test_stack_only_failure_is_raised(self, monkeypatch):
+        # a stage that fails on the stack but passes on each system alone:
+        # the replay finds no failing system, and the batch's error is raised
+        # instead of a report
+        real = phs.oracle._kernel_test
+
+        def stack_only(p1, *args):
+            if len(p1) > 1:
+                raise phs.InvariantError("fails on stacks only")
+            return real(p1, *args)
+
+        monkeypatch.setattr(phs.oracle, "_kernel_test", stack_only)
+        assert phs.agreement_campaign(2, 1, seed=3)["count"] == 1
+        with pytest.raises(phs.InvariantError, match="fails on stacks only"):
+            phs.agreement_campaign(2, 150, seed=3)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_dimension(self, n):

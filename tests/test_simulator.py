@@ -135,7 +135,7 @@ class TestClosureUnderVerdict:
         # W1 = H = S = I on the network, so K = I
         state = phs.setup(network, phs.SimConfig(nx=64, t_final=0.1), gaussian(0.5, 0.1))
         assert state.verdict.c0_semigroup is True
-        closure = phs.boundary_closure_matrix(network)
+        closure = phs.boundary_closure_matrix(network, phs.diagonalize_field(network, [0.0, 1.0]))
         np.testing.assert_array_equal(closure.k, np.eye(3))
         np.testing.assert_array_equal(state._disc.closure_map, -closure.q)
 
