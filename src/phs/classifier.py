@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .model import PHSystem, _adjoint, hermitian_part
+from .model import PHSystem, _adjoint, _stacked, hermitian_part
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -59,15 +59,15 @@ def _wb(p1: np.ndarray, wb_tilde: np.ndarray) -> tuple:
     return a / 2.0, (w1 + w0) / 2.0
 
 
-def rank_of(m: np.ndarray, tol_rank: float = TOL_RANK):
-    """Numerical rank: number of singular values >= tol_rank * sigma_max;
+def rank_of(m: np.ndarray):
+    """Numerical rank: number of singular values >= TOL_RANK * sigma_max;
     an int array of ranks for a stack (..., rows, cols)."""
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
     svals = np.linalg.svd(m, compute_uv=False)
     top = svals[..., :1]
-    rank = ((svals >= tol_rank * top) & (top > 0.0)).sum(axis=-1)
+    rank = ((svals >= TOL_RANK * top) & (top > 0.0)).sum(axis=-1)
     return int(rank) if m.ndim == 2 else rank
 
 
@@ -91,9 +91,7 @@ class ContractionCheck:
     rank_wb_tilde: int
 
 
-def check_contraction(
-    system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
-) -> ContractionCheck:
+def check_contraction(system: PHSystem) -> ContractionCheck:
     """Contraction: Re P0 negative semidefinite, wb Sigma wb* positive
     semidefinite and wb_tilde of full rank n.  Unitary group: the same with
     both forms zero.  Independent of the coefficient field H.
@@ -101,13 +99,14 @@ def check_contraction(
     With a shared scale, unitary implies contraction exactly:
     lambda_max <= max |lambda| and lambda_min >= -max |lambda|.
     """
-    return ContractionCheck(*(field[0] for field in _contraction(
-        system.p1[None], system.p0[None], system.wb_tilde[None], tol_psd, tol_rank)))
+    return ContractionCheck(*(field[0] for field in _contraction([system])))
 
 
-def _contraction(p1, p0, wb_tilde, tol_psd: float, tol_rank: float) -> tuple:
-    """check_contraction for a stack: p1, p0 (B, n, n), wb_tilde (B, n, 2n).
-    Returns the ContractionCheck fields in order, each a list over the stack."""
+def _contraction(systems) -> tuple:
+    """check_contraction for systems of one n, each test made once for the
+    stack.  Returns the ContractionCheck fields in order, each a list over
+    the systems."""
+    p1, p0, wb_tilde = _stacked(systems)
     n = p1.shape[-1]
     a, b = _wb(p1, wb_tilde)
     # wb Sigma wb* = A B* + B A* for wb = [A B]
@@ -115,8 +114,8 @@ def _contraction(p1, p0, wb_tilde, tol_psd: float, tol_rank: float) -> tuple:
     form = ab + _adjoint(ab)  # Hermitian entry by entry
     (p0_eigs, form_eigs) = eigs = np.linalg.eigvalsh(np.array([hermitian_part(p0), form]))
     p0_norm, form_norm = norms = np.maximum(-eigs[..., 0], eigs[..., -1])
-    p0_scale, form_scale = tol_psd * np.maximum(1.0, norms)
-    rank = rank_of(wb_tilde, tol_rank)
+    p0_scale, form_scale = TOL_PSD * np.maximum(1.0, norms)
+    rank = rank_of(wb_tilde)
     full = rank == n
     nsd = p0_eigs[:, -1] <= p0_scale
     zero = p0_norm <= p0_scale
@@ -126,11 +125,9 @@ def _contraction(p1, p0, wb_tilde, tol_psd: float, tol_rank: float) -> tuple:
             list(form), form_eigs[:, 0].tolist(), form_norm.tolist(), rank.tolist())
 
 
-def check_unitary(
-    system: PHSystem, tol_psd: float = TOL_PSD, tol_rank: float = TOL_RANK
-) -> bool:
+def check_unitary(system: PHSystem) -> bool:
     """Re P0 = 0, wb Sigma wb* = 0, and wb_tilde of full rank n."""
-    return check_contraction(system, tol_psd, tol_rank).unitary_group
+    return check_contraction(system).unitary_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +334,7 @@ def _inapplicable(rank: int, n: int) -> str:
     return f"rank(wb_tilde) = {rank} != n = {n}: generation test inapplicable"
 
 
-def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
+def _direct_sums(systems):
     """direct_sum_check for systems of one n with rank(wb_tilde) = n, from
     one decomposition of both ends of all of them.  eigh sorts ascending:
     Z+(1) is spanned by the last n1 columns at z = 1 and Z-(0) by the first
@@ -345,6 +342,7 @@ def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
     of one QR are orthonormal bases of both; K's singular values do not
     depend on the basis within each block.  Returns (ok, smin, K); raises
     the ValidationError of the first refused end, systems first."""
+    p1, _, wb_tilde = _stacked(systems)
     n = p1.shape[-1]
     h = np.array([system.h.eval_many(_ENDS) for system in systems])
     w, vecs = _similarity_stack(p1[:, None], h, _ENDS)
@@ -356,13 +354,11 @@ def _direct_sums(systems, p1, wb_tilde, tol_rank: float):
     n1 = n - (w[:, 0] < 0.0).sum(axis=-1)
     k = np.where(np.arange(n) < n1[:, None, None], v, u[..., ::-1])
     svals = np.linalg.svd(k, compute_uv=False)
-    ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= tol_rank * svals[:, 0])
+    ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= TOL_RANK * svals[:, 0])
     return ok.tolist(), svals[:, -1].tolist(), k
 
 
-def direct_sum_check(
-    system: PHSystem, tol_rank: float = TOL_RANK
-) -> tuple[bool, float, np.ndarray]:
+def direct_sum_check(system: PHSystem) -> tuple[bool, float, np.ndarray]:
     """C0-generation test: do W1 H(1) Z+(1) and W0 H(0) Z-(0) together span C^n?
 
     Returns (verdict, smallest singular value of K, K) where
@@ -370,10 +366,10 @@ def direct_sum_check(
     K up to a unitary within each block and its singular values exactly.
     Raises PreconditionError when rank(wb_tilde) < n: the test does not apply.
     """
-    rank = rank_of(system.wb_tilde, tol_rank)
+    rank = rank_of(system.wb_tilde)
     if rank != system.n:
         raise PreconditionError(_inapplicable(rank, system.n))
-    ok, smin, k = _direct_sums([system], system.p1[None], system.wb_tilde[None], tol_rank)
+    ok, smin, k = _direct_sums([system])
     return ok[0], smin[0], k[0]
 
 
@@ -419,12 +415,7 @@ class Verdict(ContractionCheck):
         return out
 
 
-def classify(
-    system: PHSystem,
-    tol_psd: float = TOL_PSD,
-    tol_rank: float = TOL_RANK,
-    diagnostic_grid: int | None = None,
-) -> Verdict:
+def classify(system: PHSystem, diagnostic_grid: int | None = None) -> Verdict:
     """Run all three tests and assemble a Verdict.
 
     The verdicts are nested (unitary implies contraction implies
@@ -435,8 +426,7 @@ def classify(
     additionally diagonalizes the field on that many points and records an
     eigenvalue-crossing note.
     """
-    (verdict,) = _classify_stack([system], system.p1[None], system.p0[None],
-                                 system.wb_tilde[None], tol_psd, tol_rank)
+    (verdict,) = _classify_stack([system])
     if diagnostic_grid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ContinuityWarning)
@@ -448,18 +438,18 @@ def classify(
     return verdict
 
 
-def _classify_stack(systems, p1, p0, wb_tilde, tol_psd: float, tol_rank: float):
-    """classify, without a diagnostic grid, for systems of one n, with their
-    matrices stacked, each test made once for the stack.  Returns the
-    verdicts; raises the ValidationError of the first system that classify
-    refuses, as classify raises it."""
-    n = p1.shape[-1]
-    fields = _contraction(p1, p0, wb_tilde, tol_psd, tol_rank)
+def _classify_stack(systems):
+    """classify, without a diagnostic grid, for systems of one n, each test
+    made once for the stack.  Returns the verdicts; raises the
+    ValidationError of the first system that classify refuses, as classify
+    raises it."""
+    n = systems[0].n
+    fields = _contraction(systems)
     contraction, rank = fields[0], fields[-1]
     full = [i for i, r in enumerate(rank) if r == n]
     c0, smin = [None] * len(systems), [None] * len(systems)
     if full:
-        ok, svals, _ = _direct_sums([systems[i] for i in full], p1[full], wb_tilde[full], tol_rank)
+        ok, svals, _ = _direct_sums([systems[i] for i in full])
         for i, ok_i, smin_i in zip(full, ok, svals):
             c0[i], smin[i] = ok_i, smin_i
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import TOL_PSD, TOL_RANK, classify
+from .classifier import classify
 from .errors import (
     DomainError,
     IllPosedError,
@@ -119,6 +119,18 @@ def x0_from_spec(spec: str, n: int):
     return lambda z: np.array([f(z) for f in profiles], dtype=float)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() refuses the text
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_help(sys.stderr)
@@ -140,17 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a model document")
     p_classify.add_argument("model", type=Path)
-    p_classify.add_argument("--tol-psd", type=float, default=TOL_PSD)
-    p_classify.add_argument("--tol-rank", type=float, default=TOL_RANK)
-    p_classify.add_argument("--grid", type=int, default=0,
+    p_classify.add_argument("--grid", type=_int_at_least(0), default=0,
                             help="diagnostic grid points for the crossing check (0 = off)")
     common(p_classify)
 
     p_oracle = sub.add_parser("oracle", help="randomized agreement campaign")
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--count", type=int, default=1000)
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--tol-psd", type=float, default=TOL_PSD)
+    p_oracle.add_argument("--n", type=_int_at_least(1), required=True)
+    p_oracle.add_argument("--count", type=_int_at_least(0), default=1000)
+    p_oracle.add_argument("--seed", type=_int_at_least(0), default=0)
     common(p_oracle)
 
     p_sim = sub.add_parser("simulate", help="run the simulator")
@@ -193,8 +202,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     system = load_system(args.model)
-    verdict = classify(system, tol_psd=args.tol_psd, tol_rank=args.tol_rank,
-                       diagnostic_grid=args.grid or None)
+    verdict = classify(system, diagnostic_grid=args.grid or None)
     _emit(json.dumps(verdict.as_dict(), indent=2), args.output)
     if args.verbose:
         print(
@@ -206,7 +214,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    report = agreement_campaign(args.n, args.count, args.seed, tol_psd=args.tol_psd)
+    report = agreement_campaign(args.n, args.count, args.seed)
     _emit(json.dumps(report, indent=2), args.output)
     return EXIT_OK
 

@@ -212,6 +212,13 @@ def _structure_error(system: PHSystem) -> str | None:
     return None
 
 
+def _stacked(systems) -> tuple:
+    """p1 (B, n, n), p0 (B, n, n) and wb_tilde (B, n, 2n) of systems of one
+    dimension n, each stacked along a new first axis, in list order."""
+    return (np.array([s.p1 for s in systems]), np.array([s.p0 for s in systems]),
+            np.array([s.wb_tilde for s in systems]))
+
+
 def _validate(systems) -> None:
     """validate_system on a list of systems of one dimension n, each check
     made once for the whole stack.  Raises at the first check that fails
@@ -222,7 +229,7 @@ def _validate(systems) -> None:
         message = _structure_error(system)
         if message:
             raise ValidationError(message)
-    p1 = np.array([s.p1 for s in systems])
+    p1 = _stacked(systems)[0]
     if (_herm_defect(p1) > TOL_HERM).any():
         raise ValidationError("p1 is not Hermitian")
     svals = np.linalg.svd(p1, compute_uv=False)
@@ -458,8 +465,6 @@ def load_system(document) -> PHSystem:
     p0 = _matrix_from_doc(document["p0"], "p0")
     wb = _matrix_from_doc(document["wb_tilde"], "wb_tilde")
     field = _field_from_doc(document["h"])
-    if p1.shape != (n, n):
-        raise ValidationError(f"p1 must be {n}x{n}, got {p1.shape}")
     system = PHSystem(n=n, p1=_freeze(p1), p0=_freeze(p0), h=field, wb_tilde=_freeze(wb))
     validate_system(system)
     return system

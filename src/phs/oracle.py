@@ -23,48 +23,50 @@ import numpy as np
 
 from .classifier import TOL_PSD, TOL_RANK, _classify_stack
 from .errors import InvariantError, PHSError
-from .model import CoefficientField, PHSystem, _adjoint, _system, _validate, hermitian_part
+from .model import (
+    CoefficientField, PHSystem, _adjoint, _stacked, _system, _validate, hermitian_part)
 
 # Systems per stacked batch of agreement_campaign: bounds its memory.
 CAMPAIGN_BATCH = 100
 
 
-def kernel_basis(m: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
+def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(m) as the columns of a (cols x k) matrix,
     by SVD thresholding; k = cols - rank."""
-    ((_, bases),) = _kernel_bases(np.atleast_2d(np.asarray(m, dtype=complex))[None], tol_rank)
+    ((_, bases),) = _kernel_bases(np.atleast_2d(np.asarray(m, dtype=complex))[None])
     return bases[0]
 
 
-def _kernel_bases(m: np.ndarray, tol_rank: float = TOL_RANK) -> list:
+def _kernel_bases(m: np.ndarray) -> list:
     """kernel_basis for a stack m (B, rows, cols) by one SVD: one pair
     (indices, bases (len, cols, k)) per kernel dimension k."""
     _, svals, vh = np.linalg.svd(m)
     top = svals[..., :1]
-    dims = m.shape[-1] - ((svals >= tol_rank * top) & (top > 0.0)).sum(axis=-1)
+    dims = m.shape[-1] - ((svals >= TOL_RANK * top) & (top > 0.0)).sum(axis=-1)
     basis = _adjoint(vh)
     return [(idx, basis[idx, :, basis.shape[-1] - k:])
             for k in sorted(set(dims.tolist())) for idx in (dims == k).nonzero()]
 
 
-def _kernel_test(p1, p0, wb_tilde, tol_psd: float, tol_rank: float = TOL_RANK):
-    """Contraction for a stack of systems of one n: Re P0 <= 0 and the form
+def _kernel_test(systems):
+    """Contraction for systems of one n as stacks: Re P0 <= 0 and the form
     diag(P1, -P1) restricted to ker(wb_tilde) non-positive.  Returns per
     system the kernel dimension, the form's largest and smallest eigenvalue
     (0 if empty) and the verdict."""
+    p1, p0, wb_tilde = _stacked(systems)
     count, n = p1.shape[:2]
     big = np.zeros((count, 2 * n, 2 * n), dtype=complex)
     big[:, :n, :n] = p1
     big[:, n:, n:] = -p1
     dim, top, bottom = np.zeros(count, dtype=int), np.zeros(count), np.zeros(count)
-    for idx, basis in _kernel_bases(wb_tilde, tol_rank):
+    for idx, basis in _kernel_bases(wb_tilde):
         eigs = np.linalg.eigvalsh(hermitian_part(_adjoint(basis) @ big[idx] @ basis))
         dim[idx] = eigs.shape[1]
         if eigs.size:
             top[idx], bottom[idx] = eigs[:, -1], eigs[:, 0]
     p0_eigs = np.linalg.eigvalsh(hermitian_part(p0))
-    p0_nsd = p0_eigs[:, -1] <= tol_psd * np.maximum(1.0, np.abs(p0_eigs).max(axis=1))
-    return dim, top, bottom, p0_nsd & (top <= tol_psd * np.maximum(1.0, np.maximum(top, -bottom)))
+    p0_nsd = p0_eigs[:, -1] <= TOL_PSD * np.maximum(1.0, np.abs(p0_eigs).max(axis=1))
+    return dim, top, bottom, p0_nsd & (top <= TOL_PSD * np.maximum(1.0, np.maximum(top, -bottom)))
 
 
 def _dimension_error(dim: int, n: int) -> InvariantError:
@@ -73,17 +75,14 @@ def _dimension_error(dim: int, n: int) -> InvariantError:
                           "boundary form is non-positive on the kernel")
 
 
-def boundary_form_on_kernel(
-    system: PHSystem, tol_rank: float = TOL_RANK
-) -> tuple[float, float]:
+def boundary_form_on_kernel(system: PHSystem) -> tuple[float, float]:
     """Extreme values of u* P1 u - y* P1 y over unit vectors [u; y] in
     ker(wb_tilde); returns (max, min) eigenvalues of the restricted form."""
-    _, (top,), (bottom,), _ = _kernel_test(system.p1[None], system.p0[None],
-                                           system.wb_tilde[None], TOL_PSD, tol_rank)
+    _, (top,), (bottom,), _ = _kernel_test([system])
     return float(top), float(bottom)
 
 
-def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
+def check_contraction_via_c(system: PHSystem) -> bool:
     """Contraction via the kernel form: Re P0 <= 0 and the boundary form
     non-positive on ker(wb_tilde).
 
@@ -93,8 +92,7 @@ def check_contraction_via_c(system: PHSystem, tol_psd: float = TOL_PSD) -> bool:
     n.  That implication is checked on every passing instance, and its
     failure raises InvariantError.
     """
-    (dim,), _, _, (holds,) = _kernel_test(system.p1[None], system.p0[None],
-                                          system.wb_tilde[None], tol_psd)
+    (dim,), _, _, (holds,) = _kernel_test([system])
     if holds and dim != system.n:
         raise _dimension_error(dim, system.n)
     return bool(holds)
@@ -211,15 +209,14 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
     return systems[0]
 
 
-def _cross_checked(systems, tol_psd: float):
+def _cross_checked(systems):
     """Validate, classify and cross-check systems of one n as stacks.
     Returns the verdicts and the oracle's (top, bottom, holds) as lists;
     raises the first error any stage finds, for some system of the stack."""
     _validate(systems)
-    mats = [np.array([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde")]
-    verdicts = _classify_stack(systems, *mats, tol_psd, TOL_RANK)
-    dim, top, bottom, holds = (a.tolist() for a in _kernel_test(*mats, tol_psd))
-    n = mats[0].shape[-1]
+    verdicts = _classify_stack(systems)
+    dim, top, bottom, holds = (a.tolist() for a in _kernel_test(systems))
+    n = systems[0].n
     for verdict, dim_i, holds_i in zip(verdicts, dim, holds):
         if dim_i != 2 * n - verdict.rank_wb_tilde:
             raise InvariantError(f"kernel dimension law violated: dim ker(wb_tilde) = "
@@ -229,24 +226,23 @@ def _cross_checked(systems, tol_psd: float):
     return verdicts, top, bottom, holds
 
 
-def _first_failure(systems, tol_psd: float) -> None:
+def _first_failure(systems) -> None:
     """Replay _cross_checked on each system alone, in order: the first
     system that fails raises the error it raises on its own."""
     for system in systems:
-        _cross_checked([system], tol_psd)
+        _cross_checked([system])
 
 
 def agreement_campaign(
     n: int,
     count: int,
     seed: int,
-    tol_psd: float = TOL_PSD,
     hint_weights: tuple[float, float, float] = (0.57, 0.40, 0.03),
 ) -> dict:
     """Compare the sigma-form contraction test against the kernel-form oracle
     on ``count`` random systems of dimension ``n``.
 
-    Instances whose decisive witness lies within 10 * tol_psd of zero are
+    Instances whose decisive witness lies within 10 * TOL_PSD of zero are
     "frontier" cases: logged and excluded from the strict comparison (the
     discrete verdict is not meaningful that close to the boundary).  The
     unitary hint weight is kept small because those instances sit exactly
@@ -279,16 +275,16 @@ def agreement_campaign(
         stop = min(count, start + CAMPAIGN_BATCH)
         systems = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
         try:
-            verdicts, top, bottom, holds = _cross_checked(systems, tol_psd)
+            verdicts, top, bottom, holds = _cross_checked(systems)
         except PHSError:
-            _first_failure(systems, tol_psd)
+            _first_failure(systems)
             raise
         for i, verdict in enumerate(verdicts):
             # dim ker(wb_tilde) = 2n - rank >= n: the form is never empty here
             witnesses = ((verdict.re_p0_max_eigenvalue, verdict.re_p0_norm),
                          (verdict.sigma_form_min_eigenvalue, verdict.sigma_form_norm),
                          (top[i], max(top[i], -bottom[i])))
-            if any(abs(w) <= 10.0 * tol_psd * max(1.0, scale) for w, scale in witnesses):
+            if any(abs(w) <= 10.0 * TOL_PSD * max(1.0, scale) for w, scale in witnesses):
                 frontier += 1
             elif verdict.contraction == holds[i]:
                 agree += 1

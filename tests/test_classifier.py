@@ -534,12 +534,6 @@ def _mixed_stack(n=3):
     return systems
 
 
-def _classify_stack(systems):
-    stacks = (np.array([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde"))
-    return phs.classifier._classify_stack(systems, *stacks, phs.classifier.TOL_PSD,
-                                          phs.classifier.TOL_RANK)
-
-
 def _assert_same_record(got, ref):
     """Booleans, ranks, None and notes equal, witnesses within 1e-12 relative."""
     for field in dataclasses.fields(ref):
@@ -553,7 +547,7 @@ def _assert_same_record(got, ref):
 
 def test_stacked_verdicts_equal_classify():
     systems = _mixed_stack()
-    verdicts = _classify_stack(systems)
+    verdicts = phs.classifier._classify_stack(systems)
     assert len(verdicts) == len(systems)
     seen = set()
     for system, verdict in zip(systems, verdicts):
@@ -585,10 +579,10 @@ def test_stacked_classification_stops_at_first_refused_system():
     for first, second in ((0, 1), (1, 0)):
         systems = good + [tiny[first]] + good + [tiny[second]] + good
         with pytest.raises(ValidationError) as stacked:
-            _classify_stack(systems)
+            phs.classifier._classify_stack(systems)
         assert str(stacked.value) in messages
         with pytest.raises(ValidationError) as replayed:
-            phs.oracle._first_failure(systems, phs.classifier.TOL_PSD)
+            phs.oracle._first_failure(systems)
         assert str(replayed.value) == messages[first]
 
 

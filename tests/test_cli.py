@@ -108,10 +108,19 @@ class TestExitCodes:
                      "--t-final", "0.05", "--nx", "32", "--x0", "vortex(3)"])
         assert code == 2
 
-    def test_usage_error_exits_64(self, capsys):
-        assert main(["frobnicate"]) == 64
-        assert main([]) == 64
-        assert main(["oracle"]) == 64  # --n is required
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        [],
+        ["oracle"],  # --n is required
+        ["oracle", "--n", "0"],
+        ["oracle", "--n", "2", "--count", "-1"],
+        ["oracle", "--n", "2", "--seed", "-1"],
+        ["classify", str(FIXTURES / "string_uniform.json"), "--grid", "-5"],
+        # the thresholds are fixed
+        ["classify", str(FIXTURES / "string_uniform.json"), "--tol-psd", "1e-3"],
+    ])
+    def test_usage_error_exits_64(self, capsys, argv):
+        assert main(argv) == 64
 
 
 class TestReports:

@@ -1,5 +1,8 @@
-"""Every bundled fixture classifies to its documented verdict."""
+"""Every bundled fixture classifies to its documented verdict, and the
+simulator refuses exactly the fixtures that do not generate a
+C0-semigroup."""
 
+import numpy as np
 import pytest
 
 import phs
@@ -30,6 +33,15 @@ def test_fixture_library_is_complete():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fixture_verdict(name):
-    verdict = phs.classify(phs.load_system(FIXTURES / name))
+    system = phs.load_system(FIXTURES / name)
+    verdict = phs.classify(system)
     assert (verdict.contraction, verdict.unitary_group, verdict.c0_semigroup) \
         == EXPECTED[name]
+    # the verdict is the simulator's only ill-posed gate
+    config = phs.SimConfig(nx=16, t_final=0.1)
+    x0 = lambda z: np.zeros(system.n)
+    if EXPECTED[name][2] is True:
+        phs.setup(system, config, x0)
+    else:
+        with pytest.raises(phs.IllPosedError):
+            phs.setup(system, config, x0)

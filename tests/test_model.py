@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import phs
 from phs.errors import SchemaError, ShapeError, ValidationError
-from phs.classifier import TOL_PSD
 from phs.model import EPS_PD
 
 
@@ -41,6 +40,13 @@ class TestLoadSystem:
         doc["wb_tilde"] = pairs(np.hstack([np.eye(2), np.zeros((2, 2))]))
         with pytest.raises(ValidationError, match="Hermitian"):
             phs.load_system(doc)
+
+    def test_p1_shape_against_n(self):
+        doc = transport_doc()
+        doc["n"] = 2
+        with pytest.raises(ValidationError) as exc:
+            phs.load_system(doc)
+        assert str(exc.value) == "p1 must be 2x2, got (1, 1)"
 
     def test_singular_p1_rejected(self):
         with pytest.raises(ValidationError, match="singular"):
@@ -472,7 +478,7 @@ def test_stacked_validation_fails_first_in_system_order(picks):
     systems = [VALID[p] if isinstance(p, int) else INVALID[p][0] for p in picks]
     messages = [INVALID[p][1] for p in picks if isinstance(p, str)]
     assert _raised(phs.model._validate, systems) in (messages or [None])
-    assert _raised(phs.oracle._first_failure, systems, TOL_PSD) == next(iter(messages), None)
+    assert _raised(phs.oracle._first_failure, systems) == next(iter(messages), None)
 
 
 def _raised(check, *args):

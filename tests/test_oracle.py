@@ -165,9 +165,7 @@ def test_stacked_kernel_test_equals_single_system_oracle():
     for r in (1, 2):
         wb = (rng.standard_normal((3, r)) @ rng.standard_normal((r, 6))).astype(complex)
         systems.append(phs.make_system(systems[r].p1, -np.eye(3), systems[r].h, wb))
-    dim, top, bottom, holds = phs.oracle._kernel_test(
-        *(np.stack([getattr(s, name) for s in systems]) for name in ("p1", "p0", "wb_tilde")),
-        phs.classifier.TOL_PSD)
+    dim, top, bottom, holds = phs.oracle._kernel_test(systems)
     assert set(dim.tolist()) == {3, 4, 5}
     for k, system in enumerate(systems):
         assert dim[k] == phs.kernel_basis(system.wb_tilde).shape[1]
@@ -196,8 +194,8 @@ class TestCampaign:
         sizes = []
         real = phs.oracle._kernel_bases
 
-        def counted(m, tol_rank=phs.classifier.TOL_RANK):
-            groups = real(m, tol_rank)
+        def counted(m):
+            groups = real(m)
             sizes.extend(len(bases) for _, bases in groups)
             return groups
 
@@ -243,10 +241,10 @@ class TestCampaign:
         # instead of a report
         real = phs.oracle._kernel_test
 
-        def stack_only(p1, *args):
-            if len(p1) > 1:
+        def stack_only(systems):
+            if len(systems) > 1:
                 raise phs.InvariantError("fails on stacks only")
-            return real(p1, *args)
+            return real(systems)
 
         monkeypatch.setattr(phs.oracle, "_kernel_test", stack_only)
         assert phs.agreement_campaign(2, 1, seed=3)["count"] == 1
@@ -273,10 +271,10 @@ class TestInvariants:
     def broken_kernel(self, monkeypatch):
         real = phs.oracle._kernel_bases
 
-        def off_by_one(m, tol_rank=phs.classifier.TOL_RANK):
+        def off_by_one(m):
             # one column too many in every basis: the kernel dimension is off by one
             return [(idx, np.concatenate([bases, np.zeros(bases.shape[:2] + (1,))], axis=2))
-                    for idx, bases in real(m, tol_rank)]
+                    for idx, bases in real(m)]
 
         monkeypatch.setattr(phs.oracle, "_kernel_bases", off_by_one)
 
