@@ -31,8 +31,9 @@ from .errors import (
     DomainError,
     PreconditionError,
     ValidationError,
+    _at_least,
 )
-from .model import PHSystem, _adjoint, _stacked, hermitian_part
+from .model import PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -344,7 +345,7 @@ def _direct_sums(systems):
     the ValidationError of the first refused end, systems first."""
     p1, _, wb_tilde = _stacked(systems)
     n = p1.shape[-1]
-    h = np.array([system.h.eval_many(_ENDS) for system in systems])
+    h = _eval_fields([system.h for system in systems], _ENDS)
     w, vecs = _similarity_stack(p1[:, None], h, _ENDS)
     b = np.linalg.qr(np.array([vecs[:, 0, :, ::-1], vecs[:, 1]]))[0]
     # W1 H(1) B(1) and W0 H(0) B(0) for every system, each (count, n, n)
@@ -424,8 +425,11 @@ def classify(system: PHSystem, diagnostic_grid: int | None = None) -> Verdict:
     independent routes to disagree, c0_semigroup is coerced to True and
     the inconsistency is flagged in notes.  ``diagnostic_grid``, when set,
     additionally diagonalizes the field on that many points and records an
-    eigenvalue-crossing note.
+    eigenvalue-crossing note; 0 or None leaves it out, and a negative count
+    raises DomainError.
     """
+    if diagnostic_grid is not None:
+        _at_least("diagnostic_grid", diagnostic_grid, 0)
     (verdict,) = _classify_stack([system])
     if diagnostic_grid:
         with warnings.catch_warnings():

@@ -14,8 +14,14 @@ class ValidationError(PHSError):
     positive definiteness, invertibility, shape)."""
 
 
-class DomainError(PHSError):
+class DomainError(PHSError, ValueError):
     """An argument lies outside its admissible domain, e.g. zeta not in [0,1]."""
+
+
+def _at_least(name: str, value: int, least: int) -> None:
+    """Raise DomainError unless value >= least."""
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 class ShapeError(PHSError):

@@ -133,26 +133,54 @@ class CoefficientField:
 
     def eval_many(self, zetas) -> np.ndarray:
         """Evaluate H at an array of points; returns shape (len(zetas), n, n)."""
-        zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
-        if self.kind == "constant":
-            (value,) = self.data
-            return np.broadcast_to(value, (zetas.size,) + value.shape).copy()
-        if self.kind == "polynomial":
-            (coeffs,) = self.data
-            # Horner's rule with the operations of np.polynomial.polynomial.polyval,
-            # in its order (so the same values), without its per-call overhead
-            vals = coeffs[..., -1:] + zetas * 0.0
-            for k in range(coeffs.shape[2] - 2, -1, -1):
-                vals = coeffs[..., k:k + 1] + vals * zetas
-            return vals.transpose(2, 0, 1)
-        zs, values = self.data
-        idx = np.clip(np.searchsorted(zs, zetas, side="right") - 1, 0, zs.size - 2)
-        w = (zetas - zs[idx]) / (zs[idx + 1] - zs[idx])
-        out = (1.0 - w)[:, None, None] * values[idx] + w[:, None, None] * values[idx + 1]
-        return hermitian_part(out)
+        return _eval_group(self.kind, [self], zetas)[0]
 
     def eval(self, zeta: float) -> np.ndarray:
         return self.eval_many([zeta])[0]
+
+
+def _kind_groups(fields) -> list:
+    """The fields in the groups that _eval_group and _bernstein_pieces each
+    take at once: the constant fields, the polynomial fields of each
+    degree, and each grid field alone, in order of first appearance.
+    Returns (indices, kind, fields) per group."""
+    groups: dict = {}
+    for i, field in enumerate(fields):
+        # a polynomial's degree is in the shape of its coefficients
+        key = (field.kind, i) if field.kind == "grid" else (field.kind, field.data[0].shape)
+        groups.setdefault(key, []).append(i)
+    return [(idx, kind, [fields[i] for i in idx]) for (kind, _), idx in groups.items()]
+
+
+def _eval_group(kind: str, fields, zetas) -> np.ndarray:
+    """H of fields of one group of _kind_groups at an array of points,
+    stacked (len(fields), len(zetas), n, n)."""
+    zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
+    if kind == "grid":
+        ((zs, values),) = (field.data for field in fields)
+        idx = np.clip(np.searchsorted(zs, zetas, side="right") - 1, 0, zs.size - 2)
+        w = (zetas - zs[idx]) / (zs[idx + 1] - zs[idx])
+        out = (1.0 - w)[:, None, None] * values[idx] + w[:, None, None] * values[idx + 1]
+        return hermitian_part(out)[None]
+    data = np.array([field.data[0] for field in fields])
+    if kind == "constant":
+        return np.repeat(data[:, None], zetas.size, axis=1)
+    # Horner's rule with the operations of np.polynomial.polynomial.polyval,
+    # in its order (so the same values), without its per-call overhead
+    vals = data[..., -1:] + zetas * 0.0
+    for k in range(data.shape[-1] - 2, -1, -1):
+        vals = data[..., k:k + 1] + vals * zetas
+    return vals.transpose(0, 3, 1, 2)
+
+
+def _eval_fields(fields, zetas) -> np.ndarray:
+    """eval_many of each field, stacked (len(fields), len(zetas), n, n),
+    with one evaluation per group of _kind_groups."""
+    n = fields[0].n
+    out = np.empty((len(fields), len(zetas), n, n), dtype=complex)
+    for idx, kind, group in _kind_groups(fields):
+        out[idx] = _eval_group(kind, group, zetas)
+    return out
 
 
 def _as_field(h) -> CoefficientField:
@@ -199,6 +227,8 @@ def validate_system(system: PHSystem) -> None:
 
 
 def _structure_error(system: PHSystem) -> str | None:
+    """The first structure check of validate_system that ``system`` fails,
+    in its order, or None."""
     n = system.n
     for name, m in (("p1", system.p1), ("p0", system.p0)):
         if m.shape != (n, n):
@@ -221,15 +251,25 @@ def _stacked(systems) -> tuple:
 
 def _validate(systems) -> None:
     """validate_system on a list of systems of one dimension n, each check
-    made once for the whole stack.  Raises at the first check that fails
-    for any system, with the ValidationError validate_system raises for
-    that system; it need not be the first invalid system of the list (the
-    agreement campaign replays a failed stack system by system)."""
+    made once for the whole stack.  Shapes and the dimension of H are
+    compared system by system; finiteness (p1, then p0, then wb_tilde) and
+    P1 are checked on the stacked matrices, and H on the Bernstein pieces
+    of each group of fields of one kind and degree (_kind_groups).  Raises
+    at the first check that fails for any system, with the ValidationError
+    validate_system raises for that system; it need not be the first
+    invalid system of the list (the agreement campaign replays a failed
+    stack system by system).  The systems' arrays are only read, so
+    systems may share them, as views of one batch's read-only stacks."""
     for system in systems:
-        message = _structure_error(system)
-        if message:
-            raise ValidationError(message)
-    p1 = _stacked(systems)[0]
+        n = system.n
+        shapes = (system.p1.shape, system.p0.shape, system.wb_tilde.shape)
+        if shapes != ((n, n), (n, n), (n, 2 * n)):
+            raise ValidationError(_structure_error(system))
+    stacks = _stacked(systems)
+    for name, m in zip(("p1", "p0", "wb_tilde"), stacks):
+        if not np.isfinite(m).all():
+            raise ValidationError(f"{name} contains non-finite entries")
+    p1 = stacks[0]
     if (_herm_defect(p1) > TOL_HERM).any():
         raise ValidationError("p1 is not Hermitian")
     svals = np.linalg.svd(p1, compute_uv=False)
@@ -237,19 +277,20 @@ def _validate(systems) -> None:
     if bad.any():
         raise ValidationError("p1 is numerically singular "
                               f"(smallest singular value {svals[bad.argmax(), -1]:.3e})")
+    for system in systems:
+        if system.h.n != system.n:
+            raise ValidationError(f"H has dimension {system.h.n}, system has n = {system.n}")
     # the pieces of every field, by degree: piece ends and control matrices;
     # non-finite fields are refused here, before any arithmetic warns about them
     groups: dict[int, list] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for system in systems:
-            if system.h.n != system.n:
-                raise ValidationError(f"H has dimension {system.h.n}, system has n = {system.n}")
-            knots, ctrl = _bernstein_pieces(system.h)
+        for _, kind, fields in _kind_groups([system.h for system in systems]):
+            pieces = _bernstein_pieces(kind, fields)
+            ctrl = pieces[-1]
             # a Hermitian part that overflows counts as non-finite too
             if not np.isfinite(ctrl + _adjoint(ctrl)).all():
                 raise ValidationError("H evaluates to non-finite entries")
-            for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [])),
-                                   (knots[:-1], knots[1:], ctrl)):
+            for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [])), pieces):
                 part.append(value)
     groups = [tuple(np.concatenate(part) for part in g) for g in groups.values()]
     for lo, hi, ctrl in groups:
@@ -297,27 +338,30 @@ def _certify(lo, hi, ctrl) -> None:
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
 
 
-def _bernstein_pieces(field: CoefficientField):
-    """Write a field as polynomial pieces of one degree d in Bernstein form.
+def _bernstein_pieces(kind: str, fields):
+    """Write fields of one group of _kind_groups as polynomial pieces of one
+    degree d in Bernstein form.
 
-    Returns the piece ends zeta_0 < ... < zeta_P and control matrices B of
-    shape (P, d + 1, n, n): on piece p, with t = (z - zeta_p) / (zeta_(p+1)
-    - zeta_p), H(z) = sum_j binom(d, j) t^j (1 - t)^(d - j) B[p, j], so
-    B[p, 0] and B[p, d] are H at the ends.  A constant field is one piece of
-    degree 0, a polynomial sum_k a_k z^k one piece with B_j = sum_(k <= j)
-    binom(j, k) / binom(d, k) a_k, and a grid field one affine piece per
+    Returns the ends lo < hi of the pieces and their control matrices B of
+    shape (P, d + 1, n, n), the pieces of each field contiguous and in
+    increasing order: on a piece, with t = (z - lo) / (hi - lo), H(z) =
+    sum_j binom(d, j) t^j (1 - t)^(d - j) B[j], so B[0] and B[d] are H at
+    the ends.  A constant field is one piece of degree 0, a polynomial
+    sum_k a_k z^k one piece with B_j = sum_(k <= j) binom(j, k) / binom(d, k)
+    a_k (one product for the group), and a grid field one affine piece per
     knot interval, its knot values symmetrized as grid evaluation does.
     """
-    if field.kind == "constant":
-        return np.array([0.0, 1.0]), field.data[0][None, None]
-    if field.kind == "grid":
-        zetas, values = field.data
+    if kind == "grid":
+        ((zetas, values),) = (field.data for field in fields)
         values = hermitian_part(values)
-        return zetas, np.stack([values[:-1], values[1:]], axis=1)
-    (coeffs,) = field.data
-    d = coeffs.shape[2] - 1
-    ctrl = _to_bernstein(d) @ coeffs.transpose(2, 0, 1).reshape(d + 1, -1)
-    return np.array([0.0, 1.0]), ctrl.reshape(1, d + 1, field.n, field.n)
+        return zetas[:-1], zetas[1:], np.stack([values[:-1], values[1:]], axis=1)
+    data = np.array([field.data[0] for field in fields])
+    lo, hi = np.zeros(len(data)), np.ones(len(data))
+    if kind == "constant":
+        return lo, hi, data[:, None]
+    d = data.shape[-1] - 1
+    ctrl = _to_bernstein(d) @ data.transpose(3, 0, 1, 2).reshape(d + 1, -1)
+    return lo, hi, ctrl.reshape((d + 1,) + data.shape[:-1]).transpose(1, 0, 2, 3)
 
 
 @lru_cache(maxsize=None)
@@ -329,24 +373,19 @@ def _to_bernstein(d: int) -> np.ndarray:
     return m
 
 
-def _system(p1, p0, h, wb_tilde) -> PHSystem:
-    """A PHSystem from raw matrices and a field, not validated."""
+def make_system(p1, p0, h, wb_tilde) -> PHSystem:
+    """Build and validate a PHSystem from raw matrices and a field.
+
+    ``h`` may be a CoefficientField, a matrix, or a scalar (constant field).
+    """
     p1 = np.atleast_2d(np.asarray(p1, dtype=complex))
-    return PHSystem(
+    system = PHSystem(
         n=p1.shape[0],
         p1=_freeze(p1),
         p0=_freeze(np.atleast_2d(np.asarray(p0, dtype=complex))),
         h=_as_field(h),
         wb_tilde=_freeze(np.atleast_2d(np.asarray(wb_tilde, dtype=complex))),
     )
-
-
-def make_system(p1, p0, h, wb_tilde) -> PHSystem:
-    """Build and validate a PHSystem from raw matrices and a field.
-
-    ``h`` may be a CoefficientField, a matrix, or a scalar (constant field).
-    """
-    system = _system(p1, p0, h, wb_tilde)
     validate_system(system)
     return system
 

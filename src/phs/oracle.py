@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .classifier import TOL_PSD, TOL_RANK, _classify_stack
-from .errors import InvariantError, PHSError
+from .errors import DomainError, InvariantError, PHSError, _at_least
 from .model import (
-    CoefficientField, PHSystem, _adjoint, _stacked, _system, _validate, hermitian_part)
+    CoefficientField, PHSystem, _adjoint, _stacked, _validate, hermitian_part)
 
 # Systems per stacked batch of agreement_campaign: bounds its memory.
 CAMPAIGN_BATCH = 100
@@ -137,16 +137,17 @@ def _unitary(z: np.ndarray) -> np.ndarray:
 
 def _random_systems(seeds, n: int, hints) -> list:
     """The systems of random_system for each (seed, hint), not validated,
-    the linear algebra done on stacks."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    the linear algebra done on stacks.  Their matrices and field data are
+    views into the batch's read-only stacks."""
+    _at_least("n", n, 1)
     draws = [_draws(seed, n, hint) for seed, hint in zip(seeds, hints)]
 
     def stack(key, group):  # complex standard normal for matrix draws
         z = np.array([draws[i][key] for i in group])
         return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if z.ndim == 4 else z
 
-    everyone = range(len(draws))
+    count = len(draws)
+    everyone = range(count)
     eye = np.eye(n)
     # P1: a random Hermitian matrix with its eigenvalues pushed off zero
     w, q = np.linalg.eigh(hermitian_part(stack("p1", everyone)))
@@ -154,20 +155,18 @@ def _random_systems(seeds, n: int, hints) -> list:
     p1 = hermitian_part((q * w[:, None, :]) @ _adjoint(q))
     # H: a constant h0 or the affine h0 + zeta * (positive semidefinite slope)
     base = stack("base", everyone)
-    h = list(hermitian_part(base @ _adjoint(base)) + 0.3 * eye)
+    h0 = hermitian_part(base @ _adjoint(base)) + 0.3 * eye
     affine = [i for i in everyone if "slope" in draws[i]]
+    coeffs = np.empty((len(affine), n, n, 2), dtype=complex)
     if affine:
         slope = stack("slope", affine)
-        coeffs = np.stack([[h[i] for i in affine], hermitian_part(slope @ _adjoint(slope))],
-                          axis=-1)
-        for i, c in zip(affine, coeffs):
-            h[i] = CoefficientField.polynomial(c)
+        coeffs[..., 0], coeffs[..., 1] = h0[affine], hermitian_part(slope @ _adjoint(slope))
     general, unitary, contraction = ([i for i in everyone if hints[i] == hint]
                                      for hint in ("general", "unitary", "contraction"))
-    p0, wb_tilde = [None] * len(draws), [None] * len(draws)
+    p0 = np.empty((count, n, n), dtype=complex)
+    wb_tilde = np.empty((count, n, 2 * n), dtype=complex)
     if general:
-        for i, p0_i, wb_i in zip(general, stack("p0", general), stack("wb_tilde", general)):
-            p0[i], wb_tilde[i] = p0_i, wb_i
+        p0[general], wb_tilde[general] = stack("p0", general), stack("wb_tilde", general)
     bounded, u = unitary + contraction, len(unitary)
     if bounded:
         # P0 skew-Hermitian, or skew - C C* for a contraction; wb = G [I+V, I-V]
@@ -186,10 +185,14 @@ def _random_systems(seeds, n: int, hints) -> list:
         # wb_tilde = wb @ [[P1, -P1], [I, I]] = [A P1 + B, B - A P1] for wb = [A B]
         a, b = g @ (eye + v), g @ (eye - v)
         a_p1 = a @ p1[bounded]
-        for i, p0_i, wb_i in zip(bounded, p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)):
-            p0[i], wb_tilde[i] = p0_i, wb_i
+        p0[bounded], wb_tilde[bounded] = p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)
 
-    return [_system(p1[i], p0[i], h[i], wb_tilde[i]) for i in everyone]
+    for m in (p1, p0, wb_tilde, h0, coeffs):
+        m.flags.writeable = False
+    fields = [CoefficientField(n, "constant", (value,)) for value in h0]
+    for i, c in zip(affine, coeffs):
+        fields[i] = CoefficientField(n, "polynomial", (c,))
+    return [PHSystem(n, p1[i], p0[i], fields[i], wb_tilde[i]) for i in everyone]
 
 
 def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
@@ -201,9 +204,14 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
                        P0 skew-Hermitian;
       * "contraction": same with ||V|| <= 1 and Re P0 <= 0;
       * "general":     dense random wb_tilde and unrestricted P0.
+
+    The system is generated as a batch of one: its arrays are read-only
+    views into that batch's stacks.  Raises DomainError for a negative seed,
+    n < 1 or an unknown class_hint.
     """
     if class_hint not in ("general", "contraction", "unitary"):
-        raise ValueError(f"unknown class_hint {class_hint!r}")
+        raise DomainError(f"unknown class_hint {class_hint!r}")
+    _at_least("seed", seed, 0)
     systems = _random_systems([seed], n, [class_hint])
     _validate(systems)
     return systems[0]
@@ -255,8 +263,12 @@ def agreement_campaign(
     alone, the batch's error is raised.
 
     Returns a JSON-ready report including full-verdict counts and the
-    number of verdict-monotonicity violations (expected 0).
+    number of verdict-monotonicity violations (expected 0).  Raises
+    DomainError for n < 1, a negative count or a negative seed.
     """
+    _at_least("n", n, 1)
+    _at_least("count", count, 0)
+    _at_least("seed", seed, 0)
     w_general, w_contraction, _ = hint_weights
     draws = np.random.default_rng(seed).random(count)
     hints = ["general" if d < w_general else

@@ -615,6 +615,10 @@ class TestClassify:
         v = phs.classify(crossing_system(), diagnostic_grid=33)
         assert any("crossing" in note for note in v.notes)
 
+    def test_negative_diagnostic_grid_refused(self):
+        with pytest.raises(phs.DomainError, match="diagnostic_grid must be >= 0, got -5"):
+            phs.classify(transport_system(1.0, 0.0), diagnostic_grid=-5)
+
     def test_as_dict_round_trip(self):
         import json
 

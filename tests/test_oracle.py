@@ -142,6 +142,10 @@ class TestRandomSystem:
         with pytest.raises(ValueError):
             phs.random_system(seed=0, n=2, class_hint="weird")
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(phs.DomainError, match="seed must be >= 0, got -1"):
+            phs.random_system(-1, 2)
+
 
 def test_stacked_generation_equals_random_system():
     seeds = range(300, 340)
@@ -155,6 +159,18 @@ def test_stacked_generation_equals_random_system():
                                        rtol=1e-12, atol=1e-12)
         assert system.h.kind == ref.h.kind
         np.testing.assert_allclose(system.h.data[0], ref.h.data[0], rtol=1e-12, atol=1e-12)
+
+
+def test_batch_systems_are_read_only():
+    # the systems of a batch share its stacks: none of them can write to them
+    seeds = range(400, 430)
+    hints = [("general", "contraction", "unitary")[s % 3] for s in seeds]
+    systems = phs.oracle._random_systems(seeds, 2, hints)
+    assert {s.h.kind for s in systems} == {"constant", "polynomial"}
+    for system in systems:
+        for m in (system.p1, system.p0, system.wb_tilde, system.h.data[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
 
 
 def test_stacked_kernel_test_equals_single_system_oracle():
@@ -224,13 +240,14 @@ class TestCampaign:
             with pytest.raises(phs.ValidationError) as exc:
                 check(bad[k])
             expected[k] = str(exc.value)
-        real, built = phs.oracle._system, []
+        real = phs.oracle._random_systems
 
-        def substituted(*args):
-            built.append(1)
-            return bad.get(len(built) - 1) or real(*args)
+        def substituted(seeds, n, hints):
+            # system k of the campaign has seed 3 + k
+            return [bad.get(seed - 3, system)
+                    for seed, system in zip(seeds, real(seeds, n, hints))]
 
-        monkeypatch.setattr(phs.oracle, "_system", substituted)
+        monkeypatch.setattr(phs.oracle, "_random_systems", substituted)
         with pytest.raises(phs.ValidationError) as got:
             phs.agreement_campaign(2, 200, seed=3)
         assert str(got.value) == expected[min(refused, unclassifiable)]
@@ -256,6 +273,12 @@ class TestCampaign:
         # refused before any draw, as random_system refuses it
         with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
             phs.agreement_campaign(n, 5, 0)
+
+    @pytest.mark.parametrize("count, seed, message", [
+        (-1, 0, "count must be >= 0, got -1"), (5, -1, "seed must be >= 0, got -1")])
+    def test_bad_count_or_seed(self, count, seed, message):
+        with pytest.raises(phs.DomainError, match=message):
+            phs.agreement_campaign(2, count, seed)
 
     def test_campaign_deterministic(self):
         a = phs.agreement_campaign(3, 40, seed=8)
