@@ -27,7 +27,6 @@ from .classifier import (
 )
 from .errors import (
     ContinuityError,
-    ContinuityWarning,
     DomainError,
     IllPosedError,
     InvariantError,

@@ -21,18 +21,11 @@ in symmetric eigensolvers throughout.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContinuityWarning,
-    DomainError,
-    PreconditionError,
-    ValidationError,
-    _at_least,
-)
+from .errors import DomainError, PreconditionError, ValidationError
 from .model import PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
@@ -238,9 +231,7 @@ class DiagonalizedField:
     ``zetas[k]`` (columns: positive block first, n1 of them), each column
     rotated by a unit phase to align it with its predecessor.
     ``crossings`` lists grid indices where the eigenvector matching between
-    neighbouring points is not the identity (eigenvalue curves reorder);
-    ``max_column_jump`` is the largest Euclidean change of any aligned
-    eigenvector column between neighbours.
+    neighbouring points is not the identity (eigenvalue curves reorder).
     """
 
     zetas: np.ndarray
@@ -248,7 +239,6 @@ class DiagonalizedField:
     speeds: np.ndarray
     s_inv: np.ndarray
     crossings: tuple
-    max_column_jump: float
 
 
 def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
@@ -257,9 +247,7 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
 
     All points are diagonalized at once, with eigensplit's ordering and
     phase fix.  Raises the ValidationError eigensplit raises at the first
-    bad point.  A ContinuityWarning is emitted when columns reorder between
-    neighbouring points: the smooth diagonalizability assumed by the
-    generation test is then in doubt.
+    bad point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -283,19 +271,8 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     np.divide(np.conj(inner), size, out=step, where=size > 0.0)
     phase = np.cumprod(np.concatenate([np.ones((1, n), dtype=complex), step]), axis=0)
     vecs *= phase[:, None, :]
-    max_jump = float(np.linalg.norm(np.diff(vecs, axis=0), axis=1).max(initial=0.0))
-
-    if crossings:
-        warnings.warn(
-            f"eigenvalue ordering changes along the grid at indices {list(crossings)}; "
-            "the diagonalizing transform may fail to be continuously differentiable",
-            ContinuityWarning,
-            stacklevel=2,
-        )
-    return DiagonalizedField(
-        zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
-        crossings=crossings, max_column_jump=max_jump,
-    )
+    return DiagonalizedField(zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
+                             crossings=crossings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,37 +393,22 @@ class Verdict(ContractionCheck):
         return out
 
 
-def classify(system: PHSystem, diagnostic_grid: int | None = None) -> Verdict:
+def classify(system: PHSystem) -> Verdict:
     """Run all three tests and assemble a Verdict.
 
     The verdicts are nested (unitary implies contraction implies
     C0-semigroup).  Unitary implies contraction by construction; when
     contraction holds but the direct-sum test fails, which would take two
     independent routes to disagree, c0_semigroup is coerced to True and
-    the inconsistency is flagged in notes.  ``diagnostic_grid``, when set,
-    additionally diagonalizes the field on that many points and records an
-    eigenvalue-crossing note; 0 or None leaves it out, and a negative count
-    raises DomainError.
+    the inconsistency is flagged in notes.
     """
-    if diagnostic_grid is not None:
-        _at_least("diagnostic_grid", diagnostic_grid, 0)
-    (verdict,) = _classify_stack([system])
-    if diagnostic_grid:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ContinuityWarning)
-            dfield = diagonalize_field(system, np.linspace(0.0, 1.0, diagnostic_grid))
-        if dfield.crossings:
-            verdict = replace(verdict, notes=verdict.notes + (
-                f"eigenvalue crossing on diagnostic grid at indices {list(dfield.crossings)} "
-                f"(max column jump {dfield.max_column_jump:.3e})",))
-    return verdict
+    return _classify_stack([system])[0]
 
 
 def _classify_stack(systems):
-    """classify, without a diagnostic grid, for systems of one n, each test
-    made once for the stack.  Returns the verdicts; raises the
-    ValidationError of the first system that classify refuses, as classify
-    raises it."""
+    """classify for systems of one n, each test made once for the stack.
+    Returns the verdicts; raises the ValidationError of the first system
+    that classify refuses, as classify raises it."""
     n = systems[0].n
     fields = _contraction(systems)
     contraction, rank = fields[0], fields[-1]

@@ -152,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a model document")
     p_classify.add_argument("model", type=Path)
-    p_classify.add_argument("--grid", type=_int_at_least(0), default=0,
-                            help="diagnostic grid points for the crossing check (0 = off)")
     common(p_classify)
 
     p_oracle = sub.add_parser("oracle", help="randomized agreement campaign")
@@ -202,7 +200,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     system = load_system(args.model)
-    verdict = classify(system, diagnostic_grid=args.grid or None)
+    verdict = classify(system)
     _emit(json.dumps(verdict.as_dict(), indent=2), args.output)
     if args.verbose:
         print(

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class PHSError(Exception):
@@ -54,8 +54,3 @@ class InvariantError(PHSError):
 class SpecError(PHSError):
     """An initial-condition spec string names an unknown profile or has
     malformed arguments."""
-
-
-class ContinuityWarning(UserWarning):
-    """Eigenvalue ordering changes along a grid; smoothness of the
-    diagonalizing transform is in doubt (non-fatal)."""

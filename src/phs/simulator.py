@@ -79,14 +79,17 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("nx", "record_every"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nx < 16:
             raise ValidationError(f"nx must be >= 16, got {self.nx}")
         if not 0.0 < self.t_final < math.inf:
             raise ValidationError(f"t_final must be positive and finite, got {self.t_final}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValidationError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if any(p < 1.0 for p in self.p_norms):
-            raise ValidationError(f"p_norms must all be >= 1, got {self.p_norms}")
+        if not all(1.0 <= p < math.inf for p in self.p_norms):
+            raise ValidationError(f"p_norms must all be finite and >= 1, got {self.p_norms}")
         if self.record_every < 1:
             raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -238,8 +241,8 @@ def energy(state: SimState) -> float:
 
 def lp_norm(state: SimState, p: float) -> float:
     """Trapezoid-rule (sum_i w_i |x(z_i)|^p)^(1/p), Euclidean norm per node."""
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     return _lp(state._disc.weights, _node_norms(state.x()), p)
 
 

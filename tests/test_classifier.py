@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phs
-from phs.errors import (
-    ContinuityWarning,
-    DomainError,
-    PreconditionError,
-    ValidationError,
-)
+from phs.errors import DomainError, PreconditionError, ValidationError
 
 from conftest import (
     FIXTURES,
@@ -213,10 +208,10 @@ def _pointwise_field(system, grid):
     """The per-point loop that the stacked diagonalize_field replaces:
     eigensplit at every point, crossings from the neighbour overlaps, and
     each column rotated by the phase of its inner product with the aligned
-    column before it.  Returns (splits, aligned s_inv, crossings, max jump)."""
+    column before it.  Returns (splits, aligned s_inv, crossings)."""
     splits = [phs.eigensplit(system, z) for z in grid]
     aligned = [splits[0].s_inv]
-    crossings, jump = [], 0.0
+    crossings = []
     for k in range(1, len(splits)):
         prev, cur = aligned[-1], splits[k].s_inv.copy()
         if np.any(np.argmax(np.abs(prev.conj().T @ cur), axis=0) != np.arange(system.n)):
@@ -224,9 +219,8 @@ def _pointwise_field(system, grid):
         inner = np.sum(prev.conj() * cur, axis=0)
         nz = np.abs(inner) > 0.0
         cur[:, nz] *= np.conj(inner[nz]) / np.abs(inner[nz])
-        jump = max(jump, float(np.linalg.norm(cur - prev, axis=0).max()))
         aligned.append(cur)
-    return splits, np.array(aligned), tuple(crossings), jump
+    return splits, np.array(aligned), tuple(crossings)
 
 
 def _random_polynomial_system():
@@ -247,7 +241,6 @@ class TestDiagonalizeField:
     def test_constant_coefficients_identical_splits(self, network):
         result = phs.diagonalize_field(network, np.linspace(0.0, 1.0, 17))
         assert not result.crossings
-        assert result.max_column_jump == pytest.approx(0.0, abs=1e-14)
         assert result.s_inv.shape == (17, 3, 3)
         np.testing.assert_array_equal(
             result.s_inv, np.broadcast_to(result.s_inv[0], result.s_inv.shape))
@@ -255,14 +248,15 @@ class TestDiagonalizeField:
     def test_monotone_wave_speed_no_crossing(self):
         grid = np.linspace(0.0, 1.0, 33)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ContinuityWarning)
+            warnings.simplefilter("error")
             result = phs.diagonalize_field(string_system((1.0, 1.0)), grid)
         lams = result.speeds[:, 0]
         np.testing.assert_allclose(lams, np.sqrt(1.0 + grid), rtol=1e-12)
         assert np.all(np.diff(lams) > 0)
 
-    def test_engineered_crossing_warns(self):
-        with pytest.warns(ContinuityWarning):
+    def test_engineered_crossing_listed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = phs.diagonalize_field(crossing_system(), np.linspace(0.0, 1.0, 33))
         assert result.crossings
 
@@ -281,10 +275,8 @@ class TestDiagonalizeField:
     def test_matches_pointwise_eigensplit(self, make):
         system = make()
         grid = np.linspace(0.0, 1.0, 65)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ContinuityWarning)
-            result = phs.diagonalize_field(system, grid)
-        splits, aligned, crossings, jump = _pointwise_field(system, grid)
+        result = phs.diagonalize_field(system, grid)
+        splits, aligned, crossings = _pointwise_field(system, grid)
         assert all(sp.n1 == result.n1 for sp in splits)
         np.testing.assert_allclose(result.speeds, [sp.speeds for sp in splits],
                                    rtol=0, atol=1e-12)
@@ -296,7 +288,6 @@ class TestDiagonalizeField:
         # ... namely the phase the sequential alignment gives it
         np.testing.assert_allclose(result.s_inv, aligned, rtol=0, atol=1e-12)
         assert result.crossings == crossings
-        assert result.max_column_jump == pytest.approx(jump, abs=1e-12)
 
     @pytest.mark.parametrize("system", [
         # H(z) = diag(1 - 2z, 1) is not positive definite from z = 1/2 on
@@ -610,14 +601,6 @@ class TestClassify:
         field = phs.CoefficientField.grid([0.0, 1.0], [[[1.0]], [[2.0]]])
         v = phs.classify(phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]]))
         assert any("sampled" in note for note in v.notes)
-
-    def test_diagnostic_grid_reports_crossing(self):
-        v = phs.classify(crossing_system(), diagnostic_grid=33)
-        assert any("crossing" in note for note in v.notes)
-
-    def test_negative_diagnostic_grid_refused(self):
-        with pytest.raises(phs.DomainError, match="diagnostic_grid must be >= 0, got -5"):
-            phs.classify(transport_system(1.0, 0.0), diagnostic_grid=-5)
 
     def test_as_dict_round_trip(self):
         import json

@@ -2,14 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phs
 from phs.cli import main, x0_from_spec
 from phs.errors import SpecError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, crossing_system
 
 
 class TestX0Spec:
@@ -51,6 +56,12 @@ class TestX0Spec:
         "constant((1,2))",           # wrong vector length for n = 3
         "sine",
         "",
+        "sine(1,,2)",                # malformed arguments
+        "sine(k)",
+        "gaussian(0.5)",
+        "constant(1, 2)",
+        "indicator(0.2, 0.8)",
+        "constant((1,2)); sine(1); sine(2)",  # non-scalar entry of a per-component list
     ])
     def test_spec_errors(self, spec):
         with pytest.raises(SpecError):
@@ -108,6 +119,37 @@ class TestExitCodes:
                      "--t-final", "0.05", "--nx", "32", "--x0", "vortex(3)"])
         assert code == 2
 
+    @pytest.mark.parametrize("p_norms, message", [
+        ("nan", "p_norms must all be finite and >= 1, got (nan,)"),
+        ("1,two", "cannot parse --p-norms '1,two'"),
+    ])
+    def test_bad_p_norms_exit_2(self, capsys, p_norms, message):
+        code = main(["simulate", str(FIXTURES / "transport_w1_1_w0_1.json"),
+                     "--t-final", "0.05", "--nx", "32", "--p-norms", p_norms])
+        assert code == 2
+        assert capsys.readouterr().err == f"phs: ValidationError: {message}\n"
+
+    def test_simulate_crossing_exits_1(self, tmp_path):
+        # run as a process, so that anything the program writes to stderr,
+        # warnings included, is seen
+        system = crossing_system()
+        zetas, values = system.h.data
+        model = tmp_path / "crossing.json"
+        model.write_text(json.dumps({
+            "n": system.n, "p1": phs.matrix_to_pairs(system.p1),
+            "p0": phs.matrix_to_pairs(system.p0),
+            "h": {"kind": "grid", "zetas": zetas.tolist(),
+                  "values": [phs.matrix_to_pairs(v) for v in values]},
+            "wb_tilde": phs.matrix_to_pairs(system.wb_tilde)}))
+        env = dict(os.environ, PYTHONPATH=str(Path(phs.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "phs.cli", "simulate", str(model), "--nx", "32"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == ("phs: ContinuityError: eigenvalue crossing on the simulation "
+                               "grid at indices [11]: the characteristics transform is "
+                               "not smooth\n")
+
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],
         [],
@@ -116,6 +158,8 @@ class TestExitCodes:
         ["oracle", "--n", "2", "--count", "-1"],
         ["oracle", "--n", "2", "--seed", "-1"],
         ["classify", str(FIXTURES / "string_uniform.json"), "--grid", "-5"],
+        # crossings are reported by the simulator only
+        ["classify", str(FIXTURES / "string_uniform.json"), "--grid", "17"],
         # the thresholds are fixed
         ["classify", str(FIXTURES / "string_uniform.json"), "--tol-psd", "1e-3"],
     ])
@@ -142,10 +186,20 @@ class TestReports:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_classify_grid_note(self, capsys):
-        code = main(["classify", str(FIXTURES / "transport_grid_h.json"), "--grid", "17"])
+        code = main(["classify", str(FIXTURES / "transport_grid_h.json")])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert any("sampled" in note for note in report["notes"])
+
+    @pytest.mark.parametrize("argv, summary", [
+        (["classify", str(FIXTURES / "network_three_lines.json")],
+         "contraction=False unitary=False c0=True\n"),
+        (["simulate", str(FIXTURES / "transport_w1_1_w0_1.json"), "--t-final", "0.05",
+          "--nx", "32"], "steps="),
+    ])
+    def test_verbose_summary(self, capsys, argv, summary):
+        assert main(argv + ["-v"]) == 0
+        assert capsys.readouterr().err.startswith(summary)
 
     def test_oracle_report(self, capsys):
         code = main(["oracle", "--n", "2", "--count", "40", "--seed", "7"])

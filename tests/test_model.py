@@ -106,12 +106,37 @@ class TestLoadSystem:
         (lambda d: d.update(h={"kind": "fourier"}), "kind"),
         (lambda d: d.update(h={"kind": "constant"}), "missing"),
         (lambda d: d.update(p1=[[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]), "equal length"),
+        (lambda d: d.update(p1=[[]]), "non-empty"),
+        (lambda d: d.update(p0=[]), "list of rows"),
+        (lambda d: d.update(wb_tilde=[1.0, 0.0]), "list of rows"),
+        (lambda d: d.update(h=[[1.0, 0.0]]), "'h' must be an object"),
+        (lambda d: d["h"].update(coeffs=[]), "unknown keys"),
+        (lambda d: d.update(h={"kind": "polynomial", "coeffs": 1.0}), "nested list"),
+        (lambda d: d.update(h={"kind": "polynomial", "coeffs": [[[[1.0, 0.0]]], []]}),
+         "n x n table"),
+        (lambda d: d.update(h={"kind": "polynomial", "coeffs": [[[]]]}), "non-empty list"),
+        (lambda d: d.update(h={"kind": "grid", "zetas": [0.0, 1.0],
+                               "values": [pairs([[1.0]])]}), "equal length"),
     ])
     def test_schema_errors(self, mutate, match):
         doc = transport_doc()
         mutate(doc)
         with pytest.raises(SchemaError, match=match):
             phs.load_system(doc)
+
+    @pytest.mark.parametrize("document, match", [
+        ('{"n": 1,', "invalid JSON"),
+        ("bad.json", "invalid JSON"),
+        ("list.json", "must be a JSON object"),
+        ("missing.json", "cannot read"),
+    ])
+    def test_unreadable_documents(self, tmp_path, document, match):
+        (tmp_path / "bad.json").write_text('{"n": 1,')
+        (tmp_path / "list.json").write_text("[1, 2]")
+        if document.endswith(".json"):
+            document = tmp_path / document
+        with pytest.raises(SchemaError, match=match):
+            phs.load_system(document)
 
     def test_load_from_path_and_json_string(self, tmp_path):
         import json
@@ -127,6 +152,23 @@ class TestLoadSystem:
         system = phs.load_system(transport_doc())
         with pytest.raises(ValueError):
             system.p1[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: phs.CoefficientField.constant(np.zeros((2, 3))), ShapeError, "square"),
+    (lambda: phs.CoefficientField.polynomial(np.eye(2)), ShapeError, "deg"),
+    (lambda: phs.CoefficientField.polynomial(np.zeros((2, 3, 1))), ShapeError, "deg"),
+    (lambda: phs.CoefficientField.grid([0.0], [np.eye(2)]), ShapeError, "two sample points"),
+    (lambda: phs.CoefficientField.grid([0.0, 0.5, 0.5, 1.0], [np.eye(2)] * 4),
+     ValidationError, "strictly increasing"),
+    (lambda: phs.CoefficientField.grid([0.0, 0.5], [np.eye(2)] * 2),
+     ValidationError, "include 0 and 1"),
+    (lambda: phs.CoefficientField.grid([0.0, 1.0], [np.eye(2)] * 3), ShapeError, "len"),
+    (lambda: phs.CoefficientField.grid([0.0, 1.0], np.zeros((2, 2, 3))), ShapeError, "len"),
+])
+def test_field_constructor_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestEvalH:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ class TestNorms:
     def test_lp_norm_domain(self, transport):
         cfg = phs.SimConfig(nx=32, t_final=1.0)
         state = phs.setup(transport, cfg, gaussian(0.5, 0.1))
-        with pytest.raises(phs.DomainError):
-            phs.lp_norm(state, 0.5)
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(phs.DomainError):
+                phs.lp_norm(state, p)
 
 
 class TestSetup:
@@ -87,7 +89,7 @@ class TestSetup:
 
     def test_crossing_rejected(self):
         cfg = phs.SimConfig(nx=32, t_final=0.5)
-        with pytest.raises(ContinuityError), pytest.warns(phs.ContinuityWarning):
+        with pytest.raises(ContinuityError):
             phs.setup(crossing_system(), cfg, gaussian(0.5, 0.1))
 
     def test_cfl_bound(self):
@@ -111,17 +113,49 @@ class TestSetup:
                 phs.setup(transport, cfg, x0)
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            phs.SimConfig(nx=8)
-        with pytest.raises(ValidationError):
-            phs.SimConfig(t_final=0.0)
-        with pytest.raises(ValidationError):
-            phs.SimConfig(cfl=1.5)
-        with pytest.raises(ValidationError):
-            phs.SimConfig(p_norms=(0.5,))
-        with pytest.raises(ValidationError):
-            phs.SimConfig(record_every=0)
+        for kwargs in ({"nx": 8}, {"t_final": 0.0}, {"cfl": 1.5}, {"p_norms": (0.5,)},
+                       {"record_every": 0},
+                       # an lnan column, and a linf that reads 1 whatever the field
+                       {"p_norms": (math.nan,)}, {"p_norms": (2.0, math.inf)},
+                       {"nx": 16.5}, {"record_every": 2.0}):
+            with pytest.raises(ValidationError):
+                phs.SimConfig(**kwargs)
+        assert phs.SimConfig(nx=np.int64(32), record_every=np.int64(2)).nx == 32
 
+
+def _beam_system():
+    """Timoshenko beam with K/rho = 1 + z and EI/I_rho = 1.5, clamped at 0
+    and free at 1: the speeds sqrt(1 + z) and sqrt(1.5) cross at z = 1/2."""
+    p1 = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+    p0 = np.zeros((4, 4))
+    p0[0, 3], p0[3, 0] = -1.0, 1.0
+    coeffs = np.zeros((4, 4, 2))
+    coeffs[:, :, 0] = np.diag([1.0, 1.0, 1.5, 1.0])
+    coeffs[0, 0, 1] = 1.0
+    wb = np.zeros((4, 8))
+    wb[0, 0] = wb[1, 2] = wb[2, 5] = wb[3, 7] = 1.0  # e1(1) = e3(1) = e2(0) = e4(0) = 0
+    return phs.make_system(p1, p0, phs.CoefficientField.polynomial(coeffs), wb)
+
+
+class TestCrossingReportedOnce:
+    """A crossing of analytic speed curves leaves the generation test valid
+    (Rellich): it is listed by diagonalize_field and refused by the
+    simulator's sorted transform, and reported nowhere else."""
+
+    def test_beam_classified_without_notes(self):
+        v = phs.classify(_beam_system())
+        assert v.unitary_group and v.c0_semigroup
+        assert v.notes == ()
+
+    def test_beam_crossing_listed_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = phs.diagonalize_field(_beam_system(), np.linspace(0.0, 1.0, 65))
+        assert field.crossings == (32, 33)
+
+    def test_beam_setup_refused(self):
+        with pytest.raises(ContinuityError, match=r"indices \[32, 33\]"):
+            phs.setup(_beam_system(), phs.SimConfig(nx=64), gaussian(0.5, 0.1))
 
 
 def _rank_deficient_system():
