@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .model import PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part
+from .model import PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part, matrix_to_pairs
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -143,11 +143,6 @@ class EigenSplit:
     s_inv: np.ndarray
     z_plus: np.ndarray
     z_minus: np.ndarray
-
-    @property
-    def speeds(self) -> np.ndarray:
-        """Diagonal of the transport matrix: lam followed by theta."""
-        return np.concatenate([self.lam, self.theta])
 
 
 def _similarity_stack(p1, h, zetas):
@@ -366,10 +361,8 @@ class Verdict(ContractionCheck):
     direct_sum_min_singular_value: float | None
     notes: tuple
 
-    def as_dict(self, include_matrices: bool = True) -> dict:
-        from .model import matrix_to_pairs
-
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "n": self.n,
             "rank_wb_tilde": self.rank_wb_tilde,
             "re_p0": {
@@ -381,6 +374,7 @@ class Verdict(ContractionCheck):
             "sigma_form": {
                 "min_eigenvalue": self.sigma_form_min_eigenvalue,
                 "norm": self.sigma_form_norm,
+                "matrix": matrix_to_pairs(self.sigma_form),
             },
             "contraction": self.contraction,
             "unitary_group": self.unitary_group,
@@ -388,9 +382,6 @@ class Verdict(ContractionCheck):
             "direct_sum_min_singular_value": self.direct_sum_min_singular_value,
             "notes": list(self.notes),
         }
-        if include_matrices:
-            out["sigma_form"]["matrix"] = matrix_to_pairs(self.sigma_form)
-        return out
 
 
 def classify(system: PHSystem) -> Verdict:

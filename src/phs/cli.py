@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("model", type=Path)
     p_sim.add_argument("--nx", type=int, default=256)
     p_sim.add_argument("--t-final", type=float, default=1.0)
-    p_sim.add_argument("--cfl", type=float, default=0.9)
     p_sim.add_argument("--p-norms", type=str, default="1,2",
                        help="comma-separated exponents, e.g. 1,2")
     p_sim.add_argument("--record-every", type=int, default=1)
@@ -226,7 +225,6 @@ def _cmd_simulate(args) -> int:
     config = SimConfig(
         nx=args.nx,
         t_final=args.t_final,
-        cfl=args.cfl,
         p_norms=p_norms,
         record_every=args.record_every,
     )

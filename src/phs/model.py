@@ -135,9 +135,6 @@ class CoefficientField:
         """Evaluate H at an array of points; returns shape (len(zetas), n, n)."""
         return _eval_group(self.kind, [self], zetas)[0]
 
-    def eval(self, zeta: float) -> np.ndarray:
-        return self.eval_many([zeta])[0]
-
 
 def _kind_groups(fields) -> list:
     """The fields in the groups that _eval_group and _bernstein_pieces each
@@ -226,9 +223,9 @@ def validate_system(system: PHSystem) -> None:
     _validate([system])
 
 
-def _structure_error(system: PHSystem) -> str | None:
-    """The first structure check of validate_system that ``system`` fails,
-    in its order, or None."""
+def _structure_error(system: PHSystem) -> str:
+    """The message of the first structure check of validate_system that
+    ``system``, whose shapes do not all match its n, fails, in its order."""
     n = system.n
     for name, m in (("p1", system.p1), ("p0", system.p0)):
         if m.shape != (n, n):
@@ -237,9 +234,7 @@ def _structure_error(system: PHSystem) -> str | None:
             return f"{name} contains non-finite entries"
     if not np.isfinite(system.wb_tilde).all():
         return "wb_tilde contains non-finite entries"
-    if system.wb_tilde.shape != (n, 2 * n):
-        return f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
-    return None
+    return f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
 
 
 def _stacked(systems) -> tuple:
@@ -254,7 +249,7 @@ def _validate(systems) -> None:
     made once for the whole stack.  Shapes and the dimension of H are
     compared system by system; finiteness (p1, then p0, then wb_tilde) and
     P1 are checked on the stacked matrices, and H on the Bernstein pieces
-    of each group of fields of one kind and degree (_kind_groups).  Raises
+    of one group of _kind_groups at a time.  Raises
     at the first check that fails for any system, with the ValidationError
     validate_system raises for that system; it need not be the first
     invalid system of the list (the agreement campaign replays a failed
@@ -280,28 +275,21 @@ def _validate(systems) -> None:
     for system in systems:
         if system.h.n != system.n:
             raise ValidationError(f"H has dimension {system.h.n}, system has n = {system.n}")
-    # the pieces of every field, by degree: piece ends and control matrices;
-    # non-finite fields are refused here, before any arithmetic warns about them
-    groups: dict[int, list] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, kind, fields in _kind_groups([system.h for system in systems]):
-            pieces = _bernstein_pieces(kind, fields)
-            ctrl = pieces[-1]
+    # each group's pieces: piece ends and control matrices; non-finite
+    # fields are refused here, before any arithmetic warns about them
+    for _, kind, fields in _kind_groups([system.h for system in systems]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi, ctrl = _bernstein_pieces(kind, fields)
             # a Hermitian part that overflows counts as non-finite too
             if not np.isfinite(ctrl + _adjoint(ctrl)).all():
                 raise ValidationError("H evaluates to non-finite entries")
-            for part, value in zip(groups.setdefault(ctrl.shape[1], ([], [], [])), pieces):
-                part.append(value)
-    groups = [tuple(np.concatenate(part) for part in g) for g in groups.values()]
-    for lo, hi, ctrl in groups:
         defect = _herm_defect(ctrl).max(axis=1)
         bad = defect > TOL_HERM
         if bad.any():
             k = bad.argmax()
             raise ValidationError(f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
                                   f"(relative defect {defect[k]:.3e})")
-    for group in groups:
-        _certify(*group)
+        _certify(lo, hi, ctrl)
 
 
 def _certify(lo, hi, ctrl) -> None:

@@ -154,9 +154,9 @@ class TestEigensplit:
                        transport_system(1.0, 0.0, h=2.0)):
             for zeta in (0.0, 0.33, 1.0):
                 split = phs.eigensplit(system, zeta)
-                p1h = system.p1 @ system.h.eval(zeta)
+                p1h = system.p1 @ system.h.eval_many([zeta])[0]
                 lhs = p1h @ split.s_inv
-                rhs = split.s_inv @ np.diag(split.speeds)
+                rhs = split.s_inv @ np.diag(np.concatenate([split.lam, split.theta]))
                 assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(p1h))
 
     def test_inertia_matches_p1(self):
@@ -278,7 +278,8 @@ class TestDiagonalizeField:
         result = phs.diagonalize_field(system, grid)
         splits, aligned, crossings = _pointwise_field(system, grid)
         assert all(sp.n1 == result.n1 for sp in splits)
-        np.testing.assert_allclose(result.speeds, [sp.speeds for sp in splits],
+        np.testing.assert_allclose(result.speeds,
+                                   [np.concatenate([sp.lam, sp.theta]) for sp in splits],
                                    rtol=0, atol=1e-12)
         # every column is eigensplit's column times a unit phase ...
         s_ref = np.array([sp.s_inv for sp in splits])
@@ -317,8 +318,8 @@ class TestBoundaryClosure:
         field = phs.diagonalize_field(system, [0.0, 1.0])
         closure = phs.boundary_closure_matrix(system, field)
         n, n1 = system.n, field.n1
-        v = system.wb_tilde[:, :n] @ system.h.eval(1.0) @ field.s_inv[-1]
-        u = system.wb_tilde[:, n:] @ system.h.eval(0.0) @ field.s_inv[0]
+        v = system.wb_tilde[:, :n] @ system.h.eval_many([1.0])[0] @ field.s_inv[-1]
+        u = system.wb_tilde[:, n:] @ system.h.eval_many([0.0])[0] @ field.s_inv[0]
         # k = [V1 U2] on the incoming traces, q = [U1 V2] on the outgoing ones
         np.testing.assert_allclose(closure.k[:, :n1], v[:, :n1])
         np.testing.assert_allclose(closure.k[:, n1:], u[:, n1:])
@@ -407,8 +408,8 @@ class TestDirectSum:
             bm = s0.z_minus @ haar(s0.n2) if s0.n2 else s0.z_minus
             n = system.n
             k_alt = np.hstack([
-                system.wb_tilde[:, :n] @ system.h.eval(1.0) @ bp,
-                system.wb_tilde[:, n:] @ system.h.eval(0.0) @ bm,
+                system.wb_tilde[:, :n] @ system.h.eval_many([1.0])[0] @ bp,
+                system.wb_tilde[:, n:] @ system.h.eval_many([0.0])[0] @ bm,
             ])
             svals = np.linalg.svd(k_alt, compute_uv=False)
             ok_alt = svals[-1] >= 1e-10 * svals[0]
@@ -423,8 +424,8 @@ def _eigensplit_direct_sum(system):
         raise PreconditionError("rank")
     split1 = phs.eigensplit(system, 1.0)
     split0 = phs.eigensplit(system, 0.0)
-    k = np.hstack([system.wb_tilde[:, :n] @ system.h.eval(1.0) @ split1.z_plus,
-                   system.wb_tilde[:, n:] @ system.h.eval(0.0) @ split0.z_minus])
+    k = np.hstack([system.wb_tilde[:, :n] @ system.h.eval_many([1.0])[0] @ split1.z_plus,
+                   system.wb_tilde[:, n:] @ system.h.eval_many([0.0])[0] @ split0.z_minus])
     svals = np.linalg.svd(k, compute_uv=False)
     return bool(svals[0] > 0.0 and svals[-1] >= phs.classifier.TOL_RANK * svals[0]), svals[-1]
 
@@ -683,7 +684,7 @@ class TestProperties:
         for system in (string_system((1.0, 0.5)), network_system()):
             expected = _sign_counts(system.p1)
             for zeta in np.linspace(0.0, 1.0, 7):
-                w, q = np.linalg.eigh(phs.hermitian_part(system.h.eval(zeta)))
+                w, q = np.linalg.eigh(phs.hermitian_part(system.h.eval_many([zeta])[0]))
                 sq = (q * np.sqrt(w)) @ q.conj().T
                 counts = _sign_counts(phs.hermitian_part(sq @ system.p1 @ sq))
                 assert counts == expected

@@ -122,6 +122,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("p_norms, message", [
         ("nan", "p_norms must all be finite and >= 1, got (nan,)"),
         ("1,two", "cannot parse --p-norms '1,two'"),
+        ("2,2", "p_norms must have distinct column labels, got (2.0, 2.0)"),
     ])
     def test_bad_p_norms_exit_2(self, capsys, p_norms, message):
         code = main(["simulate", str(FIXTURES / "transport_w1_1_w0_1.json"),
@@ -162,6 +163,8 @@ class TestExitCodes:
         ["classify", str(FIXTURES / "string_uniform.json"), "--grid", "17"],
         # the thresholds are fixed
         ["classify", str(FIXTURES / "string_uniform.json"), "--tol-psd", "1e-3"],
+        # the Courant number is fixed
+        ["simulate", str(FIXTURES / "string_uniform.json"), "--cfl", "0.5"],
     ])
     def test_usage_error_exits_64(self, capsys, argv):
         assert main(argv) == 64

@@ -96,7 +96,7 @@ class TestLoadSystem:
             "wb_tilde": pairs(np.hstack([np.eye(2), np.diag([-1.0, 1.0])])),
         }
         system = phs.load_system(doc)
-        np.testing.assert_allclose(system.h.eval(0.5), np.diag([1.0, 1.5]))
+        np.testing.assert_allclose(system.h.eval_many([0.5])[0], np.diag([1.0, 1.5]))
 
     @pytest.mark.parametrize("mutate, match", [
         (lambda d: d.pop("p1"), "missing"),
@@ -175,7 +175,7 @@ class TestEvalH:
     def test_constant_field(self):
         system = phs.make_system([[0, 1], [1, 0]], np.zeros((2, 2)), np.eye(2),
                                  np.hstack([np.eye(2), np.eye(2)]))
-        np.testing.assert_array_equal(system.h.eval(0.3), np.eye(2))
+        np.testing.assert_array_equal(system.h.eval_many([0.3])[0], np.eye(2))
 
     def test_string_density_form(self):
         # H = diag(1/rho, T) evaluated entrywise
@@ -183,14 +183,14 @@ class TestEvalH:
         system = phs.make_system([[0, 1], [1, 0]], np.zeros((2, 2)),
                                  np.diag([1.0 / rho, t]),
                                  np.hstack([np.eye(2), np.eye(2)]))
-        np.testing.assert_allclose(system.h.eval(0.7), np.diag([0.5, 3.0]))
+        np.testing.assert_allclose(system.h.eval_many([0.7])[0], np.diag([0.5, 3.0]))
 
     def test_grid_interpolation(self):
         field = phs.CoefficientField.grid([0.0, 1.0], [[[1.0]], [[3.0]]])
         system = phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
-        np.testing.assert_allclose(system.h.eval(0.5), [[2.0]])
-        np.testing.assert_allclose(system.h.eval(0.0), [[1.0]])
-        np.testing.assert_allclose(system.h.eval(1.0), [[3.0]])
+        np.testing.assert_allclose(system.h.eval_many([0.5])[0], [[2.0]])
+        np.testing.assert_allclose(system.h.eval_many([0.0])[0], [[1.0]])
+        np.testing.assert_allclose(system.h.eval_many([1.0])[0], [[3.0]])
 
     def test_grid_symmetrized(self):
         # slightly non-Hermitian samples are symmetrized on evaluation
@@ -200,7 +200,7 @@ class TestEvalH:
         field = phs.CoefficientField.grid([0.0, 1.0], vals)
         system = phs.make_system(np.eye(2), np.zeros((2, 2)), field,
                                  np.hstack([np.eye(2), np.eye(2)]))
-        h = system.h.eval(0.25)
+        h = system.h.eval_many([0.25])[0]
         np.testing.assert_array_equal(h, h.conj().T)
 
     @pytest.mark.parametrize("field", [
@@ -229,8 +229,8 @@ class TestEvalH:
 
     def test_determinism(self):
         system = phs.load_system(transport_doc())
-        a = system.h.eval(0.37)
-        b = system.h.eval(0.37)
+        a = system.h.eval_many([0.37])[0]
+        b = system.h.eval_many([0.37])[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -450,6 +450,8 @@ INVALID = {
     "p1_nan_and_p0_shape": (_raw_system(p1=[[np.nan, 0], [0, 1]], p0=np.zeros((3, 3))),
                             "p1 contains non-finite entries"),
     "wb_shape": (_raw_system(wb_tilde=np.eye(2)), "wb_tilde must be 2x4, got (2, 2)"),
+    "wb_nan_and_shape": (_raw_system(wb_tilde=np.full((2, 2), np.nan)),
+                         "wb_tilde contains non-finite entries"),
     "p1_not_hermitian": (_raw_system(p1=[[1, 1], [0, 1]]), "p1 is not Hermitian"),
     "p1_not_hermitian_and_h_indefinite": (_raw_system(p1=[[1, 1], [0, 1]], h=-np.eye(2)),
                                           "p1 is not Hermitian"),

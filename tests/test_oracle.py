@@ -112,7 +112,7 @@ class TestRandomSystem:
         np.testing.assert_array_equal(a.p0, b.p0)
         np.testing.assert_array_equal(a.wb_tilde, b.wb_tilde)
         assert a.h.kind == b.h.kind
-        np.testing.assert_array_equal(a.h.eval(0.3), b.h.eval(0.3))
+        np.testing.assert_array_equal(a.h.eval_many([0.3])[0], b.h.eval_many([0.3])[0])
 
     def test_seeds_differ(self):
         a = phs.random_system(seed=12, n=3)

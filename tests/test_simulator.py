@@ -18,6 +18,9 @@ from phs.errors import (
 
 from conftest import FIXTURES, crossing_system, network_system, string_system, transport_system
 
+# Maximum admissible relative increase per step for monotone-norm checks.
+TOL_MONO = 1e-3
+
 
 def gaussian(center, width):
     return lambda z: np.exp(-0.5 * ((z - center) / width) ** 2)
@@ -39,7 +42,7 @@ class TestNorms:
         system = transport_system(1.0, 0.0, h=2.0)
         cfg = phs.SimConfig(nx=32, t_final=1.0)
         state = phs.setup(system, cfg, lambda z: 1.0, allow_illposed=True)
-        state.g = state._disc.s[:, 0, 0].reshape(-1, 1).copy()
+        state.g = state._disc.apply("s", np.ones((33, 1), dtype=complex))
         assert phs.energy(state) == pytest.approx(2.0, rel=1e-12)
         assert phs.lp_norm(state, 2.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -49,7 +52,7 @@ class TestNorms:
         cfg = phs.SimConfig(nx=32, t_final=1.0)
         state = phs.setup(system, cfg, lambda z: np.array([1.0, 1.0]))
         x = np.ones((33, 2), dtype=complex)
-        state.g = np.einsum("nij,nj->ni", state._disc.s, x)
+        state.g = state._disc.apply("s", x)
         assert phs.energy(state) == pytest.approx(5.0, rel=1e-12)
 
     def test_lp_norm_domain(self, transport):
@@ -94,11 +97,12 @@ class TestSetup:
 
     def test_cfl_bound(self):
         system = string_system((1.0, 1.0))  # speeds up to sqrt(2)
-        cfg = phs.SimConfig(nx=64, t_final=1.0, cfl=0.8)
+        cfg = phs.SimConfig(nx=64, t_final=1.0)
         state = phs.setup(system, cfg, gaussian(0.5, 0.1), allow_illposed=False)
         disc = state._disc
-        assert disc.dt * np.abs(disc.speeds).max() / disc.dz <= 0.8 + 1e-12
-        assert disc.dt == pytest.approx(0.8 * disc.dz / np.sqrt(2.0), rel=1e-12)
+        cfl = phs.simulator.CFL
+        assert disc.dt * np.abs(disc.speeds).max() / disc.dz <= cfl + 1e-12
+        assert disc.dt == pytest.approx(cfl * disc.dz / np.sqrt(2.0), rel=1e-12)
 
     def test_infinite_horizon_rejected(self):
         # run() would never return
@@ -113,11 +117,14 @@ class TestSetup:
                 phs.setup(transport, cfg, x0)
 
     def test_config_validation(self):
-        for kwargs in ({"nx": 8}, {"t_final": 0.0}, {"cfl": 1.5}, {"p_norms": (0.5,)},
+        for kwargs in ({"nx": 8}, {"t_final": 0.0}, {"p_norms": (0.5,)},
                        {"record_every": 0},
                        # an lnan column, and a linf that reads 1 whatever the field
                        {"p_norms": (math.nan,)}, {"p_norms": (2.0, math.inf)},
-                       {"nx": 16.5}, {"record_every": 2.0}):
+                       {"nx": 16.5}, {"record_every": 2.0},
+                       # two exponents with one column label l2
+                       {"p_norms": (2, 2.0)}, {"p_norms": (2, 2.0000001)},
+                       {"p_norms": ("2",)}, {"p_norms": 2}, {"t_final": "1"}):
             with pytest.raises(ValidationError):
                 phs.SimConfig(**kwargs)
         assert phs.SimConfig(nx=np.int64(32), record_every=np.int64(2)).nx == 32
@@ -244,6 +251,35 @@ class TestStep:
         assert rates[k] == pytest.approx(preds[k], rel=0.15)
         assert np.all(rates[preds > 0.5 * preds.max()] > 0)
 
+    @pytest.mark.parametrize("name, allow_illposed", [
+        ("network_three_lines", False), ("string_stiffening", False),
+        ("transport_grid_h", False), ("string_uniform", True)])
+    def test_closure_holds_after_every_step(self, name, allow_illposed):
+        # the mean that ends a step is closed because both of its terms are
+        system = phs.load_system(FIXTURES / f"{name}.json")
+        x0 = lambda z: (1.0 + z) * np.arange(1, system.n + 1) + 1j * np.cos(3.0 * z)
+        state = phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), x0,
+                          allow_illposed=allow_illposed)
+        disc, n1 = state._disc, state._disc.n1
+        for _ in range(20):
+            phs.step(state)
+            g = state.g
+            incoming = np.concatenate([g[-1, :n1], g[0, n1:]])
+            outgoing = np.concatenate([g[0, :n1], g[-1, n1:]])
+            np.testing.assert_allclose(incoming, disc.closure_map @ outgoing,
+                                       rtol=0, atol=1e-14 * np.abs(g).max())
+
+    def test_two_closures_per_step(self, network, monkeypatch):
+        calls = []
+        close = phs.simulator._Discretization.close
+        monkeypatch.setattr(phs.simulator._Discretization, "close",
+                            lambda disc, g: calls.append(g) or close(disc, g))
+        state = phs.setup(network, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
+        calls.clear()
+        for _ in range(5):
+            phs.step(state)
+        assert len(calls) == 10
+
     def test_step_after_final_rejected(self, transport):
         cfg = phs.SimConfig(nx=32, t_final=0.05)
         state = phs.run(transport, cfg, gaussian(0.5, 0.1))
@@ -273,21 +309,21 @@ class TestRun:
                         phs.SimConfig(nx=256, t_final=1.0),
                         gaussian(0.5, 0.1))
         e = np.array(state.history["energy"])
-        assert np.all(np.diff(e) <= phs.simulator.TOL_MONO * e[0])
+        assert np.all(np.diff(e) <= TOL_MONO * e[0])
 
     def test_contraction_variable_density(self):
         field = phs.CoefficientField.polynomial(np.array([[[1.0, 0.5]]]))
         system = phs.make_system([[1.0]], [[0.0]], field, [[2.0, 1.0]])
         state = phs.run(system, phs.SimConfig(nx=256, t_final=1.0), gaussian(0.5, 0.1))
         e = np.array(state.history["energy"])
-        assert np.all(np.diff(e) <= phs.simulator.TOL_MONO * e[0])
+        assert np.all(np.diff(e) <= TOL_MONO * e[0])
 
     def test_network_l1_monotone_for_opposed_channels(self, network):
         g = gaussian(0.3, 0.08)
         x0 = lambda z: np.array([g(z), 0.5 * gaussian(0.5, 0.1)(z), -g(z)])
         state = phs.run(network, phs.SimConfig(nx=256, t_final=1.0), x0)
         l1 = np.array(state.history["l1"])
-        assert np.all(np.diff(l1) <= phs.simulator.TOL_MONO * l1[0])
+        assert np.all(np.diff(l1) <= TOL_MONO * l1[0])
 
     def test_network_l2_growth_for_aligned_channels(self, network):
         g = gaussian(0.3, 0.08)
