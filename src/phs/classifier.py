@@ -26,14 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .model import PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part, matrix_to_pairs
+from .model import (
+    TOL_EIG,
+    PHSystem,
+    _adjoint,
+    _eval_fields,
+    _stacked,
+    hermitian_part,
+    matrix_to_pairs,
+)
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
 # Numerical rank: singular values below TOL_RANK * sigma_max count as zero.
 TOL_RANK = 1e-10
-# Zero band for eigenvalue sign counting, relative to max(1, max |eig|).
-TOL_EIG = 1e-9
+# TOL_EIG, the zero band for eigenvalue sign counting, relative to
+# max(1, max |eig|), is defined with validation, which keeps P1 H out of it.
 
 
 def compute_wb(system: PHSystem) -> np.ndarray:

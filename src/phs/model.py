@@ -36,6 +36,10 @@ from .errors import SchemaError, ShapeError, ValidationError
 TOL_HERM = 1e-10
 EPS_PD = 1e-8
 EPS_INV = 1e-10
+# Zero band for the eigenvalues of P1 H, relative to max(1, max |eig|): the
+# classifier counts eigenvalue signs outside it, and validation makes sure
+# no eigenvalue can fall into it.
+TOL_EIG = 1e-9
 # Halvings of a Bernstein piece whose control matrices cannot certify
 # lambda_min >= EPS_PD before the field is refused as uncertifiable: the
 # finest piece is 2**-16 wide.
@@ -219,6 +223,16 @@ def validate_system(system: PHSystem) -> None:
     H at the ends of the piece: a refusal names the first such point below
     EPS_PD, or else a piece still open at the cap.  Constant, affine and
     grid fields are decided exactly, without halving.
+
+    Finally the eigenvalues of P1 H(z), those of H^(1/2) P1 H^(1/2), must
+    stay out of the classifier's zero band at every z.  By Ostrowski's
+    theorem their moduli lie between lambda_min(H) sigma_min(P1) and
+    lambda_max(H) sigma_max(P1).  The least certified control eigenvalue
+    bounds lambda_min(H) from below and the largest control eigenvalue
+    bounds lambda_max(H) from above (lambda_max is convex), so the system
+    is refused when the lower end is below TOL_EIG * max(1, upper end).
+    The test is sufficient, not necessary: it may refuse a system whose
+    eigenvalues all clear the band.
     """
     _validate([system])
 
@@ -277,7 +291,8 @@ def _validate(systems) -> None:
             raise ValidationError(f"H has dimension {system.h.n}, system has n = {system.n}")
     # each group's pieces: piece ends and control matrices; non-finite
     # fields are refused here, before any arithmetic warns about them
-    for _, kind, fields in _kind_groups([system.h for system in systems]):
+    h_lower, h_upper = np.empty(len(systems)), np.empty(len(systems))
+    for idx, kind, fields in _kind_groups([system.h for system in systems]):
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi, ctrl = _bernstein_pieces(kind, fields)
             # a Hermitian part that overflows counts as non-finite too
@@ -289,21 +304,46 @@ def _validate(systems) -> None:
             k = bad.argmax()
             raise ValidationError(f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
                                   f"(relative defect {defect[k]:.3e})")
-        _certify(lo, hi, ctrl)
+        lower, upper = _certify(lo, hi, ctrl)
+        # a grid field is many pieces of one field
+        if kind == "grid":
+            lower, upper = lower.min(), upper.max()
+        h_lower[idx], h_upper[idx] = lower, upper
+    # Ostrowski: |eig(H^(1/2) P1 H^(1/2))| >= lambda_min(H) sigma_min(P1)
+    floor = h_lower * svals[:, -1]
+    band = TOL_EIG * np.maximum(1.0, h_upper * svals[:, 0])
+    if (floor < band).any():
+        k = (floor < band).argmax()
+        raise ValidationError(
+            f"P1 H may have an eigenvalue in the zero band: lambda_min(H) >= {h_lower[k]:.3e} "
+            f"and sigma_min(P1) = {svals[k, -1]:.3e} bound its moduli below by "
+            f"{floor[k]:.3e} < {band[k]:.3e}")
 
 
-def _certify(lo, hi, ctrl) -> None:
+def _certify(lo, hi, ctrl) -> tuple:
     """The Bernstein certification of validate_system for pieces of one
     degree of one or many fields at once, the pieces of each field
     contiguous and in increasing order, which halving keeps.  Raises at the
     first piece end below EPS_PD at the first level that has one, or at the
-    first piece still open at the cap."""
+    first piece still open at the cap.  Returns, for each given piece,
+    bounds on H over it: the least control eigenvalue of the pieces that
+    certified it (below lambda_min) and its largest control eigenvalue
+    (above lambda_max)."""
     ctrl = hermitian_part(ctrl)
     for depth in range(CERTIFY_DEPTH + 1):
-        eigmin = np.linalg.eigvalsh(ctrl)[..., 0]
-        keep = eigmin.min(axis=1) < EPS_PD
+        eigs = np.linalg.eigvalsh(ctrl)
+        eigmin = eigs[..., 0]
+        least = eigmin.min(axis=1)
+        keep = least < EPS_PD
+        if depth == 0:
+            upper = eigs[..., -1].max(axis=1)
+            lower = np.where(keep, np.inf, least)
+        else:
+            np.minimum.at(lower, origin[~keep], least[~keep])
         if not keep.any():
-            return
+            return lower, upper
+        # the given piece that each open piece lies in
+        origin = np.flatnonzero(keep) if depth == 0 else origin[keep]
         # an end below EPS_PD is on an open piece; the first is named
         ends = eigmin[:, [0, -1]].ravel()
         bad = np.flatnonzero(ends < EPS_PD)
@@ -324,6 +364,7 @@ def _certify(lo, hi, ctrl) -> None:
         ctrl = halves.reshape((-1,) + ctrl.shape[1:])
         mid = (lo + hi) / 2.0
         lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        origin = np.repeat(origin, 2)
 
 
 def _bernstein_pieces(kind: str, fields):

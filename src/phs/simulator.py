@@ -21,10 +21,13 @@ Discretization, chosen for transparency rather than accuracy:
   * explicit two-stage strong-stability time stepping (Heun), dt set by
     the CFL condition dt * max|speed| / dz <= CFL;
   * dS^-1/dz by centered differences on the grid (one-sided at the ends);
-  * constant coefficients (a field of kind "constant"): S, S^-1, H and B
-    are the same at every node and dS^-1/dz = 0, so each is applied to the
-    whole field as one n x n matrix product; variable fields use per-node
-    products;
+  * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
+    the speeds are the same at every node and dS^-1/dz = 0, so the field
+    is diagonalized at z = 0 and 1 only.  A Heun stage is then one linear
+    map on the field's real form: one 2n x 2n product for the node itself
+    and one each for the node ahead (lam block) and behind (theta block),
+    written into preallocated buffers, as are x and H x for the records;
+    variable fields use per-node products on fresh arrays;
   * boundary closure after every stage: the incoming traces g+(1), g-(0)
     solve   [V1 U2] [g+(1); g-(0)] = -[U1 V2] [g+(0); g-(1)]
     with W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2] split at
@@ -38,8 +41,8 @@ Discretization, chosen for transparency rather than accuracy:
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
-``record_every`` steps, from one reconstruction of x per record; the
-boundary residual uses its two endpoint rows.  A non-finite initial field
+``record_every`` steps, from one reconstruction of x and H x per record;
+the boundary residual uses the two endpoint rows of H x.  A non-finite initial field
 and a non-finite or blown-up field after a step raise StabilityError.
 """
 
@@ -101,27 +104,28 @@ class SimConfig:
 class _Discretization:
     """Everything about the grid that is constant in time.
 
-    ``h`` is the (nx+1, n, n) per-node field H, ``speeds`` is (nx+1, n).
-    For a constant coefficient field ``h`` is a read-only view of one
-    matrix repeated over the nodes, and ``apply`` multiplies by that one
-    matrix (in real form).
+    ``speeds`` is (nx+1, n).  For a constant coefficient field it is a
+    read-only view of the speeds at one node repeated over the grid,
+    ``apply`` multiplies by one matrix (in real form), and ``heun`` steps
+    on preallocated buffers.
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
-        nx = config.nx
+        nx, n = config.nx, system.n
         self.zetas = np.linspace(0.0, 1.0, nx + 1)
         self.dz = 1.0 / nx
 
-        dfield = diagonalize_field(system, self.zetas)
+        # Constant coefficients: S, S^-1, H, B and the speeds do not depend
+        # on the node and dS^-1/dz = 0, so the field is diagonalized at its
+        # two ends (the closure reads both) and the rest at the first node.
+        self.constant = system.h.kind == "constant"
+        dfield = diagonalize_field(system, (0.0, 1.0) if self.constant else self.zetas)
         if dfield.crossings:
             raise ContinuityError(
                 f"eigenvalue crossing on the simulation grid at indices "
                 f"{list(dfield.crossings)}: the characteristics transform is not smooth"
             )
         self.n1 = dfield.n1
-        # Constant coefficients: S, S^-1, H and B do not depend on the node
-        # and dS^-1/dz = 0, so they are computed at the first node only.
-        self.constant = system.h.kind == "constant"
         nodes = slice(0, 1) if self.constant else slice(None)
         s_inv = dfield.s_inv[nodes]
         h = system.h.eval_many(self.zetas[nodes])
@@ -134,12 +138,12 @@ class _Discretization:
             ds_inv[-1] = (s_inv[-1] - s_inv[-2]) / self.dz
             bmat += (s @ ds_inv) * dfield.speeds[:, None, :]
         fields = {"s_inv": s_inv, "s": s, "h": h, "bmat": bmat}
-        self.h = np.broadcast_to(h, (nx + 1, system.n, system.n))
+        self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
         self._products = ({name: _real_form(m[0]) for name, m in fields.items()}
                           if self.constant else fields)
-        self.speeds = dfield.speeds
-        # speeds over dz: real scaling here spares rhs a complex division
-        self._speeds_dz = self.speeds / self.dz
+        if not self.constant:
+            # speeds over dz: real scaling here spares rhs a complex division
+            self._speeds_dz = self.speeds / self.dz
 
         # K^+ = K^-1 for a generator; least squares for an ill-posed demonstration
         closure = boundary_closure_matrix(system, dfield)
@@ -150,6 +154,12 @@ class _Discretization:
         weights[0] = weights[-1] = self.dz / 2.0
         self.weights = weights
         self.wb_tilde_norm = float(np.linalg.norm(system.wb_tilde))
+        if self.constant:
+            # three fields rotate through the steps (start, stage, stage) and
+            # the records; the scratch holds the shifted products of a stage
+            self._fields = [np.empty((nx + 1, n), dtype=complex) for _ in range(3)]
+            self._scratch = np.empty((nx, 2 * n))
+            self._maps = self._stage_maps(self.dt)
 
     def apply(self, name: str, g: np.ndarray) -> np.ndarray:
         """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s, h or
@@ -175,6 +185,61 @@ class _Discretization:
         out[1:, n1:] += diff[:, n1:]
         return out
 
+    def _stage_maps(self, dt: float) -> tuple:
+        """Real forms (own, ahead, behind) of one constant-coefficient stage
+        g + dt rhs(g): row i of the result is
+        g_i own + g_{i+1} ahead - g_{i-1} behind.  The upwind difference of
+        a lam component reads the node ahead, that of a theta component the
+        node behind; the rows where that node is missing hold incoming
+        traces, which the closure overwrites.  ``ahead`` is None without lam
+        components and ``behind`` None without theta components."""
+        rate = np.repeat(dt * self.speeds[0] / self.dz, 2)
+        lam = np.arange(rate.size) < 2 * self.n1
+        ahead, behind = np.diag(np.where(lam, rate, 0.0)), np.diag(np.where(lam, 0.0, rate))
+        own = np.eye(rate.size) + dt * self._products["bmat"] - ahead + behind
+        return own, ahead if lam.any() else None, None if lam.all() else behind
+
+    def _stage(self, src: np.ndarray, dst: np.ndarray, maps: tuple) -> None:
+        """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt)."""
+        own, ahead, behind = maps
+        s, d, shifted = _floats(src), dst.view(np.float64), self._scratch
+        np.matmul(s, own, out=d)
+        if ahead is not None:
+            np.matmul(s[1:], ahead, out=shifted)
+            d[:-1] += shifted
+        if behind is not None:
+            np.matmul(s[:-1], behind, out=shifted)
+            d[1:] -= shifted
+        self.close(dst)
+
+    def spare(self, g: np.ndarray) -> list:
+        """The field buffers that do not hold g."""
+        return [f for f in self._fields if not np.may_share_memory(f, g)]
+
+    def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
+        """Constant coefficients: the closed mean of g and its second stage,
+        written into a field buffer that does not hold g."""
+        g = np.ascontiguousarray(g, dtype=complex)
+        g1, g2 = self.spare(g)[:2]
+        maps = self._maps if dt == self.dt else self._stage_maps(dt)
+        self._stage(g, g1, maps)
+        self._stage(g1, g2, maps)
+        # g and g2 are closed and the closure is linear, so their mean is too
+        np.add(g, g2, out=g1)
+        g1 *= 0.5
+        return g1
+
+    def reconstruct(self, g: np.ndarray) -> tuple:
+        """x = S^-1 g and H x as (nx+1, 2n) floats; for constant
+        coefficients in two field buffers that do not hold g."""
+        if not self.constant:
+            x = self.apply("s_inv", g)
+            return _floats(x), _floats(self.apply("h", x))
+        x, hx = (f.view(np.float64) for f in self.spare(g)[:2])
+        np.matmul(_floats(g), self._products["s_inv"], out=x)
+        np.matmul(x, self._products["h"], out=hx)
+        return x, hx
+
 
 @dataclass(eq=False)
 class SimState:
@@ -182,6 +247,8 @@ class SimState:
 
     Single-writer: step() mutates in place and returns the same object.
     ``history`` maps column names (t, energy, l1, ...) to growing lists.
+    For constant coefficients ``g`` is one of three buffers that the steps
+    and records rotate through (see step()): copy it to keep it.
     """
 
     system: PHSystem
@@ -200,7 +267,7 @@ class SimState:
         return self._disc.zetas
 
     def x(self) -> np.ndarray:
-        """Reconstructed physical field, shape (nx+1, n)."""
+        """Reconstructed physical field, a new array of shape (nx+1, n)."""
         return self._disc.apply("s_inv", self.g)
 
 
@@ -221,16 +288,17 @@ def _floats(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=complex).view(np.float64)
 
 
-def _node_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of x at each node."""
-    xf = _floats(x)
-    return np.sqrt(np.einsum("ij,ij->i", xf, xf))
+def _node_norms(xf: np.ndarray) -> np.ndarray:
+    """Euclidean norm at each node of x given as (N, 2n) floats xf, which
+    are overwritten by their squares."""
+    np.square(xf, out=xf)
+    return np.sqrt(xf @ np.ones(xf.shape[1]))
 
 
-def _energy(disc: _Discretization, x: np.ndarray) -> float:
-    # Re <x_i, (H x)_i> at each node i
-    density = np.einsum("ij,ij->i", _floats(x), _floats(disc.apply("h", x)))
-    return float(disc.weights @ density)
+def _energy(disc: _Discretization, xf: np.ndarray, hxf: np.ndarray) -> float:
+    """Trapezoid sum of Re <x_i, (H x)_i> from x and H x as (N, 2n) floats."""
+    ends = xf[0] @ hxf[0] + xf[-1] @ hxf[-1]
+    return float(disc.dz * (np.vdot(xf, hxf) - 0.5 * ends))
 
 
 def _lp(weights: np.ndarray, node: np.ndarray, p: float) -> float:
@@ -239,36 +307,41 @@ def _lp(weights: np.ndarray, node: np.ndarray, p: float) -> float:
 
 def energy(state: SimState) -> float:
     """Trapezoid-rule discrete <x, H x>."""
-    return _energy(state._disc, state.x())
+    return _energy(state._disc, *state._disc.reconstruct(state.g))
 
 
 def lp_norm(state: SimState, p: float) -> float:
     """Trapezoid-rule (sum_i w_i |x(z_i)|^p)^(1/p), Euclidean norm per node."""
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p must be finite and >= 1, got {p}")
-    return _lp(state._disc.weights, _node_norms(state.x()), p)
+    return _lp(state._disc.weights, _node_norms(_floats(state.x())), p)
 
 
-def _boundary_residual(state: SimState, x_end: np.ndarray, x_start: np.ndarray) -> float:
-    """Relative residual of the boundary condition from the traces x(1), x(0)."""
-    h = state._disc.h
-    traces = np.concatenate([h[-1] @ x_end, h[0] @ x_start])
+def _boundary_residual(state: SimState, hx_end: np.ndarray, hx_start: np.ndarray) -> float:
+    """Relative residual of the boundary condition from the traces (Hx)(1), (Hx)(0)."""
+    traces = np.concatenate([hx_end, hx_start])
     num = np.linalg.norm(state.system.wb_tilde @ traces)
     scale = state._disc.wb_tilde_norm * np.linalg.norm(traces)
     return float(num / max(scale, 1.0))
 
 
 def _record(state: SimState) -> None:
-    """Append one history row, reconstructing x once for all columns."""
+    """Append one history row, reconstructing x and H x once for all columns."""
     disc = state._disc
-    x = state.x()
+    x, hx = disc.reconstruct(state.g)
     state.history["t"].append(state.t)
-    state.history["energy"].append(_energy(disc, x))
+    state.history["energy"].append(_energy(disc, x, hx))
+    residual = _boundary_residual(state, hx[-1].view(complex), hx[0].view(complex))
+    state.max_bc_residual = max(state.max_bc_residual, residual)
     if state.config.p_norms:
         node = _node_norms(x)
         for p in state.config.p_norms:
             state.history[_norm_label(p)].append(_lp(disc.weights, node, p))
-    state.max_bc_residual = max(state.max_bc_residual, _boundary_residual(state, x[-1], x[0]))
+
+
+def _horizon(t_final: float) -> float:
+    """The time from which a run counts as having reached t_final."""
+    return t_final - 1e-12 * max(1.0, t_final)
 
 
 def setup(
@@ -322,34 +395,48 @@ def setup(
 
 
 def step(state: SimState) -> SimState:
-    """Advance one time step (two Heun stages, closure after each)."""
+    """Advance one time step (two Heun stages, closure after each).
+
+    For constant coefficients the new ``state.g`` is one of three field
+    buffers that the steps and records rotate through, so the array that
+    ``state.g`` held before this call is overwritten by this call's record
+    or by the next step: copy it to keep it.  Variable coefficients give a
+    new array every step.
+    """
     cfg = state.config
-    if state.t >= cfg.t_final - 1e-12 * max(1.0, cfg.t_final):
+    if state.t >= _horizon(cfg.t_final):
         raise PreconditionError(f"t = {state.t} has already reached t_final")
     disc = state._disc
     dt = min(disc.dt, cfg.t_final - state.t)
 
-    g = state.g
-    g1 = g + dt * disc.rhs(g)
-    disc.close(g1)
-    g2 = g1 + dt * disc.rhs(g1)
-    disc.close(g2)
-    # g and g2 are closed and the closure is linear, so their mean is too
-    gnew = 0.5 * (g + g2)
+    if disc.constant:
+        gnew = disc.heun(state.g, dt)
+    else:
+        g = state.g
+        g1 = g + dt * disc.rhs(g)
+        disc.close(g1)
+        g2 = g1 + dt * disc.rhs(g1)
+        disc.close(g2)
+        # g and g2 are closed and the closure is linear, so their mean is too
+        gnew = 0.5 * (g + g2)
 
-    peak = float(np.abs(gnew).max())
-    # a NaN or infinite peak fails the comparison too
-    if not peak <= BLOWUP_FACTOR * max(state._g0_max, 1e-300):
-        raise StabilityError(
-            f"field amplitude {peak:.3e} is not finite or exceeds "
-            f"{BLOWUP_FACTOR:.0e} x initial maximum"
-        )
+    limit = BLOWUP_FACTOR * max(state._g0_max, 1e-300)
+    # |g| <= sqrt(2) max(|Re g|, |Im g|): below limit / 2 the moduli need
+    # not be computed, and a NaN or inf fails this test
+    parts = _floats(gnew)
+    if not max(parts.max(), -parts.min()) <= 0.5 * limit:
+        peak = float(np.abs(gnew).max())
+        # a NaN or infinite peak fails the comparison too
+        if not peak <= limit:
+            raise StabilityError(
+                f"field amplitude {peak:.3e} is not finite or exceeds "
+                f"{BLOWUP_FACTOR:.0e} x initial maximum"
+            )
 
     state.g = gnew
     state.t += dt
     state.step_count += 1
-    at_end = state.t >= cfg.t_final - 1e-12 * max(1.0, cfg.t_final)
-    if state.step_count % cfg.record_every == 0 or at_end:
+    if state.step_count % cfg.record_every == 0 or state.t >= _horizon(cfg.t_final):
         _record(state)
     return state
 
@@ -358,8 +445,7 @@ def run(system: PHSystem, config: SimConfig, x0, allow_illposed: bool = False) -
     """Simulate from t = 0 to t_final; returns the final state with the
     complete norm/energy history."""
     state = setup(system, config, x0, allow_illposed)
-    horizon = config.t_final - 1e-12 * max(1.0, config.t_final)
-    while state.t < horizon:
+    while state.t < _horizon(config.t_final):
         step(state)
     return state
 

@@ -552,16 +552,23 @@ def test_stacked_verdicts_equal_classify():
 
 
 def test_stacked_classification_stops_at_first_refused_system():
-    # P1 H with an eigenvalue in the zero band passes validation but not
-    # classify, at z = 1 for one system and only at z = 0 for the other: the
-    # stack raises one of their errors, and the campaign's replay the first's
+    # P1 H with an eigenvalue in the zero band, at z = 1 for one system and
+    # only at z = 0 for the other: make_system refuses both, so they are
+    # built unchecked; the stack raises one of their errors, and the
+    # campaign's replay, which validates first, the first's refusal
     n = 3
     good = _mixed_stack(n)[:4]
     wb = np.hstack([np.eye(n), np.zeros((n, n))])
     p1 = np.diag([1.0, 2e-10, 1.0])
-    tiny = [phs.make_system(p1, np.zeros((n, n)), np.eye(n), wb),
-            phs.make_system(p1, np.zeros((n, n)), phs.CoefficientField.polynomial(
-                np.stack([np.eye(n), np.diag([0.0, 9.0, 0.0])], axis=-1)), wb)]
+    fields = [np.eye(n), phs.CoefficientField.polynomial(
+        np.stack([np.eye(n), np.diag([0.0, 9.0, 0.0])], axis=-1))]
+    tiny, refusals = [], []
+    for h in fields:
+        with pytest.raises(ValidationError, match="zero band") as refusal:
+            phs.make_system(p1, np.zeros((n, n)), h, wb)
+        refusals.append(str(refusal.value))
+        tiny.append(phs.PHSystem(n=n, p1=p1.astype(complex), p0=np.zeros((n, n), dtype=complex),
+                                 h=phs.model._as_field(h), wb_tilde=wb.astype(complex)))
     messages = []
     for system in tiny:
         with pytest.raises(ValidationError) as reference:
@@ -575,7 +582,7 @@ def test_stacked_classification_stops_at_first_refused_system():
         assert str(stacked.value) in messages
         with pytest.raises(ValidationError) as replayed:
             phs.oracle._first_failure(systems)
-        assert str(replayed.value) == messages[first]
+        assert str(replayed.value) == refusals[first]
 
 
 class TestClassify:

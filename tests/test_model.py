@@ -60,6 +60,35 @@ class TestLoadSystem:
             phs.make_system(1e-20 * np.eye(2), np.zeros((2, 2)), np.eye(2),
                             np.hstack([np.eye(2), np.zeros((2, 2))]))
 
+    def test_p1_h_in_the_zero_band_rejected(self):
+        # P1 and H each pass their own floor, but P1 H = 1e-10 I sits in the
+        # classifier's zero band, which classify would refuse later
+        with pytest.raises(ValidationError, match=r"zero band: lambda_min\(H\) >= 1\.000e-05 "
+                                                  r"and sigma_min\(P1\) = 1\.000e-05"):
+            phs.make_system(1e-5 * np.eye(2), np.zeros((2, 2)), 1e-5 * np.eye(2),
+                            np.hstack([np.eye(2), np.zeros((2, 2))]))
+
+    @pytest.mark.parametrize("p1, accepted", [(2e-6, True), (5e-7, False)])
+    def test_zero_band_bound_reads_the_halved_pieces(self, p1, accepted):
+        # (2z - 1)^2 + 1e-3 has a negative middle control point on [0, 1];
+        # its halves certify lambda_min(H) >= 1e-3, which sets the bound
+        field = _scalar_polynomial([1.0 + 1e-3, -4.0, 4.0])
+        if accepted:
+            phs.make_system([[p1]], [[0.0]], field, [[1.0, 0.0]])
+        else:
+            with pytest.raises(ValidationError, match=r"lambda_min\(H\) >= 1\.000e-03 "):
+                phs.make_system([[p1]], [[0.0]], field, [[1.0, 0.0]])
+
+    def test_zero_band_bound_is_conservative(self):
+        # a documented limitation: H^(1/2) P1 H^(1/2) = diag(1e-6, 1e-4)
+        # clears the band 1e-9 by a factor of 1000, but the Ostrowski bound
+        # pairs lambda_min(H) = 1e-4 with sigma_min(P1) = 1e-6
+        p1, h = np.diag([1e-6, 1.0]), np.diag([1.0, 1e-4])
+        assert np.abs(np.linalg.eigvalsh(np.sqrt(h) @ p1 @ np.sqrt(h))).min() == 1e-6
+        with pytest.raises(ValidationError, match=r"bound its moduli below by 1\.000e-10 "
+                                                  r"< 1\.000e-09"):
+            phs.make_system(p1, np.zeros((2, 2)), h, np.hstack([np.eye(2), np.zeros((2, 2))]))
+
     def test_indefinite_h_rejected(self):
         with pytest.raises(ValidationError, match="positive definite"):
             phs.make_system(np.eye(2), np.zeros((2, 2)), np.diag([1.0, -0.5]),
@@ -477,6 +506,12 @@ INVALID = {
                      "H(zeta=0) is not positive definite (min eigenvalue -1.000e+00 < 1e-08)"),
     "h_dips_below_zero": (_raw_system(h=_dip(-1e-3)), "H(zeta=0.5) is not positive definite "
                           "(min eigenvalue -1.000e-03 < 1e-08)"),
+    # the least control eigenvalue of a grid field is at a knot
+    "p1_h_zero_band": (_raw_system(p1=np.diag([1.0, 1e-5]), h=phs.CoefficientField.grid(
+        [0.0, 0.5, 1.0], [np.eye(2), 1e-5 * np.eye(2), np.eye(2)])),
+                       "P1 H may have an eigenvalue in the zero band: lambda_min(H) >= 1.000e-05 "
+                       "and sigma_min(P1) = 1.000e-05 bound its moduli below by 1.000e-10 "
+                       "< 1.000e-09"),
 }
 VALID = [_raw_system(), _raw_system(h=_dip(1e-2)), _raw_system(p1=np.diag([1.0, -2.0]))]
 
@@ -532,3 +567,24 @@ def _raised(check, *args):
     except ValidationError as error:
         return str(error)
     return None
+
+
+def _scaled(field: phs.CoefficientField, factor: float) -> phs.CoefficientField:
+    if field.kind == "constant":
+        return phs.CoefficientField.constant(factor * field.data[0])
+    return phs.CoefficientField.polynomial(factor * field.data[0])
+
+
+@given(seed=st.integers(0, 2**16), n=st.sampled_from([1, 2, 3]),
+       p1_exp=st.floats(-6.0, 6.0), h_exp=st.floats(-6.0, 6.0))
+@settings(max_examples=100, deadline=None)
+def test_accepted_systems_classify_at_any_scale(seed, n, p1_exp, h_exp):
+    # what make_system accepts, classify and the simulator grid accept too
+    base = phs.random_system(seed, n)
+    try:
+        system = phs.make_system(10.0**p1_exp * base.p1, base.p0,
+                                 _scaled(base.h, 10.0**h_exp), base.wb_tilde)
+    except ValidationError:
+        return
+    phs.classify(system)
+    phs.diagonalize_field(system, np.linspace(0.0, 1.0, 257))

@@ -226,20 +226,22 @@ class TestCampaign:
 
     @pytest.mark.parametrize("refused, unclassifiable", [(20, 30), (30, 20), (150, 120), (150, 60)])
     def test_raises_at_first_failing_system(self, monkeypatch, refused, unclassifiable):
-        # system `refused` fails validation, system `unclassifiable` passes it
-        # but not classify: the campaign raises what a system-by-system run
-        # raises first, also within a later batch and across batches
-        eye = np.eye(2)
-        bad = {refused: phs.PHSystem(2, eye.astype(complex), 0 * eye.astype(complex),
-                                     phs.CoefficientField.constant(-eye),
-                                     np.hstack([eye, eye]).astype(complex)),
-               unclassifiable: phs.make_system(np.diag([1.0, 2e-10]), 0 * eye, eye,
-                                               np.hstack([eye, 0 * eye]))}
+        # system `refused` fails validation at H, system `unclassifiable`
+        # at the zero band of P1 H, the check that keeps classify from
+        # failing: the campaign raises what a system-by-system run raises
+        # first, also within a later batch and across batches
+        eye = np.eye(2).astype(complex)
+        bad = {refused: phs.PHSystem(2, eye, 0 * eye, phs.CoefficientField.constant(-eye),
+                                     np.hstack([eye, eye])),
+               unclassifiable: phs.PHSystem(2, np.diag([1.0, 2e-10]).astype(complex), 0 * eye,
+                                            phs.CoefficientField.constant(eye),
+                                            np.hstack([eye, 0 * eye]))}
         expected = {}
-        for k, check in ((refused, phs.validate_system), (unclassifiable, phs.classify)):
+        for k in (refused, unclassifiable):
             with pytest.raises(phs.ValidationError) as exc:
-                check(bad[k])
+                phs.validate_system(bad[k])
             expected[k] = str(exc.value)
+        assert "zero band" in expected[unclassifiable]
         real = phs.oracle._random_systems
 
         def substituted(seeds, n, hints):

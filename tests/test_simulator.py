@@ -1,8 +1,12 @@
 """Simulator: setup, stepping, norms, boundary closure, stability guards."""
 
 import io
+import json
 import math
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from phs.errors import (
 )
 
 from conftest import FIXTURES, crossing_system, network_system, string_system, transport_system
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import make_sim_histories  # noqa: E402
 
 # Maximum admissible relative increase per step for monotone-norm checks.
 TOL_MONO = 1e-3
@@ -280,6 +287,48 @@ class TestStep:
             phs.step(state)
         assert len(calls) == 10
 
+    def test_constant_step_allocates_no_field(self):
+        # one field is (nx+1) n complex entries; the constant path steps and
+        # records on preallocated buffers
+        system = phs.load_system(FIXTURES / "network_three_lines.json")
+        cfg = phs.SimConfig(nx=4096, t_final=1.0, p_norms=(1.0, 2.0, 3.0))
+        state = phs.setup(system, cfg, gaussian(0.5, 0.1))
+        phs.step(state)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                phs.step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(state.history["t"]) == 22
+        assert peak < (cfg.nx + 1) * system.n * 16
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_previous_field_kept_only_for_variable_fields(self, network, constant):
+        # constant fields rotate g through three buffers, so the array read
+        # from state.g before a recorded step holds that step's x after it;
+        # variable fields give a new array every step
+        system = network if constant else string_system((1.0, 1.0))
+        assert (system.h.kind == "constant") is constant
+        state = phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
+        phs.step(state)
+        kept = state.g
+        before = kept.copy()
+        phs.step(state)
+        assert state.g is not kept
+        assert np.array_equal(kept, before) is not constant
+
+    def test_constant_setup_diagonalizes_the_two_ends(self, network, monkeypatch):
+        points = []
+        diagonalize = phs.simulator.diagonalize_field
+        monkeypatch.setattr(phs.simulator, "diagonalize_field",
+                            lambda system, grid: points.append(len(grid))
+                            or diagonalize(system, grid))
+        phs.setup(network, phs.SimConfig(nx=64), gaussian(0.5, 0.1))
+        phs.setup(string_system((1.0, 1.0)), phs.SimConfig(nx=64), gaussian(0.5, 0.1))
+        assert points == [2, 65]
+
     def test_step_after_final_rejected(self, transport):
         cfg = phs.SimConfig(nx=32, t_final=0.05)
         state = phs.run(transport, cfg, gaussian(0.5, 0.1))
@@ -301,6 +350,20 @@ class TestStep:
         state.g = state.g + 1e8  # corrupt the field beyond the guard
         with pytest.raises(StabilityError):
             phs.step(state)
+
+    @pytest.mark.parametrize("modulus, raises", [(0.99, False), (1.01, True)])
+    def test_guard_compares_the_modulus(self, transport, modulus, raises):
+        # re = im = modulus * limit / sqrt(2): each part is below the limit
+        # and above half of it, so only the modulus decides
+        state = phs.setup(transport, phs.SimConfig(nx=32, t_final=1.0), gaussian(0.5, 0.1))
+        limit = phs.simulator.BLOWUP_FACTOR * state._g0_max
+        state.g = np.full_like(state.g, modulus * limit / math.sqrt(2.0) * (1.0 + 1.0j))
+        if raises:
+            with pytest.raises(StabilityError, match="exceeds"):
+                phs.step(state)
+        else:
+            phs.step(state)
+            assert np.abs(state.g).max() == pytest.approx(modulus * limit, rel=1e-12)
 
 
 class TestRun:
@@ -408,3 +471,30 @@ class TestCsv:
         assert len(lines) == 1 + 33
         row = [float(v) for v in lines[1].split(",")]
         assert row[0] == 0.0
+
+
+# written by scripts/make_sim_histories.py
+SIM_HISTORIES = json.loads((Path(__file__).resolve().parent / "data" / "sim_histories.json")
+                           .read_text())
+
+
+@pytest.mark.parametrize("key", sorted(SIM_HISTORIES))
+def test_pinned_history(key):
+    """Every pinned history value, and the final field at every pinned node,
+    within 1e-12 of the largest magnitude in its column (a field column is
+    one component of x)."""
+    name, nx = key.split(" nx=")
+    state = make_sim_histories.simulate(name, int(nx))
+    pinned = SIM_HISTORIES[key]
+    rows = pinned["rows"]
+    assert rows[-1] == len(state.history["t"]) - 1
+    assert state.history.keys() == pinned["history"].keys()
+    for column, expected in pinned["history"].items():
+        got = np.array(state.history[column])[rows]
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max(), err_msg=column)
+    x = state.x()[::make_sim_histories.STRIDE]
+    expected = np.array(pinned["x_re"]) + 1j * np.array(pinned["x_im"])
+    assert np.all(np.abs(x - expected) <= 1e-12 * np.abs(expected).max(axis=0))
+    assert abs(state.max_bc_residual - pinned["max_bc_residual"]) \
+        <= 1e-12 * max(1.0, pinned["max_bc_residual"])
