@@ -21,13 +21,17 @@ Discretization, chosen for transparency rather than accuracy:
   * explicit two-stage strong-stability time stepping (Heun), dt set by
     the CFL condition dt * max|speed| / dz <= CFL;
   * dS^-1/dz by centered differences on the grid (one-sided at the ends);
+  * a Heun stage is one linear map on the field's real form: a product
+    for the node itself and the upwind rates times the node ahead (lam
+    block) and behind (theta block), written into preallocated fields;
   * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
     the speeds are the same at every node and dS^-1/dz = 0, so the field
-    is diagonalized at z = 0 and 1 only.  A Heun stage is then one linear
-    map on the field's real form: one 2n x 2n product for the node itself
-    and one each for the node ahead (lam block) and behind (theta block),
-    written into preallocated buffers, as are x and H x for the records;
-    variable fields use per-node products on fresh arrays;
+    is diagonalized at z = 0 and 1 only, each stage map is one 2n x 2n
+    real matrix, and the steps and records write into three rotating
+    buffers;
+  * variable coefficients: the node's own map is one complex n x n
+    matrix per node and the rates one row per node; the stages write into
+    two scratch fields and the mean of a step into a new array;
   * boundary closure after every stage: the incoming traces g+(1), g-(0)
     solve   [V1 U2] [g+(1); g-(0)] = -[U1 V2] [g+(0); g-(1)]
     with W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2] split at
@@ -105,9 +109,9 @@ class _Discretization:
     """Everything about the grid that is constant in time.
 
     ``speeds`` is (nx+1, n).  For a constant coefficient field it is a
-    read-only view of the speeds at one node repeated over the grid,
-    ``apply`` multiplies by one matrix (in real form), and ``heun`` steps
-    on preallocated buffers.
+    read-only view of the speeds at one node repeated over the grid and
+    ``apply`` multiplies by one matrix (in real form).  ``heun`` steps both
+    kinds through ``_stage`` on preallocated fields.
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
@@ -130,14 +134,14 @@ class _Discretization:
         s_inv = dfield.s_inv[nodes]
         h = system.h.eval_many(self.zetas[nodes])
         s = np.linalg.inv(s_inv)
-        bmat = s @ (system.p0 @ h) @ s_inv
+        coupling = (system.p0 @ h) @ s_inv
         if not self.constant:
             ds_inv = np.empty_like(s_inv)
             ds_inv[1:-1] = (s_inv[2:] - s_inv[:-2]) / (2.0 * self.dz)
             ds_inv[0] = (s_inv[1] - s_inv[0]) / self.dz
             ds_inv[-1] = (s_inv[-1] - s_inv[-2]) / self.dz
-            bmat += (s @ ds_inv) * dfield.speeds[:, None, :]
-        fields = {"s_inv": s_inv, "s": s, "h": h, "bmat": bmat}
+            coupling += ds_inv * dfield.speeds[:, None, :]
+        fields = {"s_inv": s_inv, "s": s, "h": h, "bmat": s @ coupling}
         self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
         self._products = ({name: _real_form(m[0]) for name, m in fields.items()}
                           if self.constant else fields)
@@ -154,12 +158,14 @@ class _Discretization:
         weights[0] = weights[-1] = self.dz / 2.0
         self.weights = weights
         self.wb_tilde_norm = float(np.linalg.norm(system.wb_tilde))
-        if self.constant:
-            # three fields rotate through the steps (start, stage, stage) and
-            # the records; the scratch holds the shifted products of a stage
-            self._fields = [np.empty((nx + 1, n), dtype=complex) for _ in range(3)]
-            self._scratch = np.empty((nx, 2 * n))
-            self._maps = self._stage_maps(self.dt)
+        # constant fields rotate three field buffers through the steps (start,
+        # stage, stage) and the records; variable fields write their two
+        # stages into two and their mean into a new array.  The scratch holds
+        # the shifted products of a stage.
+        self._fields = [np.empty((nx + 1, n), dtype=complex)
+                        for _ in range(3 if self.constant else 2)]
+        self._scratch = np.empty((nx, 2 * n))
+        self._maps = self._stage_maps(self.dt)
 
     def apply(self, name: str, g: np.ndarray) -> np.ndarray:
         """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s, h or
@@ -177,6 +183,8 @@ class _Discretization:
         g[0, n1:] = incoming[n1:]
 
     def rhs(self, g: np.ndarray) -> np.ndarray:
+        """d/dt g before the closure, as a new array: the reference that a
+        stage g + dt rhs(g) is tested against."""
         flux = self._speeds_dz * g
         diff = flux[1:] - flux[:-1]
         out = self.apply("bmat", g)
@@ -186,29 +194,49 @@ class _Discretization:
         return out
 
     def _stage_maps(self, dt: float) -> tuple:
-        """Real forms (own, ahead, behind) of one constant-coefficient stage
-        g + dt rhs(g): row i of the result is
-        g_i own + g_{i+1} ahead - g_{i-1} behind.  The upwind difference of
-        a lam component reads the node ahead, that of a theta component the
-        node behind; the rows where that node is missing hold incoming
-        traces, which the closure overwrites.  ``ahead`` is None without lam
-        components and ``behind`` None without theta components."""
-        rate = np.repeat(dt * self.speeds[0] / self.dz, 2)
-        lam = np.arange(rate.size) < 2 * self.n1
-        ahead, behind = np.diag(np.where(lam, rate, 0.0)), np.diag(np.where(lam, 0.0, rate))
-        own = np.eye(rate.size) + dt * self._products["bmat"] - ahead + behind
+        """Maps (own, ahead, behind) of one stage g + dt rhs(g), on the
+        (nx+1, 2n) float view of g: row i of the result is
+        own_i(g_i) + ahead_{i+1} g_{i+1} - behind_{i-1} g_{i-1}.  The
+        upwind difference of a lam component reads the node ahead, that of
+        a theta component the node behind; the rows where that node is
+        missing hold incoming traces, which the closure overwrites.
+        ``ahead`` and ``behind`` are dt speed / dz on the lam and theta
+        columns, own = I + dt B - diag(ahead) + diag(behind).
+
+        Constant fields: each map is one real-form 2n x 2n matrix.  Variable
+        fields: own is a complex (nx+1, n, n) stack, ahead and behind are the
+        (nx, 2n) rates at the nodes they read, each repeated for re and im.
+        ``ahead`` is None without lam components and ``behind`` None without
+        theta components."""
+        speeds = self.speeds[:1] if self.constant else self.speeds
+        rates = np.repeat(dt * speeds / self.dz, 2, axis=1)
+        lam = np.arange(rates.shape[1]) < 2 * self.n1
+        ahead, behind = np.where(lam, rates, 0.0), np.where(lam, 0.0, rates)
+        own = dt * self._products["bmat"]
+        if self.constant:
+            own += np.diag(1.0 - ahead[0] + behind[0])
+            ahead, behind = np.diag(ahead[0]), np.diag(behind[0])
+        else:
+            diag = np.arange(speeds.shape[1])
+            own[:, diag, diag] += (1.0 - ahead + behind)[:, ::2]
+            ahead, behind = ahead[1:], behind[:-1]
         return own, ahead if lam.any() else None, None if lam.all() else behind
 
     def _stage(self, src: np.ndarray, dst: np.ndarray, maps: tuple) -> None:
         """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt)."""
         own, ahead, behind = maps
-        s, d, shifted = _floats(src), dst.view(np.float64), self._scratch
-        np.matmul(s, own, out=d)
+        s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
+        if self.constant:
+            np.matmul(s, own, out=d)
+            neighbour = np.matmul
+        else:
+            np.einsum("nij,nj->ni", own, src, out=dst)
+            neighbour = np.multiply
         if ahead is not None:
-            np.matmul(s[1:], ahead, out=shifted)
+            neighbour(s[1:], ahead, out=shifted)
             d[:-1] += shifted
         if behind is not None:
-            np.matmul(s[:-1], behind, out=shifted)
+            neighbour(s[:-1], behind, out=shifted)
             d[1:] -= shifted
         self.close(dst)
 
@@ -217,17 +245,18 @@ class _Discretization:
         return [f for f in self._fields if not np.may_share_memory(f, g)]
 
     def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
-        """Constant coefficients: the closed mean of g and its second stage,
-        written into a field buffer that does not hold g."""
+        """The closed mean of g and its second stage: for constant fields
+        written into a field buffer that does not hold g, for variable
+        fields a new array."""
         g = np.ascontiguousarray(g, dtype=complex)
-        g1, g2 = self.spare(g)[:2]
+        g1, g2 = self.spare(g)[:2] if self.constant else self._fields
         maps = self._maps if dt == self.dt else self._stage_maps(dt)
         self._stage(g, g1, maps)
         self._stage(g1, g2, maps)
         # g and g2 are closed and the closure is linear, so their mean is too
-        np.add(g, g2, out=g1)
-        g1 *= 0.5
-        return g1
+        mean = np.add(g, g2, out=g1 if self.constant else None)
+        mean *= 0.5
+        return mean
 
     def reconstruct(self, g: np.ndarray) -> tuple:
         """x = S^-1 g and H x as (nx+1, 2n) floats; for constant
@@ -404,26 +433,17 @@ def step(state: SimState) -> SimState:
     new array every step.
     """
     cfg = state.config
-    if state.t >= _horizon(cfg.t_final):
+    horizon = _horizon(cfg.t_final)
+    if state.t >= horizon:
         raise PreconditionError(f"t = {state.t} has already reached t_final")
     disc = state._disc
     dt = min(disc.dt, cfg.t_final - state.t)
-
-    if disc.constant:
-        gnew = disc.heun(state.g, dt)
-    else:
-        g = state.g
-        g1 = g + dt * disc.rhs(g)
-        disc.close(g1)
-        g2 = g1 + dt * disc.rhs(g1)
-        disc.close(g2)
-        # g and g2 are closed and the closure is linear, so their mean is too
-        gnew = 0.5 * (g + g2)
+    gnew = disc.heun(state.g, dt)
 
     limit = BLOWUP_FACTOR * max(state._g0_max, 1e-300)
     # |g| <= sqrt(2) max(|Re g|, |Im g|): below limit / 2 the moduli need
     # not be computed, and a NaN or inf fails this test
-    parts = _floats(gnew)
+    parts = gnew.view(np.float64)
     if not max(parts.max(), -parts.min()) <= 0.5 * limit:
         peak = float(np.abs(gnew).max())
         # a NaN or infinite peak fails the comparison too
@@ -436,7 +456,7 @@ def step(state: SimState) -> SimState:
     state.g = gnew
     state.t += dt
     state.step_count += 1
-    if state.step_count % cfg.record_every == 0 or state.t >= _horizon(cfg.t_final):
+    if state.step_count % cfg.record_every == 0 or state.t >= horizon:
         _record(state)
     return state
 

@@ -304,6 +304,45 @@ class TestStep:
         assert len(state.history["t"]) == 22
         assert peak < (cfg.nx + 1) * system.n * 16
 
+    def test_variable_step_allocates_two_fields(self):
+        # variable fields write their stages into two scratch fields and the
+        # mean into a new array, so a step holds at most the previous and the
+        # new field; no record falls inside the window
+        system = phs.load_system(FIXTURES / "string_stiffening.json")
+        cfg = phs.SimConfig(nx=1024, t_final=1.0, record_every=10**9)
+        state = phs.setup(system, cfg, gaussian(0.5, 0.1))
+        phs.step(state)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                phs.step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.step_count == 21 and len(state.history["t"]) == 1
+        assert peak < 3 * (cfg.nx + 1) * system.n * 16
+
+    @pytest.mark.parametrize("name", [
+        "string_stiffening", "string_uniform", "transport_grid_h", "transport_variable_h"])
+    @pytest.mark.parametrize("dt_scale", [1.0, 0.3])
+    def test_variable_stage_is_euler_step_of_rhs(self, name, dt_scale):
+        # a stage is g + dt rhs(g) except on the incoming traces, which the
+        # closure overwrites
+        system = phs.load_system(FIXTURES / f"{name}.json")
+        state = phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1),
+                          allow_illposed=True)
+        disc = state._disc
+        assert not disc.constant
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((65, system.n)) + 1j * rng.standard_normal((65, system.n))
+        dt = dt_scale * disc.dt
+        expected = g + dt * disc.rhs(g)
+        staged = np.empty_like(g)
+        disc._stage(g, staged, disc._stage_maps(dt))
+        kept = np.ones(g.shape, dtype=bool)
+        kept[-1, :disc.n1] = kept[0, disc.n1:] = False
+        assert np.abs(staged - expected)[kept].max() <= 1e-14 * np.abs(g).max()
+
     @pytest.mark.parametrize("constant", [True, False])
     def test_previous_field_kept_only_for_variable_fields(self, network, constant):
         # constant fields rotate g through three buffers, so the array read
