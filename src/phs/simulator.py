@@ -24,11 +24,14 @@ Discretization, chosen for transparency rather than accuracy:
   * a Heun stage is one linear map on the field's real form: a product
     for the node itself and the upwind rates times the node ahead (lam
     block) and behind (theta block), written into preallocated fields;
+    an end node lacks one of these neighbours exactly in the traces that
+    the closure overwrites;
   * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
     the speeds are the same at every node and dS^-1/dz = 0, so the field
-    is diagonalized at z = 0 and 1 only, each stage map is one 2n x 2n
-    real matrix, and the steps and records write into three rotating
-    buffers;
+    is diagonalized at z = 0 and 1 only.  The steps and records write into
+    three rotating buffers, each with a zero ghost row at both ends, so a
+    stage row reads a window of w = 2 or 3 consecutive buffer rows and the
+    stage is w products of those windows with one stacked real matrix;
   * variable coefficients: the node's own map is one complex n x n
     matrix per node and the rates one row per node; the stages write into
     two scratch fields and the mean of a step into a new array;
@@ -45,7 +48,8 @@ Discretization, chosen for transparency rather than accuracy:
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
-``record_every`` steps, from one reconstruction of x and H x per record;
+``record_every`` steps, from one reconstruction of x and H x and one
+squaring of x per record;
 the boundary residual uses the two endpoint rows of H x.  A non-finite initial field
 and a non-finite or blown-up field after a step raise StabilityError.
 """
@@ -143,11 +147,10 @@ class _Discretization:
             coupling += ds_inv * dfield.speeds[:, None, :]
         fields = {"s_inv": s_inv, "s": s, "h": h, "bmat": s @ coupling}
         self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
+        # speeds over dz: real scaling here spares rhs a complex division
+        self._speeds_dz = np.broadcast_to(dfield.speeds[nodes] / self.dz, (nx + 1, n))
         self._products = ({name: _real_form(m[0]) for name, m in fields.items()}
                           if self.constant else fields)
-        if not self.constant:
-            # speeds over dz: real scaling here spares rhs a complex division
-            self._speeds_dz = self.speeds / self.dz
 
         # K^+ = K^-1 for a generator; least squares for an ill-posed demonstration
         closure = boundary_closure_matrix(system, dfield)
@@ -158,14 +161,38 @@ class _Discretization:
         weights[0] = weights[-1] = self.dz / 2.0
         self.weights = weights
         self.wb_tilde_norm = float(np.linalg.norm(system.wb_tilde))
-        # constant fields rotate three field buffers through the steps (start,
-        # stage, stage) and the records; variable fields write their two
-        # stages into two and their mean into a new array.  The scratch holds
-        # the shifted products of a stage.
-        self._fields = [np.empty((nx + 1, n), dtype=complex)
-                        for _ in range(3 if self.constant else 2)]
-        self._scratch = np.empty((nx, 2 * n))
+        if self.constant:
+            # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam block)
+            self._taps = range(-1 if self.n1 < n else 0, 2 if self.n1 > 0 else 1)
+            # three field buffers rotate through the steps (start, stage,
+            # stage) and the records; each is the view g = pad[1:-1] of a
+            # padded array whose zero ghost rows no write reaches
+            pads = [np.zeros((nx + 3, n), dtype=complex) for _ in range(3)]
+            self._fields = [pad[1:-1] for pad in pads]
+            self._windows = {id(f): self._stage_windows(pad)
+                             for f, pad in zip(self._fields, pads)}
+        else:
+            # two stage fields, the mean goes into a new array; the scratch
+            # holds the shifted products of a stage
+            self._fields = [np.empty((nx + 1, n), dtype=complex) for _ in range(2)]
+            self._scratch = np.empty((nx, 2 * n))
         self._maps = self._stage_maps(self.dt)
+
+    def _stage_windows(self, pad: np.ndarray) -> tuple:
+        """Views of a padded field buffer for the constant-field stage, for
+        r = 0 .. w-1 with w = len(_taps): windows[r] has one row per stage
+        row i = r, r + w, ..., holding the w consecutive buffer rows that
+        row i reads, and rows[r] is those rows i of the field, both on the
+        float view.  The windows of one r are disjoint and contiguous."""
+        nx1, width = pad.shape[0] - 2, pad.shape[1] * 2
+        flat, w = pad.view(np.float64).reshape(-1), len(self._taps)
+        windows = []
+        for r in range(w):
+            start = (1 + self._taps.start + r) * width
+            count = len(range(r, nx1, w))
+            windows.append(flat[start:start + count * w * width].reshape(count, w * width))
+        rows = pad[1:-1].view(np.float64)
+        return windows, [rows[r::w] for r in range(w)]
 
     def apply(self, name: str, g: np.ndarray) -> np.ndarray:
         """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s, h or
@@ -193,9 +220,9 @@ class _Discretization:
         out[1:, n1:] += diff[:, n1:]
         return out
 
-    def _stage_maps(self, dt: float) -> tuple:
-        """Maps (own, ahead, behind) of one stage g + dt rhs(g), on the
-        (nx+1, 2n) float view of g: row i of the result is
+    def _stage_maps(self, dt: float):
+        """Maps of one stage g + dt rhs(g), on the (nx+1, 2n) float view of
+        g: row i of the result is
         own_i(g_i) + ahead_{i+1} g_{i+1} - behind_{i-1} g_{i-1}.  The
         upwind difference of a lam component reads the node ahead, that of
         a theta component the node behind; the rows where that node is
@@ -203,11 +230,14 @@ class _Discretization:
         ``ahead`` and ``behind`` are dt speed / dz on the lam and theta
         columns, own = I + dt B - diag(ahead) + diag(behind).
 
-        Constant fields: each map is one real-form 2n x 2n matrix.  Variable
-        fields: own is a complex (nx+1, n, n) stack, ahead and behind are the
-        (nx, 2n) rates at the nodes they read, each repeated for re and im.
-        ``ahead`` is None without lam components and ``behind`` None without
-        theta components."""
+        Constant fields: one real (w 2n, 2n) matrix, the real forms
+        [-diag(behind); own; diag(ahead)] stacked in the order of ``_taps``
+        and only for the taps that exist, so that a window of the rows
+        i - 1, i, i + 1 (or of two of them) times it is row i.  Variable
+        fields: (own, ahead, behind) with own a complex (nx+1, n, n) stack
+        and ahead and behind the (nx, 2n) rates at the nodes they read, each
+        repeated for re and im; ``ahead`` is None without lam components and
+        ``behind`` None without theta components."""
         speeds = self.speeds[:1] if self.constant else self.speeds
         rates = np.repeat(dt * speeds / self.dz, 2, axis=1)
         lam = np.arange(rates.shape[1]) < 2 * self.n1
@@ -215,29 +245,30 @@ class _Discretization:
         own = dt * self._products["bmat"]
         if self.constant:
             own += np.diag(1.0 - ahead[0] + behind[0])
-            ahead, behind = np.diag(ahead[0]), np.diag(behind[0])
-        else:
-            diag = np.arange(speeds.shape[1])
-            own[:, diag, diag] += (1.0 - ahead + behind)[:, ::2]
-            ahead, behind = ahead[1:], behind[:-1]
-        return own, ahead if lam.any() else None, None if lam.all() else behind
+            taps = {-1: -np.diag(behind[0]), 0: own, 1: np.diag(ahead[0])}
+            return np.vstack([taps[t] for t in self._taps])
+        diag = np.arange(speeds.shape[1])
+        own[:, diag, diag] += (1.0 - ahead + behind)[:, ::2]
+        return own, ahead[1:] if lam.any() else None, None if lam.all() else behind[:-1]
 
-    def _stage(self, src: np.ndarray, dst: np.ndarray, maps: tuple) -> None:
-        """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt)."""
-        own, ahead, behind = maps
-        s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
+    def _stage(self, src: np.ndarray, dst: np.ndarray, maps) -> None:
+        """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt).  For
+        constant fields src and dst are field buffers: each window product
+        writes every w-th row of dst, and the ghost rows read as zero
+        neighbours of the end nodes."""
         if self.constant:
-            np.matmul(s, own, out=d)
-            neighbour = np.matmul
+            for window, rows in zip(self._windows[id(src)][0], self._windows[id(dst)][1]):
+                np.matmul(window, maps, out=rows)
         else:
+            own, ahead, behind = maps
+            s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
             np.einsum("nij,nj->ni", own, src, out=dst)
-            neighbour = np.multiply
-        if ahead is not None:
-            neighbour(s[1:], ahead, out=shifted)
-            d[:-1] += shifted
-        if behind is not None:
-            neighbour(s[:-1], behind, out=shifted)
-            d[1:] -= shifted
+            if ahead is not None:
+                np.multiply(s[1:], ahead, out=shifted)
+                d[:-1] += shifted
+            if behind is not None:
+                np.multiply(s[:-1], behind, out=shifted)
+                d[1:] -= shifted
         self.close(dst)
 
     def spare(self, g: np.ndarray) -> list:
@@ -248,8 +279,18 @@ class _Discretization:
         """The closed mean of g and its second stage: for constant fields
         written into a field buffer that does not hold g, for variable
         fields a new array."""
-        g = np.ascontiguousarray(g, dtype=complex)
-        g1, g2 = self.spare(g)[:2] if self.constant else self._fields
+        if not self.constant:
+            g = np.ascontiguousarray(g, dtype=complex)
+            g1, g2 = self._fields
+        else:
+            if id(g) not in self._windows:
+                # an array from outside the buffers: copy it into the one
+                # it overlaps, if any, else into the first
+                src = next((f for f in self._fields if np.may_share_memory(f, g)),
+                           self._fields[0])
+                np.copyto(src, g)
+                g = src
+            g1, g2 = self.spare(g)
         maps = self._maps if dt == self.dt else self._stage_maps(dt)
         self._stage(g, g1, maps)
         self._stage(g1, g2, maps)
@@ -277,7 +318,8 @@ class SimState:
     Single-writer: step() mutates in place and returns the same object.
     ``history`` maps column names (t, energy, l1, ...) to growing lists.
     For constant coefficients ``g`` is one of three buffers that the steps
-    and records rotate through (see step()): copy it to keep it.
+    and records rotate through (see step()): copy it to keep it.  An array
+    assigned to ``g`` is copied into a buffer by the next step.
     """
 
     system: PHSystem
@@ -317,11 +359,11 @@ def _floats(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=complex).view(np.float64)
 
 
-def _node_norms(xf: np.ndarray) -> np.ndarray:
-    """Euclidean norm at each node of x given as (N, 2n) floats xf, which
-    are overwritten by their squares."""
+def _node_squares(xf: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm at each node of x given as (N, 2n) floats xf,
+    which are overwritten by their squares."""
     np.square(xf, out=xf)
-    return np.sqrt(xf @ np.ones(xf.shape[1]))
+    return xf @ np.ones(xf.shape[1])
 
 
 def _energy(disc: _Discretization, xf: np.ndarray, hxf: np.ndarray) -> float:
@@ -330,8 +372,10 @@ def _energy(disc: _Discretization, xf: np.ndarray, hxf: np.ndarray) -> float:
     return float(disc.dz * (np.vdot(xf, hxf) - 0.5 * ends))
 
 
-def _lp(weights: np.ndarray, node: np.ndarray, p: float) -> float:
-    return float(np.einsum("n,n->", weights, node**p) ** (1.0 / p))
+def _lp(weights: np.ndarray, squares: np.ndarray, p: float) -> float:
+    """(sum_i w_i |x_i|^p)^(1/p) from the node squares |x_i|^2.  numpy
+    takes the power 1/2 (p = 1) as a square root and 1 (p = 2) as a copy."""
+    return float((weights @ squares ** (p / 2)) ** (1.0 / p))
 
 
 def energy(state: SimState) -> float:
@@ -343,7 +387,7 @@ def lp_norm(state: SimState, p: float) -> float:
     """Trapezoid-rule (sum_i w_i |x(z_i)|^p)^(1/p), Euclidean norm per node."""
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p must be finite and >= 1, got {p}")
-    return _lp(state._disc.weights, _node_norms(_floats(state.x())), p)
+    return _lp(state._disc.weights, _node_squares(_floats(state.x())), p)
 
 
 def _boundary_residual(state: SimState, hx_end: np.ndarray, hx_start: np.ndarray) -> float:
@@ -363,9 +407,9 @@ def _record(state: SimState) -> None:
     residual = _boundary_residual(state, hx[-1].view(complex), hx[0].view(complex))
     state.max_bc_residual = max(state.max_bc_residual, residual)
     if state.config.p_norms:
-        node = _node_norms(x)
+        squares = _node_squares(x)
         for p in state.config.p_norms:
-            state.history[_norm_label(p)].append(_lp(disc.weights, node, p))
+            state.history[_norm_label(p)].append(_lp(disc.weights, squares, p))
 
 
 def _horizon(t_final: float) -> float:

@@ -33,6 +33,40 @@ def gaussian(center, width):
     return lambda z: np.exp(-0.5 * ((z - center) / width) ** 2)
 
 
+def constant_string() -> phs.PHSystem:
+    """A string with a constant, coupled H and dissipative P0: one lam and
+    one theta component, so a stage reads the nodes behind and ahead."""
+    h = np.array([[2.0, 0.5j], [-0.5j, 1.5]])
+    p0 = np.array([[-0.5, 1.0], [-1.0, -0.2]])
+    wb = np.hstack([np.eye(2), np.diag([-1.0, 1.0])])
+    return phs.make_system([[0.0, 1.0], [1.0, 0.0]], p0, h, wb)
+
+
+def backward_transport() -> phs.PHSystem:
+    """Scalar transport toward z = 1 (a theta component only), damped."""
+    return phs.make_system([[-1.0]], [[-0.3]], [[1.5]], [[1.0, 2.0]])
+
+
+CONSTANT_SYSTEMS = {
+    "network_three_lines": lambda: phs.load_system(FIXTURES / "network_three_lines.json"),
+    "constant_string": constant_string,
+    "backward_transport": backward_transport,
+}
+
+
+def assert_stage_is_euler_step_of_rhs(disc, src, dst, dt):
+    """One stage of src into dst is src + dt rhs(src) except on the incoming
+    traces, which the closure overwrites."""
+    rng = np.random.default_rng(7)
+    src[...] = rng.standard_normal(src.shape) + 1j * rng.standard_normal(src.shape)
+    g = src.copy()
+    expected = g + dt * disc.rhs(g)
+    disc._stage(src, dst, disc._stage_maps(dt))
+    kept = np.ones(g.shape, dtype=bool)
+    kept[-1, :disc.n1] = kept[0, disc.n1:] = False
+    assert np.abs(dst - expected)[kept].max() <= 1e-14 * np.abs(g).max()
+
+
 class TestNorms:
     def test_unit_state_identity_density(self, network):
         cfg = phs.SimConfig(nx=64, t_final=1.0)
@@ -61,6 +95,28 @@ class TestNorms:
         x = np.ones((33, 2), dtype=complex)
         state.g = state._disc.apply("s", x)
         assert phs.energy(state) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    def test_one_norm_route(self, name):
+        # energy() and lp_norm() compute the record's columns, and both are
+        # trapezoid sums over the nodes
+        system = phs.load_system(FIXTURES / f"{name}.json")
+        p_norms = (1.0, 1.5, 2.0, 3.0)
+        cfg = phs.SimConfig(nx=64, t_final=1.0, p_norms=p_norms)
+        state = phs.setup(system, cfg, gaussian(0.4, 0.1))
+        for _ in range(7):
+            phs.step(state)
+        x = state.x()
+        w = np.full(cfg.nx + 1, 1.0 / cfg.nx)
+        w[0] = w[-1] = 0.5 / cfg.nx
+        hx = np.einsum("nij,nj->ni", system.h.eval_many(state.zetas), x)
+        energy = sum(w[i] * np.vdot(x[i], hx[i]).real for i in range(cfg.nx + 1))
+        assert phs.energy(state) == state.history["energy"][-1]
+        assert phs.energy(state) == pytest.approx(energy, rel=1e-13)
+        for p in p_norms:
+            norm = sum(w[i] * np.linalg.norm(x[i]) ** p for i in range(cfg.nx + 1)) ** (1 / p)
+            assert phs.lp_norm(state, p) == state.history[f"l{p:g}"][-1]
+            assert phs.lp_norm(state, p) == pytest.approx(norm, rel=1e-13)
 
     def test_lp_norm_domain(self, transport):
         cfg = phs.SimConfig(nx=32, t_final=1.0)
@@ -326,22 +382,54 @@ class TestStep:
         "string_stiffening", "string_uniform", "transport_grid_h", "transport_variable_h"])
     @pytest.mark.parametrize("dt_scale", [1.0, 0.3])
     def test_variable_stage_is_euler_step_of_rhs(self, name, dt_scale):
-        # a stage is g + dt rhs(g) except on the incoming traces, which the
-        # closure overwrites
         system = phs.load_system(FIXTURES / f"{name}.json")
         state = phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1),
                           allow_illposed=True)
         disc = state._disc
         assert not disc.constant
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((65, system.n)) + 1j * rng.standard_normal((65, system.n))
-        dt = dt_scale * disc.dt
-        expected = g + dt * disc.rhs(g)
-        staged = np.empty_like(g)
-        disc._stage(g, staged, disc._stage_maps(dt))
-        kept = np.ones(g.shape, dtype=bool)
-        kept[-1, :disc.n1] = kept[0, disc.n1:] = False
-        assert np.abs(staged - expected)[kept].max() <= 1e-14 * np.abs(g).max()
+        assert_stage_is_euler_step_of_rhs(disc, np.empty((65, system.n), dtype=complex),
+                                          np.empty((65, system.n), dtype=complex),
+                                          dt_scale * disc.dt)
+
+    @pytest.mark.parametrize("name, taps", [
+        ("network_three_lines", range(0, 2)), ("constant_string", range(-1, 2)),
+        ("backward_transport", range(-1, 1))])
+    # every residue of nx + 1 modulo the window widths 2 and 3
+    @pytest.mark.parametrize("nx", [16, 17, 18])
+    @pytest.mark.parametrize("dt_scale", [1.0, 0.3])
+    def test_constant_stage_is_euler_step_of_rhs(self, name, taps, nx, dt_scale):
+        # the windowed stage reads its neighbours from the ghost-padded
+        # buffers, so it runs between two of them
+        system = CONSTANT_SYSTEMS[name]()
+        state = phs.setup(system, phs.SimConfig(nx=nx, t_final=1.0), gaussian(0.5, 0.1),
+                          allow_illposed=True)
+        disc = state._disc
+        assert disc.constant and disc._taps == taps
+        src, dst = disc._fields[:2]
+        assert_stage_is_euler_step_of_rhs(disc, src, dst, dt_scale * disc.dt)
+
+    @pytest.mark.parametrize("name", ["network_three_lines", "constant_string"])
+    @pytest.mark.parametrize("foreign", [
+        np.copy, np.asfortranarray, lambda g: np.array(g.tolist())],
+        ids=["copy", "fortran", "user"])
+    def test_foreign_field_steps_like_a_buffer(self, name, foreign):
+        # an array assigned to state.g is copied into a buffer before the
+        # stage reads it; the ghost rows stay zero through every step
+        system = CONSTANT_SYSTEMS[name]()
+        cfg = phs.SimConfig(nx=64, t_final=1.0)
+        x0 = lambda z: (1.0 + z) * np.arange(1, system.n + 1) + 1j * np.cos(3.0 * z)
+        kept, assigned = (phs.setup(system, cfg, x0) for _ in range(2))
+        for k in range(50):
+            phs.step(kept)
+            if k % 10 == 0:
+                assigned.g = foreign(assigned.g)
+            phs.step(assigned)
+            assert np.array_equal(assigned.g, kept.g)
+        for state in (kept, assigned):
+            for f in state._disc._fields:
+                pad = f.base
+                assert pad.shape == (cfg.nx + 3, system.n)
+                assert not pad[0].any() and not pad[-1].any()
 
     @pytest.mark.parametrize("constant", [True, False])
     def test_previous_field_kept_only_for_variable_fields(self, network, constant):
