@@ -27,14 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .model import (
-    TOL_EIG,
-    PHSystem,
-    _adjoint,
-    _eval_fields,
-    _stacked,
-    hermitian_part,
-    matrix_to_pairs,
-)
+    TOL_EIG, PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part, matrix_to_pairs)
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9

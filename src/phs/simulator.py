@@ -48,10 +48,12 @@ Discretization, chosen for transparency rather than accuracy:
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
-``record_every`` steps, from one reconstruction of x and H x and one
-squaring of x per record;
-the boundary residual uses the two endpoint rows of H x.  A non-finite initial field
-and a non-finite or blown-up field after a step raise StabilityError.
+``record_every`` steps.  S^-1 = H^-1/2 q D with q unitary and D
+diagonal, so S^-* H S^-1 = diag(e) and the energy weighs |g_ij|^2 by
+w_i e_ij; the boundary residual reads the traces (H x)(1), (H x)(0) off
+the end rows of g, so no H x is formed, and the norms square one
+reconstruction of x.  A non-finite initial field and a non-finite or
+blown-up field after a step raise StabilityError.
 """
 
 from __future__ import annotations
@@ -138,14 +140,15 @@ class _Discretization:
         s_inv = dfield.s_inv[nodes]
         h = system.h.eval_many(self.zetas[nodes])
         s = np.linalg.inv(s_inv)
-        coupling = (system.p0 @ h) @ s_inv
+        hs_inv = h @ s_inv
+        coupling = system.p0 @ hs_inv
         if not self.constant:
             ds_inv = np.empty_like(s_inv)
             ds_inv[1:-1] = (s_inv[2:] - s_inv[:-2]) / (2.0 * self.dz)
             ds_inv[0] = (s_inv[1] - s_inv[0]) / self.dz
             ds_inv[-1] = (s_inv[-1] - s_inv[-2]) / self.dz
             coupling += ds_inv * dfield.speeds[:, None, :]
-        fields = {"s_inv": s_inv, "s": s, "h": h, "bmat": s @ coupling}
+        fields = {"s_inv": s_inv, "s": s, "bmat": s @ coupling}
         self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
         # speeds over dz: real scaling here spares rhs a complex division
         self._speeds_dz = np.broadcast_to(dfield.speeds[nodes] / self.dz, (nx + 1, n))
@@ -160,6 +163,15 @@ class _Discretization:
         weights = np.full(nx + 1, self.dz)
         weights[0] = weights[-1] = self.dz / 2.0
         self.weights = weights
+        # <x_i, H x_i> = sum_j e_ij |g_ij|^2 with e the diagonal of
+        # S^-* H S^-1, as weights on the float view of g and its squares
+        e = (s_inv.conj() * hs_inv).real.sum(axis=1)
+        self._energy_weights = np.repeat(weights[:, None] * e, 2, axis=1)
+        self._squares = np.empty((nx + 1, 2 * n))
+        # [(Hx)(1); (Hx)(0)] = ends [g(1); g(0)], stacked over wb_tilde ends
+        ends = np.zeros((2 * n, 2 * n), dtype=complex)
+        ends[:n, :n], ends[n:, n:] = hs_inv[-1], hs_inv[0]
+        self._residual_map = np.vstack([ends, system.wb_tilde @ ends])
         self.wb_tilde_norm = float(np.linalg.norm(system.wb_tilde))
         if self.constant:
             # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam block)
@@ -195,7 +207,7 @@ class _Discretization:
         return windows, [rows[r::w] for r in range(w)]
 
     def apply(self, name: str, g: np.ndarray) -> np.ndarray:
-        """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s, h or
+        """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s or
         bmat) and g (nx+1, n)."""
         m = self._products[name]
         if self.constant:
@@ -299,16 +311,26 @@ class _Discretization:
         mean *= 0.5
         return mean
 
-    def reconstruct(self, g: np.ndarray) -> tuple:
-        """x = S^-1 g and H x as (nx+1, 2n) floats; for constant
-        coefficients in two field buffers that do not hold g."""
+    def reconstruct(self, g: np.ndarray) -> np.ndarray:
+        """x = S^-1 g as (nx+1, 2n) floats; for constant coefficients in a
+        field buffer that does not hold g."""
         if not self.constant:
-            x = self.apply("s_inv", g)
-            return _floats(x), _floats(self.apply("h", x))
-        x, hx = (f.view(np.float64) for f in self.spare(g)[:2])
-        np.matmul(_floats(g), self._products["s_inv"], out=x)
-        np.matmul(x, self._products["h"], out=hx)
-        return x, hx
+            return _floats(self.apply("s_inv", g))
+        x = self.spare(g)[0].view(np.float64)
+        return np.matmul(_floats(g), self._products["s_inv"], out=x)
+
+    def energy(self, g: np.ndarray) -> float:
+        """Trapezoid sum of Re <x_i, H x_i>: the energy weights times |g|^2."""
+        squares = np.square(_floats(g), out=self._squares)
+        return float(np.vdot(self._energy_weights, squares))
+
+    def residual(self, g: np.ndarray) -> float:
+        """Relative residual of the boundary condition at the traces
+        (Hx)(1), (Hx)(0), from the end rows of g."""
+        r = self._residual_map @ np.concatenate([g[-1], g[0]])
+        traces, num = r[:2 * g.shape[1]], r[2 * g.shape[1]:]
+        scale = self.wb_tilde_norm * math.sqrt(np.vdot(traces, traces).real)
+        return math.sqrt(np.vdot(num, num).real) / max(scale, 1.0)
 
 
 @dataclass(eq=False)
@@ -317,6 +339,8 @@ class SimState:
 
     Single-writer: step() mutates in place and returns the same object.
     ``history`` maps column names (t, energy, l1, ...) to growing lists.
+    A record reads the energy and the boundary residual (the largest is
+    ``max_bc_residual``) from ``g`` and reconstructs x only for the norms.
     For constant coefficients ``g`` is one of three buffers that the steps
     and records rotate through (see step()): copy it to keep it.  An array
     assigned to ``g`` is copied into a buffer by the next step.
@@ -366,12 +390,6 @@ def _node_squares(xf: np.ndarray) -> np.ndarray:
     return xf @ np.ones(xf.shape[1])
 
 
-def _energy(disc: _Discretization, xf: np.ndarray, hxf: np.ndarray) -> float:
-    """Trapezoid sum of Re <x_i, (H x)_i> from x and H x as (N, 2n) floats."""
-    ends = xf[0] @ hxf[0] + xf[-1] @ hxf[-1]
-    return float(disc.dz * (np.vdot(xf, hxf) - 0.5 * ends))
-
-
 def _lp(weights: np.ndarray, squares: np.ndarray, p: float) -> float:
     """(sum_i w_i |x_i|^p)^(1/p) from the node squares |x_i|^2.  numpy
     takes the power 1/2 (p = 1) as a square root and 1 (p = 2) as a copy."""
@@ -380,7 +398,7 @@ def _lp(weights: np.ndarray, squares: np.ndarray, p: float) -> float:
 
 def energy(state: SimState) -> float:
     """Trapezoid-rule discrete <x, H x>."""
-    return _energy(state._disc, *state._disc.reconstruct(state.g))
+    return state._disc.energy(state.g)
 
 
 def lp_norm(state: SimState, p: float) -> float:
@@ -390,24 +408,15 @@ def lp_norm(state: SimState, p: float) -> float:
     return _lp(state._disc.weights, _node_squares(_floats(state.x())), p)
 
 
-def _boundary_residual(state: SimState, hx_end: np.ndarray, hx_start: np.ndarray) -> float:
-    """Relative residual of the boundary condition from the traces (Hx)(1), (Hx)(0)."""
-    traces = np.concatenate([hx_end, hx_start])
-    num = np.linalg.norm(state.system.wb_tilde @ traces)
-    scale = state._disc.wb_tilde_norm * np.linalg.norm(traces)
-    return float(num / max(scale, 1.0))
-
-
 def _record(state: SimState) -> None:
-    """Append one history row, reconstructing x and H x once for all columns."""
-    disc = state._disc
-    x, hx = disc.reconstruct(state.g)
+    """Append one history row: the energy from |g|^2, the boundary residual
+    from the end rows of g, and the norms from one reconstruction of x."""
+    disc, g = state._disc, state.g
     state.history["t"].append(state.t)
-    state.history["energy"].append(_energy(disc, x, hx))
-    residual = _boundary_residual(state, hx[-1].view(complex), hx[0].view(complex))
-    state.max_bc_residual = max(state.max_bc_residual, residual)
+    state.history["energy"].append(disc.energy(g))
+    state.max_bc_residual = max(state.max_bc_residual, disc.residual(g))
     if state.config.p_norms:
-        squares = _node_squares(x)
+        squares = _node_squares(disc.reconstruct(g))
         for p in state.config.p_norms:
             state.history[_norm_label(p)].append(_lp(disc.weights, squares, p))
 
@@ -485,10 +494,11 @@ def step(state: SimState) -> SimState:
     gnew = disc.heun(state.g, dt)
 
     limit = BLOWUP_FACTOR * max(state._g0_max, 1e-300)
-    # |g| <= sqrt(2) max(|Re g|, |Im g|): below limit / 2 the moduli need
-    # not be computed, and a NaN or inf fails this test
+    # every |g_ij| is at most the Euclidean norm of the whole field: below
+    # the limit the moduli need not be computed, and a NaN, an inf or an
+    # overflowing sum of squares fails this test
     parts = gnew.view(np.float64)
-    if not max(parts.max(), -parts.min()) <= 0.5 * limit:
+    if not math.sqrt(np.vdot(parts, parts)) <= limit:
         peak = float(np.abs(gnew).max())
         # a NaN or infinite peak fails the comparison too
         if not peak <= limit:

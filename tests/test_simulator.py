@@ -47,6 +47,18 @@ def backward_transport() -> phs.PHSystem:
     return phs.make_system([[-1.0]], [[-0.3]], [[1.5]], [[1.0, 2.0]])
 
 
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+# the fixtures that are not classified as generators
+ILLPOSED = {"string_uniform", "transport_w1_0_w0_1"}
+
+
+def fixture_state(name: str) -> phs.SimState:
+    """A fixture set up at nx = 64 with the pinned histories' initial field."""
+    system = phs.load_system(FIXTURES / f"{name}.json")
+    return phs.setup(system, phs.SimConfig(nx=64, t_final=1.0),
+                     make_sim_histories.x0(system.n), allow_illposed=name in ILLPOSED)
+
+
 CONSTANT_SYSTEMS = {
     "network_three_lines": lambda: phs.load_system(FIXTURES / "network_three_lines.json"),
     "constant_string": constant_string,
@@ -96,14 +108,30 @@ class TestNorms:
         state.g = state._disc.apply("s", x)
         assert phs.energy(state) == pytest.approx(5.0, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_energy_weights_diagonalize_h(self, name):
+        # S^-1 = H^-1/2 q D with q unitary and D diagonal, so
+        # S^-* H S^-1 is diagonal at every node and the record's energy, a
+        # weighting of |g|^2, leaves out no cross term
+        state = fixture_state(name)
+        system, zetas = state.system, state.zetas
+        s_inv = phs.diagonalize_field(system, zetas).s_inv
+        m = np.conj(np.swapaxes(s_inv, 1, 2)) @ system.h.eval_many(zetas) @ s_inv
+        diag = np.diagonal(m, axis1=1, axis2=2)
+        off = np.abs(m - diag[:, :, None] * np.eye(system.n))
+        assert np.all(off.max(axis=(1, 2)) <= 1e-13 * np.abs(diag).max(axis=1))
+        weights = state._disc.weights[:, None] * diag.real
+        np.testing.assert_allclose(state._disc._energy_weights[:, ::2], weights,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_one_norm_route(self, name):
         # energy() and lp_norm() compute the record's columns, and both are
         # trapezoid sums over the nodes
         system = phs.load_system(FIXTURES / f"{name}.json")
         p_norms = (1.0, 1.5, 2.0, 3.0)
         cfg = phs.SimConfig(nx=64, t_final=1.0, p_norms=p_norms)
-        state = phs.setup(system, cfg, gaussian(0.4, 0.1))
+        state = phs.setup(system, cfg, gaussian(0.4, 0.1), allow_illposed=name in ILLPOSED)
         for _ in range(7):
             phs.step(state)
         x = state.x()
@@ -492,6 +520,38 @@ class TestStep:
             phs.step(state)
             assert np.abs(state.g).max() == pytest.approx(modulus * limit, rel=1e-12)
 
+    @pytest.mark.parametrize("value, raises", [
+        (1.0 - 1e-9, False), (1.0 + 1e-9, True),
+        (math.nan, True), (math.inf, True), (complex(0.0, -math.inf), True)],
+        ids=["below", "above", "nan", "inf", "imag_minus_inf"])
+    def test_guard_at_one_node(self, transport, monkeypatch, value, raises):
+        # a step whose new field is zero but at one node: its norm is the
+        # modulus there, so the one-pass test accepts just below the limit
+        # and the exact peak decides above it and for NaN and inf
+        state = phs.setup(transport, phs.SimConfig(nx=32, t_final=1.0), gaussian(0.5, 0.1))
+        limit = phs.simulator.BLOWUP_FACTOR * state._g0_max
+        new = np.zeros_like(state.g)
+        new[16, 0] = value * limit * (0.6 + 0.8j) if math.isfinite(abs(value)) else value
+        monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
+        if raises:
+            with pytest.raises(StabilityError, match="not finite or exceeds"):
+                phs.step(state)
+            assert state.step_count == 0
+        else:
+            phs.step(state)
+            assert state.g is new and state.step_count == 1
+
+    def test_guard_sum_of_squares_overflows(self, transport):
+        # each entry is about 1e200, far below the limit, but their squares
+        # overflow: the one-pass test fails and the exact peak accepts
+        with np.errstate(over="ignore"):
+            state = phs.setup(transport, phs.SimConfig(nx=32, t_final=1.0),
+                              lambda z: 1e200 * (1.0 + z))
+            phs.step(state)
+        parts = state.g.view(np.float64)
+        assert np.isfinite(parts).all() and np.vdot(parts, parts) == math.inf
+        assert state.step_count == 1 and np.abs(state.g).max() > 1e200
+
 
 class TestRun:
     def test_contraction_energy_monotone(self):
@@ -555,6 +615,29 @@ class TestRun:
             np.testing.assert_allclose(a.history[column], b.history[column], rtol=1e-12, atol=0)
         np.testing.assert_allclose(a.x(), b.x(), rtol=0, atol=1e-12 * np.abs(b.x()).max())
         assert a.max_bc_residual <= 1e-10 and b.max_bc_residual <= 1e-10
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_residual_from_end_rows(self, name):
+        # the record reads the traces from the two end rows of g; here they
+        # come from H x on the whole grid
+        state = fixture_state(name)
+        system = state.system
+        h = system.h.eval_many(state.zetas)
+
+        def from_hx():
+            hx = np.einsum("nij,nj->ni", h, state.x())
+            traces = np.concatenate([hx[-1], hx[0]])
+            scale = np.linalg.norm(system.wb_tilde) * np.linalg.norm(traces)
+            return np.linalg.norm(system.wb_tilde @ traces) / max(scale, 1.0)
+
+        expected = [from_hx()]
+        for _ in range(5):
+            phs.step(state)
+            expected.append(from_hx())
+            assert state._disc.residual(state.g) == pytest.approx(expected[-1], rel=1e-12,
+                                                                  abs=1e-15)
+        assert state.max_bc_residual == pytest.approx(max(expected), rel=1e-12, abs=1e-15)
+        assert (state.max_bc_residual > 0.5) is (name in ILLPOSED)
 
     def test_boundary_residual_every_step(self):
         for system in (network_system(), string_system((1.0, 1.0)),
