@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", type=Path, default=None, help="write the report here")
-        p.add_argument("-v", "--verbose", action="store_true")
 
     p_check = sub.add_parser("check", help="validate a model document")
     p_check.add_argument("model", type=Path)
@@ -152,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a model document")
     p_classify.add_argument("model", type=Path)
+    p_classify.add_argument("-v", "--verbose", action="store_true",
+                            help="print the three verdicts to stderr")
     common(p_classify)
 
     p_oracle = sub.add_parser("oracle", help="randomized agreement campaign")
@@ -172,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--allow-illposed", action="store_true")
     p_sim.add_argument("--field-output", type=Path, default=None,
                        help="write the final field CSV here")
+    p_sim.add_argument("-v", "--verbose", action="store_true",
+                       help="print the step count and largest boundary residual to stderr")
     common(p_sim)
     return parser
 

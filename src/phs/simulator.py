@@ -23,18 +23,18 @@ Discretization, chosen for transparency rather than accuracy:
   * dS^-1/dz by centered differences on the grid (one-sided at the ends);
   * a Heun stage is one linear map on the field's real form: a product
     for the node itself and the upwind rates times the node ahead (lam
-    block) and behind (theta block), written into preallocated fields;
-    an end node lacks one of these neighbours exactly in the traces that
-    the closure overwrites;
+    block) and behind (theta block); an end node lacks one of these
+    neighbours exactly in the traces that the closure overwrites;
+  * the steps and records of both kinds write into three rotating field
+    buffers, each with a zero ghost row at both ends, so a step allocates
+    no array of the field's size;
   * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
     the speeds are the same at every node and dS^-1/dz = 0, so the field
-    is diagonalized at z = 0 and 1 only.  The steps and records write into
-    three rotating buffers, each with a zero ghost row at both ends, so a
-    stage row reads a window of w = 2 or 3 consecutive buffer rows and the
-    stage is w products of those windows with one stacked real matrix;
+    is diagonalized at z = 0 and 1 only.  A stage row reads a window of
+    w = 2 or 3 consecutive buffer rows and the stage is w products of
+    those windows with one stacked real matrix;
   * variable coefficients: the node's own map is one complex n x n
-    matrix per node and the rates one row per node; the stages write into
-    two scratch fields and the mean of a step into a new array;
+    matrix per node and the rates one row per node;
   * boundary closure after every stage: the incoming traces g+(1), g-(0)
     solve   [V1 U2] [g+(1); g-(0)] = -[U1 V2] [g+(0); g-(1)]
     with W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2] split at
@@ -52,8 +52,9 @@ weights w and the Euclidean norm per node are recorded every
 diagonal, so S^-* H S^-1 = diag(e) and the energy weighs |g_ij|^2 by
 w_i e_ij; the boundary residual reads the traces (H x)(1), (H x)(0) off
 the end rows of g, so no H x is formed, and the norms square one
-reconstruction of x.  A non-finite initial field and a non-finite or
-blown-up field after a step raise StabilityError.
+reconstruction of x.  A non-finite initial field, a non-finite or
+blown-up field after a step and a field whose record would overflow raise
+StabilityError.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ class _Discretization:
 
     ``speeds`` is (nx+1, n).  For a constant coefficient field it is a
     read-only view of the speeds at one node repeated over the grid and
-    ``apply`` multiplies by one matrix (in real form).  ``heun`` steps both
-    kinds through ``_stage`` on preallocated fields.
+    ``apply`` multiplies by one matrix (in real form).  Both kinds step
+    and record on the same three ghost-padded field buffers: ``heun`` and
+    ``reconstruct`` write into the buffers that do not hold their g.
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
@@ -133,8 +135,7 @@ class _Discretization:
         if dfield.crossings:
             raise ContinuityError(
                 f"eigenvalue crossing on the simulation grid at indices "
-                f"{list(dfield.crossings)}: the characteristics transform is not smooth"
-            )
+                f"{list(dfield.crossings)}: the characteristics transform is not smooth")
         self.n1 = dfield.n1
         nodes = slice(0, 1) if self.constant else slice(None)
         s_inv = dfield.s_inv[nodes]
@@ -143,11 +144,7 @@ class _Discretization:
         hs_inv = h @ s_inv
         coupling = system.p0 @ hs_inv
         if not self.constant:
-            ds_inv = np.empty_like(s_inv)
-            ds_inv[1:-1] = (s_inv[2:] - s_inv[:-2]) / (2.0 * self.dz)
-            ds_inv[0] = (s_inv[1] - s_inv[0]) / self.dz
-            ds_inv[-1] = (s_inv[-1] - s_inv[-2]) / self.dz
-            coupling += ds_inv * dfield.speeds[:, None, :]
+            coupling += np.gradient(s_inv, self.dz, axis=0) * dfield.speeds[:, None, :]
         fields = {"s_inv": s_inv, "s": s, "bmat": s @ coupling}
         self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
         # speeds over dz: real scaling here spares rhs a complex division
@@ -160,9 +157,8 @@ class _Discretization:
         self.closure_map = -np.linalg.pinv(closure.k) @ closure.q
 
         self.dt = CFL * self.dz / float(np.abs(self.speeds).max())
-        weights = np.full(nx + 1, self.dz)
-        weights[0] = weights[-1] = self.dz / 2.0
-        self.weights = weights
+        self.weights = weights = np.full(nx + 1, self.dz)
+        weights[[0, -1]] = self.dz / 2.0
         # <x_i, H x_i> = sum_j e_ij |g_ij|^2 with e the diagonal of
         # S^-* H S^-1, as weights on the float view of g and its squares
         e = (s_inv.conj() * hs_inv).real.sum(axis=1)
@@ -173,20 +169,30 @@ class _Discretization:
         ends[:n, :n], ends[n:, n:] = hs_inv[-1], hs_inv[0]
         self._residual_map = np.vstack([ends, system.wb_tilde @ ends])
         self.wb_tilde_norm = float(np.linalg.norm(system.wb_tilde))
+        # a record squares g, x = S^-1 g and the residual map times the end
+        # rows of g, and sums the energy: each is at most (c |g|)^2 with c
+        # below, so none overflows while |g| <= record_norm (with a factor 2
+        # to spare); a norm with p > 2 also needs |x_i|^2 <= square_limit
+        half = np.finfo(float).max / 2.0
+        c = max(1.0, math.sqrt(e.max()), np.linalg.norm(s_inv, axis=(1, 2)).max(),
+                np.linalg.norm(self._residual_map))
+        self.record_norm = math.sqrt(half) / c
+        p = max(config.p_norms, default=0.0)
+        self.square_limit = half ** (2.0 / p) if p > 2.0 else None
+        # three field buffers rotate through the steps (start, stage, stage)
+        # and the records; each is the view g = pad[1:-1] of a padded array
+        # whose zero ghost rows no write reaches
+        pads = [np.zeros((nx + 3, n), dtype=complex) for _ in range(3)]
+        self._fields = [pad[1:-1] for pad in pads]
+        # by the id of each buffer, the two that do not hold it
+        self._spares = {id(f): [o for o in self._fields if o is not f] for f in self._fields}
         if self.constant:
             # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam block)
             self._taps = range(-1 if self.n1 < n else 0, 2 if self.n1 > 0 else 1)
-            # three field buffers rotate through the steps (start, stage,
-            # stage) and the records; each is the view g = pad[1:-1] of a
-            # padded array whose zero ghost rows no write reaches
-            pads = [np.zeros((nx + 3, n), dtype=complex) for _ in range(3)]
-            self._fields = [pad[1:-1] for pad in pads]
             self._windows = {id(f): self._stage_windows(pad)
                              for f, pad in zip(self._fields, pads)}
         else:
-            # two stage fields, the mean goes into a new array; the scratch
-            # holds the shifted products of a stage
-            self._fields = [np.empty((nx + 1, n), dtype=complex) for _ in range(2)]
+            # the shifted products of a variable stage
             self._scratch = np.empty((nx, 2 * n))
         self._maps = self._stage_maps(self.dt)
 
@@ -206,13 +212,14 @@ class _Discretization:
         rows = pad[1:-1].view(np.float64)
         return windows, [rows[r::w] for r in range(w)]
 
-    def apply(self, name: str, g: np.ndarray) -> np.ndarray:
+    def apply(self, name: str, g: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s or
-        bmat) and g (nx+1, n)."""
+        bmat) and g (nx+1, n), written into ``out`` when it is given."""
         m = self._products[name]
         if self.constant:
-            return (_floats(g) @ m).view(complex)
-        return np.einsum("nij,nj->ni", m, g)
+            floats = None if out is None else out.view(np.float64)
+            return np.matmul(_floats(g), m, out=floats).view(complex)
+        return np.einsum("nij,nj->ni", m, g, out=out)
 
     def close(self, g: np.ndarray) -> None:
         """Set the incoming traces in place from the outgoing ones; g is (nx+1, n)."""
@@ -283,41 +290,49 @@ class _Discretization:
                 d[1:] -= shifted
         self.close(dst)
 
+    def check(self, g: np.ndarray, limit: float) -> None:
+        """Raise StabilityError unless every |g_ij| <= limit and the norm |g|
+        of the whole field is at most record_norm.  Every |g_ij| is at most
+        |g|, so below both bounds the moduli need not be computed; a NaN, an
+        inf or an overflowing sum of squares fails each comparison."""
+        parts = g.view(np.float64)
+        norm = math.sqrt(np.vdot(parts, parts))
+        if not norm <= min(limit, self.record_norm):
+            peak = float(np.abs(g).max())
+            if not peak <= limit:
+                raise StabilityError(f"field amplitude {peak:.3e} is not finite or exceeds "
+                                     f"{BLOWUP_FACTOR:.0e} x initial maximum")
+            if not norm <= self.record_norm:
+                raise StabilityError(f"field norm {norm:.3e} overflows the record's squares")
+
     def spare(self, g: np.ndarray) -> list:
         """The field buffers that do not hold g."""
+        if id(g) in self._spares:
+            return self._spares[id(g)]
         return [f for f in self._fields if not np.may_share_memory(f, g)]
 
     def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
-        """The closed mean of g and its second stage: for constant fields
-        written into a field buffer that does not hold g, for variable
-        fields a new array."""
-        if not self.constant:
-            g = np.ascontiguousarray(g, dtype=complex)
-            g1, g2 = self._fields
-        else:
-            if id(g) not in self._windows:
-                # an array from outside the buffers: copy it into the one
-                # it overlaps, if any, else into the first
-                src = next((f for f in self._fields if np.may_share_memory(f, g)),
-                           self._fields[0])
-                np.copyto(src, g)
-                g = src
-            g1, g2 = self.spare(g)
+        """The closed mean of g and its second stage, written into a field
+        buffer that does not hold g."""
+        if id(g) not in self._spares:
+            # an array from outside the buffers: copy it into the one it
+            # overlaps, if any, else into the first
+            src = next((f for f in self._fields if np.may_share_memory(f, g)), self._fields[0])
+            np.copyto(src, g)
+            g = src
+        g1, g2 = self.spare(g)
         maps = self._maps if dt == self.dt else self._stage_maps(dt)
         self._stage(g, g1, maps)
         self._stage(g1, g2, maps)
         # g and g2 are closed and the closure is linear, so their mean is too
-        mean = np.add(g, g2, out=g1 if self.constant else None)
+        mean = np.add(g, g2, out=g1)
         mean *= 0.5
         return mean
 
     def reconstruct(self, g: np.ndarray) -> np.ndarray:
-        """x = S^-1 g as (nx+1, 2n) floats; for constant coefficients in a
-        field buffer that does not hold g."""
-        if not self.constant:
-            return _floats(self.apply("s_inv", g))
-        x = self.spare(g)[0].view(np.float64)
-        return np.matmul(_floats(g), self._products["s_inv"], out=x)
+        """x = S^-1 g as (nx+1, 2n) floats, in a field buffer that does not
+        hold g."""
+        return self.apply("s_inv", g, out=self.spare(g)[0]).view(np.float64)
 
     def energy(self, g: np.ndarray) -> float:
         """Trapezoid sum of Re <x_i, H x_i>: the energy weights times |g|^2."""
@@ -341,9 +356,9 @@ class SimState:
     ``history`` maps column names (t, energy, l1, ...) to growing lists.
     A record reads the energy and the boundary residual (the largest is
     ``max_bc_residual``) from ``g`` and reconstructs x only for the norms.
-    For constant coefficients ``g`` is one of three buffers that the steps
-    and records rotate through (see step()): copy it to keep it.  An array
-    assigned to ``g`` is copied into a buffer by the next step.
+    ``g`` is one of three buffers that the steps and records rotate
+    through (see step()): copy it to keep it.  An array assigned to ``g``
+    is copied into a buffer by the next step.
     """
 
     system: PHSystem
@@ -411,14 +426,15 @@ def lp_norm(state: SimState, p: float) -> float:
 def _record(state: SimState) -> None:
     """Append one history row: the energy from |g|^2, the boundary residual
     from the end rows of g, and the norms from one reconstruction of x."""
-    disc, g = state._disc, state.g
+    disc, g, p_norms = state._disc, state.g, state.config.p_norms
+    squares = _node_squares(disc.reconstruct(g)) if p_norms else None
+    if disc.square_limit is not None and not squares.max() <= disc.square_limit:
+        raise StabilityError(f"|x|^{max(p_norms):g} overflows at t = {state.t:.6g}")
     state.history["t"].append(state.t)
     state.history["energy"].append(disc.energy(g))
     state.max_bc_residual = max(state.max_bc_residual, disc.residual(g))
-    if state.config.p_norms:
-        squares = _node_squares(disc.reconstruct(g))
-        for p in state.config.p_norms:
-            state.history[_norm_label(p)].append(_lp(disc.weights, squares, p))
+    for p in p_norms:
+        state.history[_norm_label(p)].append(_lp(disc.weights, squares, p))
 
 
 def _horizon(t_final: float) -> float:
@@ -435,17 +451,17 @@ def setup(
     n = 1).  Raises IllPosedError when the system is not classified as a
     C0-semigroup generator, unless ``allow_illposed`` is set,
     ContinuityError when eigenvalues cross on the grid, and StabilityError
-    when x0 is not finite somewhere on the grid.  The incoming
-    traces of the initial field are projected onto the boundary condition,
-    so the discrete boundary residual is zero from the start.
+    when x0 is not finite somewhere on the grid or its record overflows.
+    The incoming traces of the initial field are projected onto the
+    boundary condition, so the discrete boundary residual is zero from the
+    start.
     """
     verdict = classify(system)
     if verdict.c0_semigroup is not True and not allow_illposed:
         raise IllPosedError(
             "system is not classified as a C0-semigroup generator "
             f"(c0_semigroup={verdict.c0_semigroup}); "
-            "pass allow_illposed=True for a demonstration run"
-        )
+            "pass allow_illposed=True for a demonstration run")
     disc = _Discretization(system, config)
 
     x_init = np.empty((config.nx + 1, system.n), dtype=complex)
@@ -455,13 +471,11 @@ def setup(
     if not finite.all():
         raise StabilityError(
             f"initial field is not finite at z = {disc.zetas[np.argmin(finite)]:.6g}")
-    g = disc.apply("s", x_init)
+    g = disc.apply("s", x_init, out=disc._fields[0])
     disc.close(g)
+    disc.check(g, math.inf)
 
-    history: dict = {"t": [], "energy": []}
-    for p in config.p_norms:
-        history[_norm_label(p)] = []
-
+    history = {c: [] for c in ("t", "energy", *map(_norm_label, config.p_norms))}
     state = SimState(
         system=system,
         config=config,
@@ -479,11 +493,10 @@ def setup(
 def step(state: SimState) -> SimState:
     """Advance one time step (two Heun stages, closure after each).
 
-    For constant coefficients the new ``state.g`` is one of three field
-    buffers that the steps and records rotate through, so the array that
-    ``state.g`` held before this call is overwritten by this call's record
-    or by the next step: copy it to keep it.  Variable coefficients give a
-    new array every step.
+    The new ``state.g`` is one of three field buffers that the steps and
+    records rotate through, so the array that ``state.g`` held before this
+    call is overwritten by this call's record or by the next step: copy it
+    to keep it.
     """
     cfg = state.config
     horizon = _horizon(cfg.t_final)
@@ -492,21 +505,7 @@ def step(state: SimState) -> SimState:
     disc = state._disc
     dt = min(disc.dt, cfg.t_final - state.t)
     gnew = disc.heun(state.g, dt)
-
-    limit = BLOWUP_FACTOR * max(state._g0_max, 1e-300)
-    # every |g_ij| is at most the Euclidean norm of the whole field: below
-    # the limit the moduli need not be computed, and a NaN, an inf or an
-    # overflowing sum of squares fails this test
-    parts = gnew.view(np.float64)
-    if not math.sqrt(np.vdot(parts, parts)) <= limit:
-        peak = float(np.abs(gnew).max())
-        # a NaN or infinite peak fails the comparison too
-        if not peak <= limit:
-            raise StabilityError(
-                f"field amplitude {peak:.3e} is not finite or exceeds "
-                f"{BLOWUP_FACTOR:.0e} x initial maximum"
-            )
-
+    disc.check(gnew, BLOWUP_FACTOR * max(state._g0_max, 1e-300))
     state.g = gnew
     state.t += dt
     state.step_count += 1

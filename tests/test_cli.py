@@ -151,6 +151,19 @@ class TestExitCodes:
                                "grid at indices [11]: the characteristics transform is "
                                "not smooth\n")
 
+    def test_simulate_overflowing_record_exits_1(self):
+        # squares of entries about 1e200 overflow: a typed error without a
+        # numpy warning, which -W error would turn into a traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(phs.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "phs.cli", "simulate",
+             str(FIXTURES / "transport_w1_1_w0_1.json"), "--nx", "16", "--t-final", "0.05",
+             "--x0", "constant(1e200)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("phs: StabilityError: ")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],
         [],
@@ -165,6 +178,9 @@ class TestExitCodes:
         ["classify", str(FIXTURES / "string_uniform.json"), "--tol-psd", "1e-3"],
         # the Courant number is fixed
         ["simulate", str(FIXTURES / "string_uniform.json"), "--cfl", "0.5"],
+        # only classify and simulate print a summary
+        ["check", str(FIXTURES / "string_uniform.json"), "-v"],
+        ["oracle", "--n", "2", "--count", "5", "--verbose"],
     ])
     def test_usage_error_exits_64(self, capsys, argv):
         assert main(argv) == 64

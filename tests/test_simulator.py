@@ -64,6 +64,9 @@ CONSTANT_SYSTEMS = {
     "constant_string": constant_string,
     "backward_transport": backward_transport,
 }
+# the constant systems and one variable fixture, which step on the same buffers
+SYSTEMS = dict(CONSTANT_SYSTEMS,
+               string_stiffening=lambda: phs.load_system(FIXTURES / "string_stiffening.json"))
 
 
 def assert_stage_is_euler_step_of_rhs(disc, src, dst, dt):
@@ -371,10 +374,11 @@ class TestStep:
             phs.step(state)
         assert len(calls) == 10
 
-    def test_constant_step_allocates_no_field(self):
-        # one field is (nx+1) n complex entries; the constant path steps and
-        # records on preallocated buffers
-        system = phs.load_system(FIXTURES / "network_three_lines.json")
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    def test_step_allocates_no_field(self, name):
+        # one field is (nx+1) n complex entries; both kinds step and record
+        # on preallocated buffers
+        system = SYSTEMS[name]()
         cfg = phs.SimConfig(nx=4096, t_final=1.0, p_norms=(1.0, 2.0, 3.0))
         state = phs.setup(system, cfg, gaussian(0.5, 0.1))
         phs.step(state)
@@ -436,14 +440,15 @@ class TestStep:
         src, dst = disc._fields[:2]
         assert_stage_is_euler_step_of_rhs(disc, src, dst, dt_scale * disc.dt)
 
-    @pytest.mark.parametrize("name", ["network_three_lines", "constant_string"])
+    @pytest.mark.parametrize("name", ["network_three_lines", "constant_string",
+                                      "string_stiffening"])
     @pytest.mark.parametrize("foreign", [
         np.copy, np.asfortranarray, lambda g: np.array(g.tolist())],
         ids=["copy", "fortran", "user"])
     def test_foreign_field_steps_like_a_buffer(self, name, foreign):
         # an array assigned to state.g is copied into a buffer before the
         # stage reads it; the ghost rows stay zero through every step
-        system = CONSTANT_SYSTEMS[name]()
+        system = SYSTEMS[name]()
         cfg = phs.SimConfig(nx=64, t_final=1.0)
         x0 = lambda z: (1.0 + z) * np.arange(1, system.n + 1) + 1j * np.cos(3.0 * z)
         kept, assigned = (phs.setup(system, cfg, x0) for _ in range(2))
@@ -460,10 +465,9 @@ class TestStep:
                 assert not pad[0].any() and not pad[-1].any()
 
     @pytest.mark.parametrize("constant", [True, False])
-    def test_previous_field_kept_only_for_variable_fields(self, network, constant):
-        # constant fields rotate g through three buffers, so the array read
-        # from state.g before a recorded step holds that step's x after it;
-        # variable fields give a new array every step
+    def test_previous_field_is_overwritten(self, network, constant):
+        # both kinds rotate g through three buffers, so the array read from
+        # state.g before a recorded step is overwritten by that step's record
         system = network if constant else string_system((1.0, 1.0))
         assert (system.h.kind == "constant") is constant
         state = phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
@@ -472,7 +476,7 @@ class TestStep:
         before = kept.copy()
         phs.step(state)
         assert state.g is not kept
-        assert np.array_equal(kept, before) is not constant
+        assert not np.array_equal(kept, before)
 
     def test_constant_setup_diagonalizes_the_two_ends(self, network, monkeypatch):
         points = []
@@ -541,16 +545,39 @@ class TestStep:
             phs.step(state)
             assert state.g is new and state.step_count == 1
 
-    def test_guard_sum_of_squares_overflows(self, transport):
-        # each entry is about 1e200, far below the limit, but their squares
-        # overflow: the one-pass test fails and the exact peak accepts
-        with np.errstate(over="ignore"):
-            state = phs.setup(transport, phs.SimConfig(nx=32, t_final=1.0),
-                              lambda z: 1e200 * (1.0 + z))
+    def test_guard_sum_of_squares_overflows(self, transport, monkeypatch):
+        # entries of about 1e200 are far below the blow-up limit, but their
+        # squares overflow in the record: set-up refuses them, and without a
+        # numpy warning, which the test configuration turns into an error
+        cfg = phs.SimConfig(nx=32, t_final=1.0)
+        with pytest.raises(StabilityError, match="overflows the record"):
+            phs.setup(transport, cfg, lambda z: 1e200 * (1.0 + z))
+        # entries of about 1e150 square without overflow: accepted and recorded
+        state = phs.setup(transport, cfg, lambda z: 1e150 * (1.0 + z))
+        phs.step(state)
+        assert state.step_count == 1 and np.abs(state.g).max() > 1e150
+        assert all(np.isfinite(column).all() for column in state.history.values())
+        # a step to entries that the blow-up limit allows but whose squares
+        # overflow is refused before the state changes
+        new = np.full_like(state.g, 1e-3 * phs.simulator.BLOWUP_FACTOR * state._g0_max)
+        monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
+        with pytest.raises(StabilityError, match="overflows the record"):
             phs.step(state)
-        parts = state.g.view(np.float64)
-        assert np.isfinite(parts).all() and np.vdot(parts, parts) == math.inf
-        assert state.step_count == 1 and np.abs(state.g).max() > 1e200
+        assert state.step_count == 1
+
+    def test_record_power_overflows(self, transport, monkeypatch):
+        # |x|^400 overflows from |x| = 10 on, although the l400 norm is then
+        # about 10: a typed error at set-up and at a recorded step
+        cfg = phs.SimConfig(nx=32, t_final=1.0, p_norms=(2.0, 400.0))
+        with pytest.raises(StabilityError, match=r"\|x\|\^400 overflows at t = 0"):
+            phs.setup(transport, cfg, lambda z: 10.0)
+        state = phs.setup(transport, cfg, lambda z: 5.0)
+        phs.step(state)
+        assert all(np.isfinite(column).all() for column in state.history.values())
+        new = 2.0 * state.g
+        monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
+        with pytest.raises(StabilityError, match=r"\|x\|\^400 overflows"):
+            phs.step(state)
 
 
 class TestRun:
