@@ -26,16 +26,21 @@ Discretization, chosen for transparency rather than accuracy:
     block) and behind (theta block); an end node lacks one of these
     neighbours exactly in the traces that the closure overwrites;
   * the steps and records of both kinds write into three rotating field
-    buffers, each with a zero ghost row at both ends, so a step allocates
-    no array of the field's size;
+    buffers, each with two zero ghost rows at both ends, so a step
+    allocates no array of the field's size;
   * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
     the speeds are the same at every node and dS^-1/dz = 0, so the field
-    is diagonalized at z = 0 and 1 only.  A stage row reads a window of
-    w = 2 or 3 consecutive buffer rows and the stage is w products of
-    those windows with one stacked real matrix;
+    is diagonalized at z = 0 and 1 only.  A stage is then a fixed stencil
+    of w = 2 or 3 taps, and the whole step (g + C T C T g) / 2 (T the
+    stage, C the closure) is set up once as a composite stencil of
+    2w - 1 taps, applied as 2w - 1 products of contiguous buffer windows
+    with one stacked real matrix, and one small real matrix that maps the
+    first and last four rows of g to the rows 0, 1, nx-1, nx, which read
+    the closures;
   * variable coefficients: the node's own map is one complex n x n
     matrix per node and the rates one row per node;
-  * boundary closure after every stage: the incoming traces g+(1), g-(0)
+  * boundary closure after every stage (for constant coefficients folded
+    into the end-row matrix): the incoming traces g+(1), g-(0)
     solve   [V1 U2] [g+(1); g-(0)] = -[U1 V2] [g+(0); g-(1)]
     with W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2] split at
     column n1.  K = [V1 U2] is invertible exactly when the system
@@ -72,6 +77,7 @@ from .errors import (
     DomainError,
     IllPosedError,
     PreconditionError,
+    ShapeError,
     StabilityError,
     ValidationError,
 )
@@ -81,6 +87,11 @@ from .model import PHSystem
 CFL = 0.9
 # Blow-up guard: abort when the field exceeds this multiple of its start.
 BLOWUP_FACTOR = 1e6
+# Zero rows at each end of a field buffer: a constant-field step reads up to
+# two rows beyond a node.
+GHOST = 2
+# Rows at each end of the field that the constant-field step's end map reads.
+END = 4
 
 
 @dataclass(frozen=True)
@@ -172,44 +183,44 @@ class _Discretization:
         # a record squares g, x = S^-1 g and the residual map times the end
         # rows of g, and sums the energy: each is at most (c |g|)^2 with c
         # below, so none overflows while |g| <= record_norm (with a factor 2
-        # to spare); a norm with p > 2 also needs |x_i|^2 <= square_limit
-        half = np.finfo(float).max / 2.0
+        # to spare)
         c = max(1.0, math.sqrt(e.max()), np.linalg.norm(s_inv, axis=(1, 2)).max(),
                 np.linalg.norm(self._residual_map))
-        self.record_norm = math.sqrt(half) / c
-        p = max(config.p_norms, default=0.0)
-        self.square_limit = half ** (2.0 / p) if p > 2.0 else None
-        # three field buffers rotate through the steps (start, stage, stage)
-        # and the records; each is the view g = pad[1:-1] of a padded array
-        # whose zero ghost rows no write reaches
-        pads = [np.zeros((nx + 3, n), dtype=complex) for _ in range(3)]
-        self._fields = [pad[1:-1] for pad in pads]
+        self.record_norm = math.sqrt(np.finfo(float).max / 2.0) / c
+        # three field buffers rotate through the steps and the records; each
+        # is the view g = pad[GHOST:-GHOST] of a padded array whose zero
+        # ghost rows no write reaches
+        pads = [np.zeros((nx + 1 + 2 * GHOST, n), dtype=complex) for _ in range(3)]
+        self._fields = [pad[GHOST:-GHOST] for pad in pads]
         # by the id of each buffer, the two that do not hold it
         self._spares = {id(f): [o for o in self._fields if o is not f] for f in self._fields}
         if self.constant:
-            # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam block)
+            # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam
+            # block), so a step row i reads the rows i + k for k in _reach
             self._taps = range(-1 if self.n1 < n else 0, 2 if self.n1 > 0 else 1)
-            self._windows = {id(f): self._stage_windows(pad)
+            self._reach = range(2 * self._taps.start, 2 * self._taps.stop - 1)
+            self._windows = {id(f): self._step_windows(pad)
                              for f, pad in zip(self._fields, pads)}
+            self._maps = self._step_maps(self.dt)
         else:
             # the shifted products of a variable stage
             self._scratch = np.empty((nx, 2 * n))
-        self._maps = self._stage_maps(self.dt)
+            self._maps = self._stage_maps(self.dt)
 
-    def _stage_windows(self, pad: np.ndarray) -> tuple:
-        """Views of a padded field buffer for the constant-field stage, for
-        r = 0 .. w-1 with w = len(_taps): windows[r] has one row per stage
+    def _step_windows(self, pad: np.ndarray) -> tuple:
+        """Views of a padded field buffer for the constant-field step, for
+        r = 0 .. w-1 with w = len(_reach): windows[r] has one row per step
         row i = r, r + w, ..., holding the w consecutive buffer rows that
         row i reads, and rows[r] is those rows i of the field, both on the
         float view.  The windows of one r are disjoint and contiguous."""
-        nx1, width = pad.shape[0] - 2, pad.shape[1] * 2
-        flat, w = pad.view(np.float64).reshape(-1), len(self._taps)
+        nx1, width = pad.shape[0] - 2 * GHOST, pad.shape[1] * 2
+        flat, w = pad.view(np.float64).reshape(-1), len(self._reach)
         windows = []
         for r in range(w):
-            start = (1 + self._taps.start + r) * width
+            start = (GHOST + self._reach.start + r) * width
             count = len(range(r, nx1, w))
             windows.append(flat[start:start + count * w * width].reshape(count, w * width))
-        rows = pad[1:-1].view(np.float64)
+        rows = pad[GHOST:-GHOST].view(np.float64)
         return windows, [rows[r::w] for r in range(w)]
 
     def apply(self, name: str, g: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -249,10 +260,9 @@ class _Discretization:
         ``ahead`` and ``behind`` are dt speed / dz on the lam and theta
         columns, own = I + dt B - diag(ahead) + diag(behind).
 
-        Constant fields: one real (w 2n, 2n) matrix, the real forms
-        [-diag(behind); own; diag(ahead)] stacked in the order of ``_taps``
-        and only for the taps that exist, so that a window of the rows
-        i - 1, i, i + 1 (or of two of them) times it is row i.  Variable
+        Constant fields: by tap t in ``_taps``, the real (2n, 2n) form m_t
+        of -diag(behind) (t = -1), own (t = 0) or diag(ahead) (t = 1), so
+        that row i is the sum of g_{i+t} m_t over the taps.  Variable
         fields: (own, ahead, behind) with own a complex (nx+1, n, n) stack
         and ahead and behind the (nx, 2n) rates at the nodes they read, each
         repeated for re and im; ``ahead`` is None without lam components and
@@ -265,29 +275,56 @@ class _Discretization:
         if self.constant:
             own += np.diag(1.0 - ahead[0] + behind[0])
             taps = {-1: -np.diag(behind[0]), 0: own, 1: np.diag(ahead[0])}
-            return np.vstack([taps[t] for t in self._taps])
+            return {t: taps[t] for t in self._taps}
         diag = np.arange(speeds.shape[1])
         own[:, diag, diag] += (1.0 - ahead + behind)[:, ::2]
         return own, ahead[1:] if lam.any() else None, None if lam.all() else behind[:-1]
 
+    def _step_maps(self, dt: float) -> tuple:
+        """The constant-field Heun step g -> (g + C T C T g) / 2 on the
+        (nx+1, 2n) float view of g, with T the stage of _stage_maps(dt) and
+        C the closure, as (stencil, ends), both read off the dense step on
+        a grid of 2 END rows whose halves stand for the two ends of the
+        field.
+
+        Step row i reads the rows i + k for k in ``_reach``.  Where C
+        changes none of them, row i is the sum of g_{i+k} p_k with the
+        composite p_k = (delta_k0 I + sum_{s+t=k} m_s m_t) / 2, the same
+        at every such row; ``stencil`` stacks the p_k in the order of
+        ``_reach``.  The rows 0, 1, nx-1, nx also read the closures, the
+        ghost rows and the other end: ``ends`` maps the first and last END
+        rows of g, flattened, to those four rows."""
+        taps = self._stage_maps(dt)
+        rows, width = 2 * END, len(taps[0])
+        stage = sum(np.kron(np.eye(rows, k=-t), m) for t, m in taps.items())
+        # the closure reads the outgoing traces g[0, :n1], g[-1, n1:] and
+        # overwrites the incoming ones g[-1, :n1], g[0, n1:]
+        lam = np.arange(width) < 2 * self.n1
+        index = np.arange(rows * width).reshape(rows, width)
+        outgoing = np.concatenate([index[0, lam], index[-1, ~lam]])
+        incoming = np.concatenate([index[-1, lam], index[0, ~lam]])
+        closure = np.eye(rows * width)
+        closure[:, incoming] = 0.0
+        closure[np.ix_(outgoing, incoming)] = _real_form(self.closure_map)
+        half = stage @ closure
+        step = (np.eye(rows * width) + half @ half) / 2.0
+        # step row END - 1 reads no row that a closure writes
+        blocks = step.reshape(rows, width, rows, width)
+        stencil = np.vstack([blocks[END - 1 + k, :, END - 1] for k in self._reach])
+        return stencil, step[:, index[[0, 1, -2, -1]].reshape(-1)]
+
     def _stage(self, src: np.ndarray, dst: np.ndarray, maps) -> None:
-        """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt).  For
-        constant fields src and dst are field buffers: each window product
-        writes every w-th row of dst, and the ghost rows read as zero
-        neighbours of the end nodes."""
-        if self.constant:
-            for window, rows in zip(self._windows[id(src)][0], self._windows[id(dst)][1]):
-                np.matmul(window, maps, out=rows)
-        else:
-            own, ahead, behind = maps
-            s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
-            np.einsum("nij,nj->ni", own, src, out=dst)
-            if ahead is not None:
-                np.multiply(s[1:], ahead, out=shifted)
-                d[:-1] += shifted
-            if behind is not None:
-                np.multiply(s[:-1], behind, out=shifted)
-                d[1:] -= shifted
+        """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt), for
+        variable fields."""
+        own, ahead, behind = maps
+        s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
+        np.einsum("nij,nj->ni", own, src, out=dst)
+        if ahead is not None:
+            np.multiply(s[1:], ahead, out=shifted)
+            d[:-1] += shifted
+        if behind is not None:
+            np.multiply(s[:-1], behind, out=shifted)
+            d[1:] -= shifted
         self.close(dst)
 
     def check(self, g: np.ndarray, limit: float) -> None:
@@ -312,8 +349,10 @@ class _Discretization:
         return [f for f in self._fields if not np.may_share_memory(f, g)]
 
     def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
-        """The closed mean of g and its second stage, written into a field
-        buffer that does not hold g."""
+        """The mean of g and its second closed stage, written into a field
+        buffer that does not hold g.  For constant fields this is one
+        product per window of the step stencil, and one product of the end
+        rows of g that overwrites the rows 0, 1, nx-1, nx."""
         if id(g) not in self._spares:
             # an array from outside the buffers: copy it into the one it
             # overlaps, if any, else into the first
@@ -321,6 +360,14 @@ class _Discretization:
             np.copyto(src, g)
             g = src
         g1, g2 = self.spare(g)
+        if self.constant:
+            stencil, ends = self._maps if dt == self.dt else self._step_maps(dt)
+            for window, rows in zip(self._windows[id(g)][0], self._windows[id(g1)][1]):
+                np.matmul(window, stencil, out=rows)
+            src, dst = g.view(np.float64), g1.view(np.float64)
+            edge = (np.concatenate([src[:END], src[-END:]]).reshape(-1) @ ends).reshape(4, -1)
+            dst[:2], dst[-2:] = edge[:2], edge[2:]
+            return g1
         maps = self._maps if dt == self.dt else self._stage_maps(dt)
         self._stage(g, g1, maps)
         self._stage(g1, g2, maps)
@@ -407,8 +454,15 @@ def _node_squares(xf: np.ndarray) -> np.ndarray:
 
 def _lp(weights: np.ndarray, squares: np.ndarray, p: float) -> float:
     """(sum_i w_i |x_i|^p)^(1/p) from the node squares |x_i|^2.  numpy
-    takes the power 1/2 (p = 1) as a square root and 1 (p = 2) as a copy."""
-    return float((weights @ squares ** (p / 2)) ** (1.0 / p))
+    takes the power 1/2 (p = 1) as a square root and 1 (p = 2) as a copy.
+    For p > 2 the squares are divided by their maximum before the power,
+    which then cannot overflow, and the maximum is multiplied back."""
+    if p <= 2.0:
+        return float((weights @ squares ** (p / 2)) ** (1.0 / p))
+    top = float(squares.max())
+    if top == 0.0:
+        return 0.0
+    return float((weights @ (squares / top) ** (p / 2)) ** (1.0 / p)) * math.sqrt(top)
 
 
 def energy(state: SimState) -> float:
@@ -428,8 +482,6 @@ def _record(state: SimState) -> None:
     from the end rows of g, and the norms from one reconstruction of x."""
     disc, g, p_norms = state._disc, state.g, state.config.p_norms
     squares = _node_squares(disc.reconstruct(g)) if p_norms else None
-    if disc.square_limit is not None and not squares.max() <= disc.square_limit:
-        raise StabilityError(f"|x|^{max(p_norms):g} overflows at t = {state.t:.6g}")
     state.history["t"].append(state.t)
     state.history["energy"].append(disc.energy(g))
     state.max_bc_residual = max(state.max_bc_residual, disc.residual(g))
@@ -447,11 +499,13 @@ def setup(
 ) -> SimState:
     """Build the grid machinery and the initial state.
 
-    ``x0`` is a callable z -> state vector (length n; scalars accepted for
-    n = 1).  Raises IllPosedError when the system is not classified as a
-    C0-semigroup generator, unless ``allow_illposed`` is set,
-    ContinuityError when eigenvalues cross on the grid, and StabilityError
-    when x0 is not finite somewhere on the grid or its record overflows.
+    ``x0`` is a callable z -> state vector (length n; a scalar is taken
+    for every component).  Raises ShapeError when a value of x0 is not
+    one number or n numbers, IllPosedError when the system is not
+    classified as a C0-semigroup generator, unless ``allow_illposed`` is
+    set, ContinuityError when eigenvalues cross on the grid, and
+    StabilityError when x0 is not finite somewhere on the grid or its
+    record overflows.
     The incoming traces of the initial field are projected onto the
     boundary condition, so the discrete boundary residual is zero from the
     start.
@@ -466,7 +520,13 @@ def setup(
 
     x_init = np.empty((config.nx + 1, system.n), dtype=complex)
     for i, z in enumerate(disc.zetas):
-        x_init[i] = x0(z)
+        value = x0(z)
+        try:
+            x_init[i] = value
+        except (TypeError, ValueError) as exc:
+            shape = np.asarray(value, dtype=object).shape
+            raise ShapeError(f"x0({z:.6g}) must be a number or {system.n} numbers, got "
+                             f"{type(value).__name__} of shape {shape} ({exc})") from None
     finite = np.isfinite(x_init).all(axis=1)
     if not finite.all():
         raise StabilityError(
