@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .model import (
-    TOL_EIG, PHSystem, _adjoint, _eval_fields, _stacked, hermitian_part, matrix_to_pairs)
+    TOL_EIG, PHSystem, _adjoint, _eval_fields, _stack, hermitian_part, matrix_to_pairs)
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -94,14 +94,20 @@ def check_contraction(system: PHSystem) -> ContractionCheck:
     With a shared scale, unitary implies contraction exactly:
     lambda_max <= max |lambda| and lambda_min >= -max |lambda|.
     """
-    return ContractionCheck(*(field[0] for field in _contraction([system])))
+    return ContractionCheck(*_first(_contraction(_stack([system]))))
 
 
-def _contraction(systems) -> tuple:
-    """check_contraction for systems of one n, each test made once for the
-    stack.  Returns the ContractionCheck fields in order, each a list over
-    the systems."""
-    p1, p0, wb_tilde = _stacked(systems)
+def _first(fields) -> list:
+    """The first system's entry of each per-system array: a matrix, or a
+    Python scalar."""
+    return [f.item(0) if f.ndim == 1 else f[0] for f in fields]
+
+
+def _contraction(batch) -> tuple:
+    """check_contraction for a _Batch, each test made once for the stack.
+    Returns the ContractionCheck fields in order, each an array over the
+    systems."""
+    p1, p0, wb_tilde = batch.p1, batch.p0, batch.wb_tilde
     n = p1.shape[-1]
     a, b = _wb(p1, wb_tilde)
     # wb Sigma wb* = A B* + B A* for wb = [A B]
@@ -114,10 +120,8 @@ def _contraction(systems) -> tuple:
     full = rank == n
     nsd = p0_eigs[:, -1] <= p0_scale
     zero = p0_norm <= p0_scale
-    return ((nsd & (form_eigs[:, 0] >= -form_scale) & full).tolist(),
-            (zero & (form_norm <= form_scale) & full).tolist(),
-            nsd.tolist(), zero.tolist(), p0_eigs[:, -1].tolist(), p0_norm.tolist(),
-            list(form), form_eigs[:, 0].tolist(), form_norm.tolist(), rank.tolist())
+    return (nsd & (form_eigs[:, 0] >= -form_scale) & full, zero & (form_norm <= form_scale) & full,
+            nsd, zero, p0_eigs[:, -1], p0_norm, form, form_eigs[:, 0], form_norm, rank)
 
 
 def check_unitary(system: PHSystem) -> bool:
@@ -308,17 +312,18 @@ def _inapplicable(rank: int, n: int) -> str:
     return f"rank(wb_tilde) = {rank} != n = {n}: generation test inapplicable"
 
 
-def _direct_sums(systems):
-    """direct_sum_check for systems of one n with rank(wb_tilde) = n, from
-    one decomposition of both ends of all of them.  eigh sorts ascending:
-    Z+(1) is spanned by the last n1 columns at z = 1 and Z-(0) by the first
-    n2 at z = 0, so with the columns at z = 1 reversed the leading columns
-    of one QR are orthonormal bases of both; K's singular values do not
-    depend on the basis within each block.  Returns (ok, smin, K); raises
+def _direct_sums(batch):
+    """direct_sum_check for every system of a _Batch, from one decomposition
+    of both ends of all of them; the verdict means something only where
+    rank(wb_tilde) = n.  eigh sorts ascending: Z+(1) is spanned by the last
+    n1 columns at z = 1 and Z-(0) by the first n2 at z = 0, so with the
+    columns at z = 1 reversed the leading columns of one QR are orthonormal
+    bases of both; K's singular values do not depend on the basis within
+    each block.  Returns (ok, smin, K) as arrays over the systems; raises
     the ValidationError of the first refused end, systems first."""
-    p1, _, wb_tilde = _stacked(systems)
+    p1, wb_tilde = batch.p1, batch.wb_tilde
     n = p1.shape[-1]
-    h = _eval_fields([system.h for system in systems], _ENDS)
+    h = _eval_fields(batch, _ENDS)
     w, vecs = _similarity_stack(p1[:, None], h, _ENDS)
     b = np.linalg.qr(np.array([vecs[:, 0, :, ::-1], vecs[:, 1]]))[0]
     # W1 H(1) B(1) and W0 H(0) B(0) for every system, each (count, n, n)
@@ -329,7 +334,7 @@ def _direct_sums(systems):
     k = np.where(np.arange(n) < n1[:, None, None], v, u[..., ::-1])
     svals = np.linalg.svd(k, compute_uv=False)
     ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= TOL_RANK * svals[:, 0])
-    return ok.tolist(), svals[:, -1].tolist(), k
+    return ok, svals[:, -1], k
 
 
 def direct_sum_check(system: PHSystem) -> tuple[bool, float, np.ndarray]:
@@ -343,8 +348,8 @@ def direct_sum_check(system: PHSystem) -> tuple[bool, float, np.ndarray]:
     rank = rank_of(system.wb_tilde)
     if rank != system.n:
         raise PreconditionError(_inapplicable(rank, system.n))
-    ok, smin, k = _direct_sums([system])
-    return ok[0], smin[0], k[0]
+    ok, smin, k = _direct_sums(_stack([system]))
+    return bool(ok[0]), float(smin[0]), k[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,34 +399,29 @@ def classify(system: PHSystem) -> Verdict:
     independent routes to disagree, c0_semigroup is coerced to True and
     the inconsistency is flagged in notes.
     """
-    return _classify_stack([system])[0]
+    *check, c0, smin, coerced = _first(_classify_stack(_stack([system])))
+    full = check[-1] == system.n
+    notes = []
+    if not full:
+        notes.append(f"inconclusive-C0: {_inapplicable(check[-1], system.n)}")
+    if coerced:
+        notes.append("InternalInconsistency: contraction holds but direct-sum test failed; "
+                     "coerced c0_semigroup to True")
+    if system.h.kind == "grid":
+        notes.append("coefficient field is sampled: smoothness assumption of the generation "
+                     "test is not verifiable; its verdict uses endpoint data only")
+    return Verdict(*check, system.n, c0 if full else None, smin if full else None, tuple(notes))
 
 
-def _classify_stack(systems):
-    """classify for systems of one n, each test made once for the stack.
-    Returns the verdicts; raises the ValidationError of the first system
+def _classify_stack(batch) -> tuple:
+    """classify for a _Batch, each test made once for the stack.  Returns
+    the ContractionCheck fields, c0_semigroup, the direct sum's smallest
+    singular value and the mask of coerced c0 verdicts, each an array over
+    the systems.  The direct-sum test runs on every system, as one stack:
+    c0 and smin mean something only where rank(wb_tilde) = n, which
+    contraction implies.  Raises the ValidationError of the first system
     that classify refuses, as classify raises it."""
-    n = systems[0].n
-    fields = _contraction(systems)
-    contraction, rank = fields[0], fields[-1]
-    full = [i for i, r in enumerate(rank) if r == n]
-    c0, smin = [None] * len(systems), [None] * len(systems)
-    if full:
-        ok, svals, _ = _direct_sums([systems[i] for i in full])
-        for i, ok_i, smin_i in zip(full, ok, svals):
-            c0[i], smin[i] = ok_i, smin_i
-
-    verdicts = []
-    for i, (system, check) in enumerate(zip(systems, zip(*fields))):
-        notes = []
-        if c0[i] is None:
-            notes.append(f"inconclusive-C0: {_inapplicable(rank[i], n)}")
-        if contraction[i] and c0[i] is False:
-            notes.append("InternalInconsistency: contraction holds but direct-sum test failed; "
-                         "coerced c0_semigroup to True")
-            c0[i] = True
-        if system.h.kind == "grid":
-            notes.append("coefficient field is sampled: smoothness assumption of the generation "
-                         "test is not verifiable; its verdict uses endpoint data only")
-        verdicts.append(Verdict(*check, n, c0[i], smin[i], tuple(notes)))
-    return verdicts
+    check = _contraction(batch)
+    contraction = check[0]
+    ok, smin, _ = _direct_sums(batch)
+    return (*check, ok | contraction, smin, contraction & ~ok)

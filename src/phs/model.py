@@ -137,33 +137,21 @@ class CoefficientField:
 
     def eval_many(self, zetas) -> np.ndarray:
         """Evaluate H at an array of points; returns shape (len(zetas), n, n)."""
-        return _eval_group(self.kind, [self], zetas)[0]
+        data = self.data if self.kind == "grid" else (self.data[0][None],)
+        return _eval_group(self.kind, data, zetas)[0]
 
 
-def _kind_groups(fields) -> list:
-    """The fields in the groups that _eval_group and _bernstein_pieces each
-    take at once: the constant fields, the polynomial fields of each
-    degree, and each grid field alone, in order of first appearance.
-    Returns (indices, kind, fields) per group."""
-    groups: dict = {}
-    for i, field in enumerate(fields):
-        # a polynomial's degree is in the shape of its coefficients
-        key = (field.kind, i) if field.kind == "grid" else (field.kind, field.data[0].shape)
-        groups.setdefault(key, []).append(i)
-    return [(idx, kind, [fields[i] for i in idx]) for (kind, _), idx in groups.items()]
-
-
-def _eval_group(kind: str, fields, zetas) -> np.ndarray:
-    """H of fields of one group of _kind_groups at an array of points,
-    stacked (len(fields), len(zetas), n, n)."""
+def _eval_group(kind: str, data, zetas) -> np.ndarray:
+    """H of the fields of one group of a _Batch at an array of points,
+    stacked (len(group), len(zetas), n, n)."""
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
     if kind == "grid":
-        ((zs, values),) = (field.data for field in fields)
+        zs, values = data
         idx = np.clip(np.searchsorted(zs, zetas, side="right") - 1, 0, zs.size - 2)
         w = (zetas - zs[idx]) / (zs[idx + 1] - zs[idx])
         out = (1.0 - w)[:, None, None] * values[idx] + w[:, None, None] * values[idx + 1]
         return hermitian_part(out)[None]
-    data = np.array([field.data[0] for field in fields])
+    (data,) = data
     if kind == "constant":
         return np.repeat(data[:, None], zetas.size, axis=1)
     # Horner's rule with the operations of np.polynomial.polynomial.polyval,
@@ -174,13 +162,13 @@ def _eval_group(kind: str, fields, zetas) -> np.ndarray:
     return vals.transpose(0, 3, 1, 2)
 
 
-def _eval_fields(fields, zetas) -> np.ndarray:
-    """eval_many of each field, stacked (len(fields), len(zetas), n, n),
-    with one evaluation per group of _kind_groups."""
-    n = fields[0].n
-    out = np.empty((len(fields), len(zetas), n, n), dtype=complex)
-    for idx, kind, group in _kind_groups(fields):
-        out[idx] = _eval_group(kind, group, zetas)
+def _eval_fields(batch, zetas) -> np.ndarray:
+    """eval_many of each field of a _Batch, stacked (B, len(zetas), n, n),
+    with one evaluation per group."""
+    n = batch.p1.shape[-1]
+    out = np.empty((len(batch.p1), len(zetas), n, n), dtype=complex)
+    for idx, kind, data in batch.fields:
+        out[idx] = _eval_group(kind, data, zetas)
     return out
 
 
@@ -234,7 +222,7 @@ def validate_system(system: PHSystem) -> None:
     The test is sufficient, not necessary: it may refuse a system whose
     eigenvalues all clear the band.
     """
-    _validate([system])
+    _validate(_stack([system]))
 
 
 def _structure_error(system: PHSystem) -> str:
@@ -251,34 +239,68 @@ def _structure_error(system: PHSystem) -> str:
     return f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
 
 
-def _stacked(systems) -> tuple:
-    """p1 (B, n, n), p0 (B, n, n) and wb_tilde (B, n, 2n) of systems of one
-    dimension n, each stacked along a new first axis, in list order."""
-    return (np.array([s.p1 for s in systems]), np.array([s.p0 for s in systems]),
-            np.array([s.wb_tilde for s in systems]))
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Systems of one dimension n as stacks along a first axis, in order:
+    p1 and p0 (B, n, n) and wb_tilde (B, n, 2n).  ``fields`` holds the
+    coefficient fields as groups (indices, kind, data), each evaluated and
+    certified at once: the constant fields (data (values (k, n, n),)), the
+    polynomial fields of each degree (data (coeffs (k, n, n, d + 1),)) and
+    each grid field alone (its data), in order of first appearance.  Every
+    stage of the classifier, the oracle and validation reads a batch; a
+    single system is a batch of one."""
+
+    p1: np.ndarray
+    p0: np.ndarray
+    wb_tilde: np.ndarray
+    fields: tuple
 
 
-def _validate(systems) -> None:
-    """validate_system on a list of systems of one dimension n, each check
-    made once for the whole stack.  Shapes and the dimension of H are
-    compared system by system; finiteness (p1, then p0, then wb_tilde) and
-    P1 are checked on the stacked matrices, and H on the Bernstein pieces
-    of one group of _kind_groups at a time.  Raises
-    at the first check that fails for any system, with the ValidationError
-    validate_system raises for that system; it need not be the first
-    invalid system of the list (the agreement campaign replays a failed
-    stack system by system).  The systems' arrays are only read, so
-    systems may share them, as views of one batch's read-only stacks."""
-    for system in systems:
+def _stack(systems) -> _Batch:
+    """The batch of a list of systems of one dimension n.  Their shapes are
+    compared system by system first, the first structure check of
+    validate_system; a misshapen system raises its ValidationError."""
+    groups: dict = {}
+    for i, system in enumerate(systems):
         n = system.n
         shapes = (system.p1.shape, system.p0.shape, system.wb_tilde.shape)
         if shapes != ((n, n), (n, n), (n, 2 * n)):
             raise ValidationError(_structure_error(system))
-    stacks = _stacked(systems)
-    for name, m in zip(("p1", "p0", "wb_tilde"), stacks):
+        h = system.h
+        # a polynomial's degree, and any field's dimension, is in its data's shape
+        groups.setdefault((h.kind, i) if h.kind == "grid" else (h.kind, h.data[0].shape),
+                          []).append(i)
+    fields = tuple(
+        (np.array(idx), kind, systems[idx[0]].h.data if kind == "grid"
+         else (np.array([systems[i].h.data[0] for i in idx]),))
+        for (kind, _), idx in groups.items())
+    return _Batch(np.array([s.p1 for s in systems]), np.array([s.p0 for s in systems]),
+                  np.array([s.wb_tilde for s in systems]), fields)
+
+
+def _unstack(batch: _Batch) -> list:
+    """The systems of a batch, their arrays views of its stacks."""
+    n = batch.p1.shape[-1]
+    fields = [None] * len(batch.p1)
+    for idx, kind, data in batch.fields:
+        for j, i in enumerate(idx.tolist()):
+            fields[i] = CoefficientField(n, kind, data if kind == "grid" else (data[0][j],))
+    return [PHSystem(n, *parts) for parts in zip(batch.p1, batch.p0, fields, batch.wb_tilde)]
+
+
+def _validate(batch: _Batch) -> None:
+    """validate_system on a batch, each check made once for the whole stack:
+    finiteness (p1, then p0, then wb_tilde) and P1 on the stacked matrices,
+    the dimension of H per field group, and H on the Bernstein pieces of one
+    group at a time.  Raises at the first check that fails for any system,
+    with the ValidationError validate_system raises for that system; it need
+    not be the first invalid system of the batch (the agreement campaign
+    replays a failed batch system by system).  The stacks are only read."""
+    for name, m in (("p1", batch.p1), ("p0", batch.p0), ("wb_tilde", batch.wb_tilde)):
         if not np.isfinite(m).all():
             raise ValidationError(f"{name} contains non-finite entries")
-    p1 = stacks[0]
+    p1 = batch.p1
+    n = p1.shape[-1]
     if (_herm_defect(p1) > TOL_HERM).any():
         raise ValidationError("p1 is not Hermitian")
     svals = np.linalg.svd(p1, compute_uv=False)
@@ -286,15 +308,16 @@ def _validate(systems) -> None:
     if bad.any():
         raise ValidationError("p1 is numerically singular "
                               f"(smallest singular value {svals[bad.argmax(), -1]:.3e})")
-    for system in systems:
-        if system.h.n != system.n:
-            raise ValidationError(f"H has dimension {system.h.n}, system has n = {system.n}")
+    for _, _, data in batch.fields:
+        # axis 2 of the values or coefficients is the field's dimension
+        if data[-1].shape[2] != n:
+            raise ValidationError(f"H has dimension {data[-1].shape[2]}, system has n = {n}")
     # each group's pieces: piece ends and control matrices; non-finite
     # fields are refused here, before any arithmetic warns about them
-    h_lower, h_upper = np.empty(len(systems)), np.empty(len(systems))
-    for idx, kind, fields in _kind_groups([system.h for system in systems]):
+    h_lower, h_upper = np.empty(len(p1)), np.empty(len(p1))
+    for idx, kind, data in batch.fields:
         with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi, ctrl = _bernstein_pieces(kind, fields)
+            lo, hi, ctrl = _bernstein_pieces(kind, data)
             # a Hermitian part that overflows counts as non-finite too
             if not np.isfinite(ctrl + _adjoint(ctrl)).all():
                 raise ValidationError("H evaluates to non-finite entries")
@@ -367,8 +390,8 @@ def _certify(lo, hi, ctrl) -> tuple:
         origin = np.repeat(origin, 2)
 
 
-def _bernstein_pieces(kind: str, fields):
-    """Write fields of one group of _kind_groups as polynomial pieces of one
+def _bernstein_pieces(kind: str, data):
+    """Write the fields of one group of a _Batch as polynomial pieces of one
     degree d in Bernstein form.
 
     Returns the ends lo < hi of the pieces and their control matrices B of
@@ -381,10 +404,10 @@ def _bernstein_pieces(kind: str, fields):
     knot interval, its knot values symmetrized as grid evaluation does.
     """
     if kind == "grid":
-        ((zetas, values),) = (field.data for field in fields)
+        zetas, values = data
         values = hermitian_part(values)
         return zetas[:-1], zetas[1:], np.stack([values[:-1], values[1:]], axis=1)
-    data = np.array([field.data[0] for field in fields])
+    (data,) = data
     lo, hi = np.zeros(len(data)), np.ones(len(data))
     if kind == "constant":
         return lo, hi, data[:, None]

@@ -24,7 +24,7 @@ import numpy as np
 from .classifier import TOL_PSD, TOL_RANK, _classify_stack
 from .errors import DomainError, InvariantError, PHSError, _at_least
 from .model import (
-    CoefficientField, PHSystem, _adjoint, _stacked, _validate, hermitian_part)
+    PHSystem, _adjoint, _Batch, _stack, _unstack, _validate, hermitian_part)
 
 # Systems per stacked batch of agreement_campaign: bounds its memory.
 CAMPAIGN_BATCH = 100
@@ -48,12 +48,12 @@ def _kernel_bases(m: np.ndarray) -> list:
             for k in sorted(set(dims.tolist())) for idx in (dims == k).nonzero()]
 
 
-def _kernel_test(systems):
-    """Contraction for systems of one n as stacks: Re P0 <= 0 and the form
+def _kernel_test(batch):
+    """Contraction for a _Batch as stacks: Re P0 <= 0 and the form
     diag(P1, -P1) restricted to ker(wb_tilde) non-positive.  Returns per
     system the kernel dimension, the form's largest and smallest eigenvalue
     (0 if empty) and the verdict."""
-    p1, p0, wb_tilde = _stacked(systems)
+    p1, p0, wb_tilde = batch.p1, batch.p0, batch.wb_tilde
     count, n = p1.shape[:2]
     big = np.zeros((count, 2 * n, 2 * n), dtype=complex)
     big[:, :n, :n] = p1
@@ -78,7 +78,7 @@ def _dimension_error(dim: int, n: int) -> InvariantError:
 def boundary_form_on_kernel(system: PHSystem) -> tuple[float, float]:
     """Extreme values of u* P1 u - y* P1 y over unit vectors [u; y] in
     ker(wb_tilde); returns (max, min) eigenvalues of the restricted form."""
-    _, (top,), (bottom,), _ = _kernel_test([system])
+    _, (top,), (bottom,), _ = _kernel_test(_stack([system]))
     return float(top), float(bottom)
 
 
@@ -92,7 +92,7 @@ def check_contraction_via_c(system: PHSystem) -> bool:
     n.  That implication is checked on every passing instance, and its
     failure raises InvariantError.
     """
-    (dim,), _, _, (holds,) = _kernel_test([system])
+    (dim,), _, _, (holds,) = _kernel_test(_stack([system]))
     if holds and dim != system.n:
         raise _dimension_error(dim, system.n)
     return bool(holds)
@@ -102,30 +102,42 @@ def check_contraction_via_c(system: PHSystem) -> bool:
 # Randomized instances
 # ---------------------------------------------------------------------------
 
-def _draws(seed: int, n: int, hint: str) -> dict:
-    """The draws of random_system(seed, n, hint) in its order: per complex
-    matrix its real and imaginary parts (2, n, cols)."""
-    rng = np.random.default_rng(seed)
-    d: dict = {}
+# Block of each normal draw in a system's row of the draw table, in units of
+# one (2, n, n) pair of real and imaginary parts; wb_tilde (2, n, 2n) fills
+# two.  Keys of different hints share a block: p0 and c, wb_tilde and v.
+_BLOCK = {"p1": 0, "base": 1, "slope": 2, "skew": 3, "p0": 4, "c": 4,
+          "v": 5, "wb_tilde": 5, "g_left": 6, "g_right": 7}
 
-    def normals(*keys, cols=n):
-        d.update(zip(keys, rng.standard_normal((len(keys), 2, n, cols))))
 
-    normals("p1", "base")
-    h_keys = ("slope", "skew") if rng.random() >= 0.5 else ("skew",)
-    if hint == "general":
-        normals(*h_keys, "p0")
-        normals("wb_tilde", cols=2 * n)
-        return d
-    if hint == "unitary":
-        normals(*h_keys, "v", "g_left")
-    else:
-        normals(*h_keys, "c", "v")
-        d["v_norm"] = rng.uniform(0.2, 0.999)
-        normals("g_left")
-    d["g_sing"] = rng.uniform(0.5, 2.0, n)
-    normals("g_right")
-    return d
+def _draws(seeds, n: int, hints) -> tuple:
+    """The draws of random_system for each (seed, hint), in its order: a
+    table with one row of normals per system, each key at its _BLOCK, the
+    slope coins (is H affine), and the uniforms v_norm (contraction) and
+    g_sing (unitary and contraction).  A run of consecutive normal draws is
+    one call writing into the row: the stream is the same as for one call
+    per key.  Blocks a system does not draw are left unset."""
+    count, b = len(hints), 2 * n * n
+    table, slope = np.empty((count, 8 * b)), np.empty(count, dtype=bool)
+    v_norm, g_sing = np.empty(count), np.empty((count, n))
+    for i, (seed, hint) in enumerate(zip(seeds, hints)):
+        rng = np.random.default_rng(seed)
+        row = table[i]
+        rng.standard_normal(out=row[:2 * b])
+        slope[i] = affine = rng.random() >= 0.5
+        start = 2 * b if affine else 3 * b
+        if hint == "general":
+            rng.standard_normal(out=row[start:7 * b])
+            continue
+        if hint == "unitary":  # draws no c: skew, then v and g_left
+            rng.standard_normal(out=row[start:4 * b])
+            rng.standard_normal(out=row[5 * b:7 * b])
+        else:
+            rng.standard_normal(out=row[start:6 * b])
+            v_norm[i] = rng.uniform(0.2, 0.999)
+            rng.standard_normal(out=row[6 * b:7 * b])
+        g_sing[i] = rng.uniform(0.5, 2.0, n)
+        rng.standard_normal(out=row[7 * b:])
+    return table, slope, v_norm, g_sing
 
 
 def _unitary(z: np.ndarray) -> np.ndarray:
@@ -135,19 +147,21 @@ def _unitary(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _random_systems(seeds, n: int, hints) -> list:
-    """The systems of random_system for each (seed, hint), not validated,
-    the linear algebra done on stacks.  Their matrices and field data are
-    views into the batch's read-only stacks."""
+def _random_systems(seeds, n: int, hints) -> _Batch:
+    """The batch of random_system for each (seed, hint), not validated: the
+    linear algebra is done on stacks read from the table of _draws, and the
+    batch's stacks are read-only."""
     _at_least("n", n, 1)
-    draws = [_draws(seed, n, hint) for seed, hint in zip(seeds, hints)]
+    table, slope_coin, v_norm, g_sing = _draws(seeds, n, hints)
 
-    def stack(key, group):  # complex standard normal for matrix draws
-        z = np.array([draws[i][key] for i in group])
-        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) if z.ndim == 4 else z
+    def stack(key, group):  # complex standard normal matrices of the systems in group
+        start = _BLOCK[key] * 2 * n * n
+        z = table[group, start:start + 2 * n * n * (2 if key == "wb_tilde" else 1)]
+        z = z.reshape(len(group), 2, n, -1)
+        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
-    count = len(draws)
-    everyone = range(count)
+    count = len(hints)
+    everyone = list(range(count))
     eye = np.eye(n)
     # P1: a random Hermitian matrix with its eigenvalues pushed off zero
     w, q = np.linalg.eigh(hermitian_part(stack("p1", everyone)))
@@ -156,9 +170,9 @@ def _random_systems(seeds, n: int, hints) -> list:
     # H: a constant h0 or the affine h0 + zeta * (positive semidefinite slope)
     base = stack("base", everyone)
     h0 = hermitian_part(base @ _adjoint(base)) + 0.3 * eye
-    affine = [i for i in everyone if "slope" in draws[i]]
+    affine = np.flatnonzero(slope_coin)
     coeffs = np.empty((len(affine), n, n, 2), dtype=complex)
-    if affine:
+    if affine.size:
         slope = stack("slope", affine)
         coeffs[..., 0], coeffs[..., 1] = h0[affine], hermitian_part(slope @ _adjoint(slope))
     general, unitary, contraction = ([i for i in everyone if hints[i] == hint]
@@ -176,23 +190,24 @@ def _random_systems(seeds, n: int, hints) -> list:
         v, nb = stack("v", bounded), len(bounded)
         # one QR for both unitary factors of G and the unitary V
         q = _unitary(np.concatenate([stack("g_left", bounded), stack("g_right", bounded), v[:u]]))
-        g, v[:u] = (q[:nb] * stack("g_sing", bounded)[:, None, :]) @ q[nb:2 * nb], q[2 * nb:]
+        g, v[:u] = (q[:nb] * g_sing[bounded][:, None, :]) @ q[nb:2 * nb], q[2 * nb:]
         if contraction:
             c = stack("c", contraction)
             p0_b[u:] -= c @ _adjoint(c)
-            v[u:] *= (stack("v_norm", contraction)
+            v[u:] *= (v_norm[contraction]
                       / np.linalg.svd(v[u:], compute_uv=False)[:, 0])[:, None, None]
         # wb_tilde = wb @ [[P1, -P1], [I, I]] = [A P1 + B, B - A P1] for wb = [A B]
         a, b = g @ (eye + v), g @ (eye - v)
         a_p1 = a @ p1[bounded]
         p0[bounded], wb_tilde[bounded] = p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)
 
-    for m in (p1, p0, wb_tilde, h0, coeffs):
+    constant = np.flatnonzero(~slope_coin)
+    fields = [(constant, "constant", (h0[constant],)), (affine, "polynomial", (coeffs,))]
+    fields = [group for group in fields if group[0].size]
+    for m in (p1, p0, wb_tilde, *(data for _, _, (data,) in fields)):
         m.flags.writeable = False
-    fields = [CoefficientField(n, "constant", (value,)) for value in h0]
-    for i, c in zip(affine, coeffs):
-        fields[i] = CoefficientField(n, "polynomial", (c,))
-    return [PHSystem(n, p1[i], p0[i], fields[i], wb_tilde[i]) for i in everyone]
+    # the groups in order of their first system
+    return _Batch(p1, p0, wb_tilde, tuple(sorted(fields, key=lambda group: group[0][0])))
 
 
 def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
@@ -212,33 +227,36 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
     if class_hint not in ("general", "contraction", "unitary"):
         raise DomainError(f"unknown class_hint {class_hint!r}")
     _at_least("seed", seed, 0)
-    systems = _random_systems([seed], n, [class_hint])
-    _validate(systems)
-    return systems[0]
+    batch = _random_systems([seed], n, [class_hint])
+    _validate(batch)
+    return _unstack(batch)[0]
 
 
-def _cross_checked(systems):
-    """Validate, classify and cross-check systems of one n as stacks.
-    Returns the verdicts and the oracle's (top, bottom, holds) as lists;
-    raises the first error any stage finds, for some system of the stack."""
-    _validate(systems)
-    verdicts = _classify_stack(systems)
-    dim, top, bottom, holds = (a.tolist() for a in _kernel_test(systems))
-    n = systems[0].n
-    for verdict, dim_i, holds_i in zip(verdicts, dim, holds):
-        if dim_i != 2 * n - verdict.rank_wb_tilde:
-            raise InvariantError(f"kernel dimension law violated: dim ker(wb_tilde) = "
-                                 f"{dim_i}, 2n - rank = {2 * n - verdict.rank_wb_tilde}")
-        if holds_i and dim_i != n:
-            raise _dimension_error(dim_i, n)
-    return verdicts, top, bottom, holds
+def _cross_checked(batch):
+    """Validate, classify and cross-check a _Batch.  Returns the arrays of
+    _classify_stack and the oracle's top, bottom and holds (see
+    _kernel_test); raises the first error any stage finds, for some system
+    of the batch."""
+    _validate(batch)
+    verdicts = _classify_stack(batch)
+    dim, top, bottom, holds = _kernel_test(batch)
+    n, rank = batch.p1.shape[-1], verdicts[9]  # rank_wb_tilde, the last check field
+    law = dim != 2 * n - rank
+    if law.any():
+        k = law.argmax()
+        raise InvariantError(f"kernel dimension law violated: dim ker(wb_tilde) = "
+                             f"{dim[k]}, 2n - rank = {2 * n - rank[k]}")
+    wrong = holds & (dim != n)
+    if wrong.any():
+        raise _dimension_error(dim[wrong.argmax()], n)
+    return verdicts, (top, bottom, holds)
 
 
 def _first_failure(systems) -> None:
     """Replay _cross_checked on each system alone, in order: the first
     system that fails raises the error it raises on its own."""
     for system in systems:
-        _cross_checked([system])
+        _cross_checked(_stack([system]))
 
 
 def agreement_campaign(
@@ -256,15 +274,19 @@ def agreement_campaign(
     unitary hint weight is kept small because those instances sit exactly
     on the frontier by construction.
 
-    The systems are generated, validated, classified and cross-checked in
-    stacked batches of CAMPAIGN_BATCH.  When a stage raises on a batch, its
-    systems are checked again one at a time in seed order, so the first
-    failing system raises the error it raises on its own; if each passes
-    alone, the batch's error is raised.
+    Each batch of CAMPAIGN_BATCH systems is one _Batch from draw to
+    report: its stacks are built once, as the systems are drawn, and then
+    validated, classified and cross-checked as stacks, and the report is
+    tallied from the stages' arrays, with no per-system object.  When a
+    stage raises on a batch, its systems are checked again one at a time in
+    seed order, so the first failing system raises the error it raises on
+    its own; if each passes alone, the batch's error is raised.
 
     Returns a JSON-ready report including full-verdict counts and the
-    number of verdict-monotonicity violations (expected 0).  Raises
-    DomainError for n < 1, a negative count or a negative seed.
+    number of verdict-monotonicity violations (expected 0): the systems
+    whose direct-sum test fails although contraction holds, which classify
+    coerces and notes.  Raises DomainError for n < 1, a negative count or a
+    negative seed.
     """
     _at_least("n", n, 1)
     _at_least("count", count, 0)
@@ -273,58 +295,35 @@ def agreement_campaign(
     draws = np.random.default_rng(seed).random(count)
     hints = ["general" if d < w_general else
              "contraction" if d < w_general + w_contraction else "unitary" for d in draws]
-    agree = disagree = frontier = 0
+    tally = dict.fromkeys(("agree", "disagree", "frontier", "unitary", "contraction", "c0_true",
+                           "c0_false", "c0_inconclusive", "monotonicity_violations"), 0)
     mismatches: list[int] = []
-    mono_violations = 0
-    verdict_counts = {
-        "unitary": 0,
-        "contraction": 0,
-        "c0_true": 0,
-        "c0_false": 0,
-        "c0_inconclusive": 0,
-    }
     for start in range(0, count, CAMPAIGN_BATCH):
         stop = min(count, start + CAMPAIGN_BATCH)
-        systems = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
+        batch = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
         try:
-            verdicts, top, bottom, holds = _cross_checked(systems)
+            verdicts, (top, bottom, holds) = _cross_checked(batch)
         except PHSError:
-            _first_failure(systems)
+            _first_failure(_unstack(batch))
             raise
-        for i, verdict in enumerate(verdicts):
-            # dim ker(wb_tilde) = 2n - rank >= n: the form is never empty here
-            witnesses = ((verdict.re_p0_max_eigenvalue, verdict.re_p0_norm),
-                         (verdict.sigma_form_min_eigenvalue, verdict.sigma_form_norm),
-                         (top[i], max(top[i], -bottom[i])))
-            if any(abs(w) <= 10.0 * TOL_PSD * max(1.0, scale) for w, scale in witnesses):
-                frontier += 1
-            elif verdict.contraction == holds[i]:
-                agree += 1
-            else:
-                disagree += 1
-                mismatches.append(start + i)
-
-            verdict_counts["unitary"] += verdict.unitary_group
-            verdict_counts["contraction"] += verdict.contraction
-            if verdict.c0_semigroup is None:
-                verdict_counts["c0_inconclusive"] += 1
-            elif verdict.c0_semigroup:
-                verdict_counts["c0_true"] += 1
-            else:
-                verdict_counts["c0_false"] += 1
-            # classify() coerces inconsistent triples and leaves a note, so the
-            # raw violations are counted through the notes
-            mono_violations += sum("InternalInconsistency" in note for note in verdict.notes)
-
-    return {
-        "n": n,
-        "count": count,
-        "seed": seed,
-        "agree": agree,
-        "disagree": disagree,
-        "frontier": frontier,
-        "frontier_fraction": frontier / count if count else 0.0,
-        "mismatch_indices": mismatches,
-        "verdicts": verdict_counts,
-        "monotonicity_violations": mono_violations,
-    }
+        (contraction, unitary, _, _, p0_max, p0_norm, _, form_min, form_norm, rank, c0, _,
+         coerced) = verdicts
+        # the witnesses and their scales; dim ker(wb_tilde) = 2n - rank >= n,
+        # so the form is never empty here
+        witness = np.array([p0_max, form_min, top])
+        scale = np.array([p0_norm, form_norm, np.maximum(top, -bottom)])
+        frontier = (np.abs(witness) <= 10.0 * TOL_PSD * np.maximum(1.0, scale)).any(axis=0)
+        differ = ~frontier & (contraction != holds)
+        mismatches += (start + np.flatnonzero(differ)).tolist()
+        full = rank == n
+        masks = (~frontier & ~differ, differ, frontier, unitary, contraction, full & c0,
+                 full & ~c0, ~full, coerced)
+        for key, k in zip(tally, np.count_nonzero(masks, axis=1).tolist()):
+            tally[key] += k
+    return {"n": n, "count": count, "seed": seed,
+            **{key: tally[key] for key in ("agree", "disagree", "frontier")},
+            "frontier_fraction": tally["frontier"] / count if count else 0.0,
+            "mismatch_indices": mismatches,
+            "verdicts": {key: tally[key] for key in
+                         ("unitary", "contraction", "c0_true", "c0_false", "c0_inconclusive")},
+            "monotonicity_violations": tally["monotonicity_violations"]}

@@ -531,7 +531,9 @@ def setup(
     if not finite.all():
         raise StabilityError(
             f"initial field is not finite at z = {disc.zetas[np.argmin(finite)]:.6g}")
-    g = disc.apply("s", x_init, out=disc._fields[0])
+    # the buffer itself: for a constant field, apply returns a new view of it
+    g = disc._fields[0]
+    disc.apply("s", x_init, out=g)
     disc.close(g)
     disc.check(g, math.inf)
 

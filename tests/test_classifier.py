@@ -538,12 +538,21 @@ def _assert_same_record(got, ref):
 
 
 def test_stacked_verdicts_equal_classify():
+    # the stack's arrays hold classify's fields, c0 and smin where the
+    # direct-sum test applies; the coercion mask is where classify notes an
+    # inconsistency
     systems = _mixed_stack()
-    verdicts = phs.classifier._classify_stack(systems)
-    assert len(verdicts) == len(systems)
+    *check, c0, smin, coerced = phs.classifier._classify_stack(phs.model._stack(systems))
+    assert len(c0) == len(smin) == len(coerced) == len(systems)
     seen = set()
-    for system, verdict in zip(systems, verdicts):
-        _assert_same_record(verdict, phs.classify(system))
+    for i, system in enumerate(systems):
+        ref = phs.classify(system)
+        full = check[-1][i] == system.n
+        verdict = phs.classifier.Verdict(
+            *(f[i] if f.ndim > 1 else f[i].item() for f in check), system.n,
+            bool(c0[i]) if full else None, float(smin[i]) if full else None, ref.notes)
+        _assert_same_record(verdict, ref)
+        assert bool(coerced[i]) == any("InternalInconsistency" in note for note in ref.notes)
         seen.add((verdict.c0_semigroup, verdict.rank_wb_tilde == system.n,
                   int(np.count_nonzero(np.linalg.eigvalsh(system.p1) > 0))))
     # full rank and rank deficient, and n1 = 0, ..., n among the full-rank ones
@@ -578,7 +587,7 @@ def test_stacked_classification_stops_at_first_refused_system():
     for first, second in ((0, 1), (1, 0)):
         systems = good + [tiny[first]] + good + [tiny[second]] + good
         with pytest.raises(ValidationError) as stacked:
-            phs.classifier._classify_stack(systems)
+            phs.classifier._classify_stack(phs.model._stack(systems))
         assert str(stacked.value) in messages
         with pytest.raises(ValidationError) as replayed:
             phs.oracle._first_failure(systems)
@@ -604,6 +613,19 @@ class TestClassify:
         assert v.direct_sum_min_singular_value is None
         assert not v.contraction
         assert any("inconclusive" in note for note in v.notes)
+
+    def test_rank_deficient_system_refused_at_the_ends(self):
+        # the direct-sum stage runs on every system: an unvalidated system
+        # whose H is not positive definite is refused whatever the rank of
+        # wb_tilde, with the message a full-rank one gets
+        eye = np.eye(2, dtype=complex)
+        messages = []
+        for wb in (np.hstack([eye, eye]), np.array([[1, 0, 1, 0], [2, 0, 2, 0]], dtype=complex)):
+            system = phs.PHSystem(2, eye, 0 * eye, phs.CoefficientField.constant(-eye), wb)
+            with pytest.raises(ValidationError) as exc:
+                phs.classify(system)
+            messages.append(str(exc.value))
+        assert messages == ["H(zeta=1) is not positive definite"] * 2
 
     def test_grid_field_flagged(self):
         field = phs.CoefficientField.grid([0.0, 1.0], [[[1.0]], [[2.0]]])

@@ -538,7 +538,7 @@ def test_certification_sees_finite_matrices_only(monkeypatch):
     assert len(names) == 4
     for name in names:
         with pytest.raises(ValidationError) as exc:
-            phs.model._validate([VALID[0], INVALID[name][0], VALID[1]])
+            _validate_stack([VALID[0], INVALID[name][0], VALID[1]])
         assert str(exc.value) == INVALID[name][1]
 
 
@@ -556,8 +556,13 @@ def test_stacked_validation_fails_first_in_system_order(picks):
     # stack one system at a time names the first
     systems = [VALID[p] if isinstance(p, int) else INVALID[p][0] for p in picks]
     messages = [INVALID[p][1] for p in picks if isinstance(p, str)]
-    assert _raised(phs.model._validate, systems) in (messages or [None])
+    assert _raised(_validate_stack, systems) in (messages or [None])
     assert _raised(phs.oracle._first_failure, systems) == next(iter(messages), None)
+
+
+def _validate_stack(systems):
+    """Validation of the systems' batch: the stacking compares their shapes."""
+    phs.model._validate(phs.model._stack(systems))
 
 
 def _raised(check, *args):

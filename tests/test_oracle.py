@@ -150,8 +150,9 @@ class TestRandomSystem:
 def test_stacked_generation_equals_random_system():
     seeds = range(300, 340)
     hints = [("general", "contraction", "unitary")[s % 3] for s in seeds]
-    systems = phs.oracle._random_systems(seeds, 3, hints)
-    phs.model._validate(systems)
+    batch = phs.oracle._random_systems(seeds, 3, hints)
+    phs.model._validate(batch)
+    systems = phs.model._unstack(batch)
     for seed, hint, system in zip(seeds, hints, systems):
         ref = phs.random_system(seed, 3, hint)
         for name in ("p1", "p0", "wb_tilde"):
@@ -161,11 +162,64 @@ def test_stacked_generation_equals_random_system():
         np.testing.assert_allclose(system.h.data[0], ref.h.data[0], rtol=1e-12, atol=1e-12)
 
 
+def _per_key_draws(seed, n, hint):
+    """The draws of random_system(seed, n, hint) as the per-key generator
+    made them, in its order: per complex matrix its real and imaginary parts
+    (2, n, cols), and the uniforms v_norm and g_sing."""
+    rng = np.random.default_rng(seed)
+    d = {}
+
+    def normals(*keys, cols=n):
+        d.update(zip(keys, rng.standard_normal((len(keys), 2, n, cols))))
+
+    normals("p1", "base")
+    h_keys = ("slope", "skew") if rng.random() >= 0.5 else ("skew",)
+    if hint == "general":
+        normals(*h_keys, "p0")
+        normals("wb_tilde", cols=2 * n)
+        return d
+    if hint == "unitary":
+        normals(*h_keys, "v", "g_left")
+    else:
+        normals(*h_keys, "c", "v")
+        d["v_norm"] = rng.uniform(0.2, 0.999)
+        normals("g_left")
+    d["g_sing"] = rng.uniform(0.5, 2.0, n)
+    normals("g_right")
+    return d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_draw_table_is_the_per_key_stream(n):
+    # the batch's draws equal, entry by entry, what the per-key generator
+    # drew for each seed: every random system, and so every pinned report
+    # and benchmark reference, stays the same
+    seeds = range(700, 766)
+    hints = [("general", "contraction", "unitary")[s % 3] for s in seeds]
+    table, slope, v_norm, g_sing = phs.oracle._draws(seeds, n, hints)
+    coins = set()
+    for i, (seed, hint) in enumerate(zip(seeds, hints)):
+        ref = _per_key_draws(seed, n, hint)
+        assert slope[i] == ("slope" in ref)
+        coins.add((hint, bool(slope[i])))
+        for key, value in ref.items():
+            if key == "v_norm":
+                assert v_norm[i] == value
+            elif key == "g_sing":
+                np.testing.assert_array_equal(g_sing[i], value)
+            else:
+                start = phs.oracle._BLOCK[key] * 2 * n * n
+                np.testing.assert_array_equal(
+                    table[i, start:start + value.size].reshape(value.shape), value)
+    # both values of the slope coin under every hint
+    assert len(coins) == 6
+
+
 def test_batch_systems_are_read_only():
     # the systems of a batch share its stacks: none of them can write to them
     seeds = range(400, 430)
     hints = [("general", "contraction", "unitary")[s % 3] for s in seeds]
-    systems = phs.oracle._random_systems(seeds, 2, hints)
+    systems = phs.model._unstack(phs.oracle._random_systems(seeds, 2, hints))
     assert {s.h.kind for s in systems} == {"constant", "polynomial"}
     for system in systems:
         for m in (system.p1, system.p0, system.wb_tilde, system.h.data[0]):
@@ -181,7 +235,7 @@ def test_stacked_kernel_test_equals_single_system_oracle():
     for r in (1, 2):
         wb = (rng.standard_normal((3, r)) @ rng.standard_normal((r, 6))).astype(complex)
         systems.append(phs.make_system(systems[r].p1, -np.eye(3), systems[r].h, wb))
-    dim, top, bottom, holds = phs.oracle._kernel_test(systems)
+    dim, top, bottom, holds = phs.oracle._kernel_test(phs.model._stack(systems))
     assert set(dim.tolist()) == {3, 4, 5}
     for k, system in enumerate(systems):
         assert dim[k] == phs.kernel_basis(system.wb_tilde).shape[1]
@@ -246,8 +300,8 @@ class TestCampaign:
 
         def substituted(seeds, n, hints):
             # system k of the campaign has seed 3 + k
-            return [bad.get(seed - 3, system)
-                    for seed, system in zip(seeds, real(seeds, n, hints))]
+            return phs.model._stack([bad.get(seed - 3, system) for seed, system
+                                     in zip(seeds, phs.model._unstack(real(seeds, n, hints)))])
 
         monkeypatch.setattr(phs.oracle, "_random_systems", substituted)
         with pytest.raises(phs.ValidationError) as got:
@@ -260,15 +314,36 @@ class TestCampaign:
         # instead of a report
         real = phs.oracle._kernel_test
 
-        def stack_only(systems):
-            if len(systems) > 1:
+        def stack_only(batch):
+            if len(batch.p1) > 1:
                 raise phs.InvariantError("fails on stacks only")
-            return real(systems)
+            return real(batch)
 
         monkeypatch.setattr(phs.oracle, "_kernel_test", stack_only)
         assert phs.agreement_campaign(2, 1, seed=3)["count"] == 1
         with pytest.raises(phs.InvariantError, match="fails on stacks only"):
             phs.agreement_campaign(2, 150, seed=3)
+
+    def test_coercion_is_counted(self, monkeypatch):
+        # a direct-sum test that fails on one contraction system per batch:
+        # classify coerces c0 to True and notes it, and the campaign counts
+        # it from the coercion mask, its c0 counts unchanged
+        real = phs.classifier._direct_sums
+
+        def failing(batch):
+            ok, smin, k = real(batch)
+            ok[np.flatnonzero(phs.classifier._contraction(batch)[0])[:1]] = False
+            return ok, smin, k
+
+        before = phs.agreement_campaign(2, 40, seed=6)
+        assert before["verdicts"]["contraction"] > 1
+        monkeypatch.setattr(phs.classifier, "_direct_sums", failing)
+        after = phs.agreement_campaign(2, 40, seed=6)
+        assert after["monotonicity_violations"] == 1
+        assert after == dict(before, monotonicity_violations=1)
+        verdict = phs.classify(phs.random_system(100, 3, "contraction"))
+        assert verdict.contraction and verdict.c0_semigroup is True
+        assert any(note.startswith("InternalInconsistency") for note in verdict.notes)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_dimension(self, n):
@@ -310,3 +385,33 @@ class TestInvariants:
     def test_agreement_campaign(self, broken_kernel):
         with pytest.raises(phs.InvariantError, match="kernel dimension law"):
             phs.agreement_campaign(n=2, count=3, seed=0)
+
+
+class TestOneStackPerBatch:
+    """A batch's stacks are built once, from draw to report, and a single
+    system is a batch of one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = {"batches": 0, "verdicts": 0}
+        for key, cls in (("batches", phs.model._Batch), ("verdicts", phs.classifier.Verdict)):
+            def counted(self, *args, _init=cls.__init__, _key=key, **kwargs):
+                built[_key] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return built
+
+    def test_campaign(self, built):
+        # three batches, the last one partial
+        report = phs.agreement_campaign(3, 250, seed=4)
+        assert report["count"] == 250
+        assert built == {"batches": 3, "verdicts": 0}
+
+    def test_single_system_calls(self, built):
+        system = phs.random_system(11, 3, "contraction")
+        assert built == {"batches": 1, "verdicts": 0}
+        phs.validate_system(system)
+        assert built == {"batches": 2, "verdicts": 0}
+        phs.classify(system)
+        assert built == {"batches": 3, "verdicts": 1}

@@ -399,6 +399,14 @@ class TestStep:
         return len(calls)
 
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    def test_setup_field_is_a_buffer(self, name):
+        # setup writes the initial field into a buffer and keeps that buffer
+        # object, not a new view of it, so the first step reads it in place
+        state = phs.setup(SYSTEMS[name](), phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
+        assert state.g is state._disc._fields[0]
+        assert id(state.g) in state._disc._spares
+
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_step_allocates_no_field(self, name):
         # one field is (nx+1) n complex entries; both kinds step and record
         # on preallocated buffers
