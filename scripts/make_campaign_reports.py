@@ -6,6 +6,7 @@ as JSON with sorted keys.
     PYTHONPATH=src python scripts/make_campaign_reports.py
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -21,7 +22,11 @@ def key(n: int, count: int, seed: int) -> str:
     return f"n={n} count={count} seed={seed}"
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    """Regenerate what the module docstring names; any argument but --help
+    is refused."""
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     reports = {key(n, count, seed): agreement_campaign(n, count, seed)
                for count, seed in RUNS for n in NS}
     OUT.parent.mkdir(exist_ok=True)

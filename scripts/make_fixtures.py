@@ -5,6 +5,7 @@ Each file encodes one parametrized boundary-condition case with a known
 classification (see tests/test_fixtures.py for the expected verdicts).
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -91,7 +92,11 @@ FIXTURES = {
 }
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    """Regenerate what the module docstring names; any argument but --help
+    is refused."""
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     OUT.mkdir(exist_ok=True)
     for name, doc in FIXTURES.items():
         (OUT / name).write_text(json.dumps(doc, indent=1) + "\n")

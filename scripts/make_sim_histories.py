@@ -11,6 +11,7 @@ keeps the scheme must pass without regenerating them.
     PYTHONPATH=src python scripts/make_sim_histories.py
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -61,7 +62,11 @@ def entry(state: phs.SimState) -> dict:
             "max_bc_residual": state.max_bc_residual}
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    """Regenerate what the module docstring names; any argument but --help
+    is refused."""
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     names = sorted(p.stem for p in (ROOT / "fixtures").glob("*.json"))
     histories = {key(name, nx): entry(simulate(name, nx)) for name in names for nx in NXS}
     OUT.parent.mkdir(exist_ok=True)

@@ -319,7 +319,8 @@ def _validate(batch: _Batch) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi, ctrl = _bernstein_pieces(kind, data)
             # a Hermitian part that overflows counts as non-finite too
-            if not np.isfinite(ctrl + _adjoint(ctrl)).all():
+            herm = hermitian_part(ctrl)
+            if not np.isfinite(herm).all():
                 raise ValidationError("H evaluates to non-finite entries")
         defect = _herm_defect(ctrl).max(axis=1)
         bad = defect > TOL_HERM
@@ -327,7 +328,7 @@ def _validate(batch: _Batch) -> None:
             k = bad.argmax()
             raise ValidationError(f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
                                   f"(relative defect {defect[k]:.3e})")
-        lower, upper = _certify(lo, hi, ctrl)
+        lower, upper = _certify(lo, hi, herm)
         # a grid field is many pieces of one field
         if kind == "grid":
             lower, upper = lower.min(), upper.max()
@@ -345,14 +346,14 @@ def _validate(batch: _Batch) -> None:
 
 def _certify(lo, hi, ctrl) -> tuple:
     """The Bernstein certification of validate_system for pieces of one
-    degree of one or many fields at once, the pieces of each field
+    degree of one or many fields at once, given by their Hermitian control
+    matrices ``ctrl``, the pieces of each field
     contiguous and in increasing order, which halving keeps.  Raises at the
     first piece end below EPS_PD at the first level that has one, or at the
     first piece still open at the cap.  Returns, for each given piece,
     bounds on H over it: the least control eigenvalue of the pieces that
     certified it (below lambda_min) and its largest control eigenvalue
     (above lambda_max)."""
-    ctrl = hermitian_part(ctrl)
     for depth in range(CERTIFY_DEPTH + 1):
         eigs = np.linalg.eigvalsh(ctrl)
         eigmin = eigs[..., 0]

@@ -21,35 +21,38 @@ Discretization, chosen for transparency rather than accuracy:
   * explicit two-stage strong-stability time stepping (Heun), dt set by
     the CFL condition dt * max|speed| / dz <= CFL;
   * dS^-1/dz by centered differences on the grid (one-sided at the ends);
-  * a Heun stage is one linear map on the field's real form: a product
+  * a Heun stage T is one linear map on the field's real form: a product
     for the node itself and the upwind rates times the node ahead (lam
-    block) and behind (theta block); an end node lacks one of these
-    neighbours exactly in the traces that the closure overwrites;
-  * the steps and records of both kinds write into three rotating field
-    buffers, each with two zero ghost rows at both ends, so a step
-    allocates no array of the field's size;
-  * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
-    the speeds are the same at every node and dS^-1/dz = 0, so the field
-    is diagonalized at z = 0 and 1 only.  A stage is then a fixed stencil
-    of w = 2 or 3 taps, and the whole step (g + C T C T g) / 2 (T the
-    stage, C the closure) is set up once as a composite stencil of
-    2w - 1 taps, applied as 2w - 1 products of contiguous buffer windows
-    with one stacked real matrix, and one small real matrix that maps the
-    first and last four rows of g to the rows 0, 1, nx-1, nx, which read
-    the closures;
-  * variable coefficients: the node's own map is one complex n x n
-    matrix per node and the rates one row per node;
-  * boundary closure after every stage (for constant coefficients folded
-    into the end-row matrix): the incoming traces g+(1), g-(0)
+    block) and behind (theta block), each map taken at the node it reads;
+    an end node lacks one of these neighbours exactly in the traces that
+    the closure overwrites;
+  * boundary closure C after every stage: the incoming traces g+(1), g-(0)
     solve   [V1 U2] [g+(1); g-(0)] = -[U1 V2] [g+(0); g-(1)]
     with W1 H(1) S^-1(1) = [V1 V2] and W0 H(0) S^-1(0) = [U1 U2] split at
     column n1.  K = [V1 U2] is invertible exactly when the system
     generates a C0-semigroup, so the closure map M = -K^+ [U1 V2] (the
-    pseudo-inverse, K^-1 for a generator) is computed once and each
-    closure is one n x n matrix-vector product.  Whether K is invertible
-    is decided once, by the classifier's verdict: simulating a system not
-    classified as a generator requires the explicit ``allow_illposed``
-    opt-in, and M is then the least-squares closure.
+    pseudo-inverse, K^-1 for a generator) is computed once.  Whether K is
+    invertible is decided once, by the classifier's verdict: simulating a
+    system not classified as a generator requires the explicit
+    ``allow_illposed`` opt-in, and M is then the least-squares closure;
+  * the step (g + C T C T g) / 2 is linear, and C writes only the rows 0
+    and nx, which only the step's rows 0, 1, nx-1, nx read: every other
+    step row is that row of (g + T T g) / 2.  One small real matrix, read
+    off the step on the first and last END nodes, maps the first and last
+    END rows of g to the four end rows, so no step calls the closure: it
+    runs once, on the initial field;
+  * variable coefficients: the node's own map is one complex n x n
+    matrix per node and the rates one row per node, and the rest of a
+    step is two unclosed stages and their mean with g;
+  * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
+    the speeds are the same at every node and dS^-1/dz = 0, so the field
+    is diagonalized at z = 0 and 1 only.  A stage is then a fixed stencil
+    of w = 2 or 3 taps, and the rest of a step is set up once as a
+    composite stencil of 2w - 1 taps, applied as 2w - 1 products of
+    contiguous buffer windows with one stacked real matrix;
+  * the steps and records of both kinds write into three rotating field
+    buffers, each with two zero ghost rows at both ends, so a step
+    allocates no array of the field's size.
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
@@ -90,7 +93,7 @@ BLOWUP_FACTOR = 1e6
 # Zero rows at each end of a field buffer: a constant-field step reads up to
 # two rows beyond a node.
 GHOST = 2
-# Rows at each end of the field that the constant-field step's end map reads.
+# Rows at each end of the field that the step's end map reads.
 END = 4
 
 
@@ -156,10 +159,10 @@ class _Discretization:
         coupling = system.p0 @ hs_inv
         if not self.constant:
             coupling += np.gradient(s_inv, self.dz, axis=0) * dfield.speeds[:, None, :]
-        fields = {"s_inv": s_inv, "s": s, "bmat": s @ coupling}
+        # B at every node, or at the first only for a constant field
+        self._bmat = s @ coupling
         self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
-        # speeds over dz: real scaling here spares rhs a complex division
-        self._speeds_dz = np.broadcast_to(dfield.speeds[nodes] / self.dz, (nx + 1, n))
+        fields = {"s_inv": s_inv, "s": s}
         self._products = ({name: _real_form(m[0]) for name, m in fields.items()}
                           if self.constant else fields)
 
@@ -197,15 +200,13 @@ class _Discretization:
         if self.constant:
             # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam
             # block), so a step row i reads the rows i + k for k in _reach
-            self._taps = range(-1 if self.n1 < n else 0, 2 if self.n1 > 0 else 1)
-            self._reach = range(2 * self._taps.start, 2 * self._taps.stop - 1)
+            self._reach = range(-2 if self.n1 < n else 0, 3 if self.n1 > 0 else 1)
             self._windows = {id(f): self._step_windows(pad)
                              for f, pad in zip(self._fields, pads)}
-            self._maps = self._step_maps(self.dt)
         else:
             # the shifted products of a variable stage
             self._scratch = np.empty((nx, 2 * n))
-            self._maps = self._stage_maps(self.dt)
+        self._maps = self._step_maps(self.dt)
 
     def _step_windows(self, pad: np.ndarray) -> tuple:
         """Views of a padded field buffer for the constant-field step, for
@@ -224,8 +225,8 @@ class _Discretization:
         return windows, [rows[r::w] for r in range(w)]
 
     def apply(self, name: str, g: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Per-node product m(z_i) g_i of the field ``name`` (s_inv, s or
-        bmat) and g (nx+1, n), written into ``out`` when it is given."""
+        """Per-node product m(z_i) g_i of the field ``name`` (s_inv or s)
+        and g (nx+1, n), written into ``out`` when it is given."""
         m = self._products[name]
         if self.constant:
             floats = None if out is None else out.view(np.float64)
@@ -233,7 +234,9 @@ class _Discretization:
         return np.einsum("nij,nj->ni", m, g, out=out)
 
     def close(self, g: np.ndarray) -> None:
-        """Set the incoming traces in place from the outgoing ones; g is (nx+1, n)."""
+        """Set the incoming traces in place from the outgoing ones; g is
+        (nx+1, n).  Only setup calls it: a step's end map carries both of
+        its closures."""
         n1 = self.n1
         incoming = self.closure_map @ np.concatenate([g[0, :n1], g[-1, n1:]])
         g[-1, :n1] = incoming[:n1]
@@ -241,62 +244,58 @@ class _Discretization:
 
     def rhs(self, g: np.ndarray) -> np.ndarray:
         """d/dt g before the closure, as a new array: the reference that a
-        stage g + dt rhs(g) is tested against."""
-        flux = self._speeds_dz * g
-        diff = flux[1:] - flux[:-1]
-        out = self.apply("bmat", g)
+        stage g + dt rhs(g) is tested against.  The flux beyond the ends
+        reads as zero, as a stage reads the ghost rows."""
+        flux = self.speeds / self.dz * g
+        out = np.einsum("...ij,...j->...i", self._bmat, g)
         n1 = self.n1
-        out[:-1, :n1] += diff[:, :n1]
-        out[1:, n1:] += diff[:, n1:]
+        out[:, :n1] += np.diff(flux[:, :n1], axis=0, append=0.0)
+        out[:, n1:] += np.diff(flux[:, n1:], axis=0, prepend=0.0)
         return out
 
-    def _stage_maps(self, dt: float):
-        """Maps of one stage g + dt rhs(g), on the (nx+1, 2n) float view of
-        g: row i of the result is
-        own_i(g_i) + ahead_{i+1} g_{i+1} - behind_{i-1} g_{i-1}.  The
-        upwind difference of a lam component reads the node ahead, that of
-        a theta component the node behind; the rows where that node is
-        missing hold incoming traces, which the closure overwrites.
-        ``ahead`` and ``behind`` are dt speed / dz on the lam and theta
-        columns, own = I + dt B - diag(ahead) + diag(behind).
-
-        Constant fields: by tap t in ``_taps``, the real (2n, 2n) form m_t
-        of -diag(behind) (t = -1), own (t = 0) or diag(ahead) (t = 1), so
-        that row i is the sum of g_{i+t} m_t over the taps.  Variable
-        fields: (own, ahead, behind) with own a complex (nx+1, n, n) stack
-        and ahead and behind the (nx, 2n) rates at the nodes they read, each
-        repeated for re and im; ``ahead`` is None without lam components and
-        ``behind`` None without theta components."""
-        speeds = self.speeds[:1] if self.constant else self.speeds
-        rates = np.repeat(dt * speeds / self.dz, 2, axis=1)
+    def _stage_maps(self, dt: float) -> tuple:
+        """Maps (own, ahead, behind) of one stage g + dt rhs(g), unclosed,
+        each indexed by the node it reads: row i of the stage is
+        own_i g_i + ahead_{i+1} g_{i+1} - behind_{i-1} g_{i-1}, where a
+        missing neighbour of an end node reads as zero.  The upwind
+        difference of a lam component reads the node ahead, that of a theta
+        component the node behind.  ``own`` = I + dt B - diag(ahead) +
+        diag(behind) is complex (nodes, n, n); ``ahead`` and ``behind`` are
+        dt speed / dz as (nodes, 2n) rates on the float view, zero outside
+        the lam and theta columns.  nodes is nx + 1, or 1 for a constant
+        field."""
+        rates = np.repeat(dt * self.speeds[:len(self._bmat)] / self.dz, 2, axis=1)
         lam = np.arange(rates.shape[1]) < 2 * self.n1
         ahead, behind = np.where(lam, rates, 0.0), np.where(lam, 0.0, rates)
-        own = dt * self._products["bmat"]
-        if self.constant:
-            own += np.diag(1.0 - ahead[0] + behind[0])
-            taps = {-1: -np.diag(behind[0]), 0: own, 1: np.diag(ahead[0])}
-            return {t: taps[t] for t in self._taps}
-        diag = np.arange(speeds.shape[1])
+        own = dt * self._bmat
+        diag = np.arange(own.shape[1])
         own[:, diag, diag] += (1.0 - ahead + behind)[:, ::2]
-        return own, ahead[1:] if lam.any() else None, None if lam.all() else behind[:-1]
+        return own, ahead, behind
 
     def _step_maps(self, dt: float) -> tuple:
-        """The constant-field Heun step g -> (g + C T C T g) / 2 on the
-        (nx+1, 2n) float view of g, with T the stage of _stage_maps(dt) and
-        C the closure, as (stencil, ends), both read off the dense step on
-        a grid of 2 END rows whose halves stand for the two ends of the
-        field.
+        """The Heun step g -> (g + C T C T g) / 2 on the (nx+1, 2n) float
+        view of g, with T the stage of _stage_maps(dt) and C the closure, as
+        (body, ends), both read off the dense step on a grid of 2 END rows
+        that stand for the first and last END nodes of the field (node 0,
+        repeated, for a constant field).
 
-        Step row i reads the rows i + k for k in ``_reach``.  Where C
-        changes none of them, row i is the sum of g_{i+k} p_k with the
-        composite p_k = (delta_k0 I + sum_{s+t=k} m_s m_t) / 2, the same
-        at every such row; ``stencil`` stacks the p_k in the order of
-        ``_reach``.  The rows 0, 1, nx-1, nx also read the closures, the
-        ghost rows and the other end: ``ends`` maps the first and last END
-        rows of g, flattened, to those four rows."""
-        taps = self._stage_maps(dt)
-        rows, width = 2 * END, len(taps[0])
-        stage = sum(np.kron(np.eye(rows, k=-t), m) for t, m in taps.items())
+        ``ends`` maps the first and last END rows of g, flattened, to the
+        step's rows 0, 1, nx-1, nx, which read the closures, the ghost rows
+        and the other end.  Every other step row i is (g + T T g)_i / 2.
+        For a variable field ``body`` is the stage maps.  For a constant
+        one row i reads the rows i + k for k in ``_reach`` and is the sum of
+        g_{i+k} p_k with the composite p_k = (delta_k0 I + sum_{s+t=k} m_s
+        m_t) / 2, m_t the real form of the stage's map that reads the row
+        i + t; ``body`` stacks the p_k in the order of ``_reach``."""
+        stage = own, ahead, behind = self._stage_maps(dt)
+        rows, width = 2 * END, 2 * own.shape[1]
+        # the node of the maps that each dense row stands for
+        at = np.r_[:END, -END:0] % len(own)
+        # block (b, :, a, :) maps row b of g to row a of the stage
+        dense, r, eye = np.zeros((rows, width, rows, width)), np.arange(rows), np.eye(width)
+        dense[r, :, r] = _real_form(own[at])
+        dense[r[1:], :, r[:-1]] = ahead[at[1:], :, None] * eye
+        dense[r[:-1], :, r[1:]] = -behind[at[:-1], :, None] * eye
         # the closure reads the outgoing traces g[0, :n1], g[-1, n1:] and
         # overwrites the incoming ones g[-1, :n1], g[0, n1:]
         lam = np.arange(width) < 2 * self.n1
@@ -306,26 +305,25 @@ class _Discretization:
         closure = np.eye(rows * width)
         closure[:, incoming] = 0.0
         closure[np.ix_(outgoing, incoming)] = _real_form(self.closure_map)
-        half = stage @ closure
+        half = dense.reshape(rows * width, -1) @ closure
         step = (np.eye(rows * width) + half @ half) / 2.0
+        ends = step[:, index[[0, 1, -2, -1]].reshape(-1)]
+        if not self.constant:
+            return stage, ends
         # step row END - 1 reads no row that a closure writes
         blocks = step.reshape(rows, width, rows, width)
-        stencil = np.vstack([blocks[END - 1 + k, :, END - 1] for k in self._reach])
-        return stencil, step[:, index[[0, 1, -2, -1]].reshape(-1)]
+        return np.vstack([blocks[END - 1 + k, :, END - 1] for k in self._reach]), ends
 
-    def _stage(self, src: np.ndarray, dst: np.ndarray, maps) -> None:
-        """dst = src + dt rhs(src), closed, with maps = _stage_maps(dt), for
+    def _stage(self, src: np.ndarray, dst: np.ndarray, maps: tuple) -> None:
+        """dst = src + dt rhs(src), unclosed, with maps = _stage_maps(dt), for
         variable fields."""
         own, ahead, behind = maps
         s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
         np.einsum("nij,nj->ni", own, src, out=dst)
-        if ahead is not None:
-            np.multiply(s[1:], ahead, out=shifted)
-            d[:-1] += shifted
-        if behind is not None:
-            np.multiply(s[:-1], behind, out=shifted)
-            d[1:] -= shifted
-        self.close(dst)
+        np.multiply(s[1:], ahead[1:], out=shifted)
+        d[:-1] += shifted
+        np.multiply(s[:-1], behind[:-1], out=shifted)
+        d[1:] -= shifted
 
     def check(self, g: np.ndarray, limit: float) -> None:
         """Raise StabilityError unless every |g_ij| <= limit and the norm |g|
@@ -343,16 +341,15 @@ class _Discretization:
                 raise StabilityError(f"field norm {norm:.3e} overflows the record's squares")
 
     def spare(self, g: np.ndarray) -> list:
-        """The field buffers that do not hold g."""
-        if id(g) in self._spares:
-            return self._spares[id(g)]
-        return [f for f in self._fields if not np.may_share_memory(f, g)]
+        """The field buffers that do not hold the field buffer g."""
+        return self._spares[id(g)]
 
     def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
-        """The mean of g and its second closed stage, written into a field
-        buffer that does not hold g.  For constant fields this is one
-        product per window of the step stencil, and one product of the end
-        rows of g that overwrites the rows 0, 1, nx-1, nx."""
+        """The step (g + C T C T g) / 2, written into a field buffer that
+        does not hold g: for a constant field one product per window of the
+        step stencil, for a variable one two stages and their mean with g,
+        then for both one product of the end rows of g that overwrites the
+        rows 0, 1, nx-1, nx."""
         if id(g) not in self._spares:
             # an array from outside the buffers: copy it into the one it
             # overlaps, if any, else into the first
@@ -360,21 +357,19 @@ class _Discretization:
             np.copyto(src, g)
             g = src
         g1, g2 = self.spare(g)
+        body, ends = self._maps if dt == self.dt else self._step_maps(dt)
         if self.constant:
-            stencil, ends = self._maps if dt == self.dt else self._step_maps(dt)
             for window, rows in zip(self._windows[id(g)][0], self._windows[id(g1)][1]):
-                np.matmul(window, stencil, out=rows)
-            src, dst = g.view(np.float64), g1.view(np.float64)
-            edge = (np.concatenate([src[:END], src[-END:]]).reshape(-1) @ ends).reshape(4, -1)
-            dst[:2], dst[-2:] = edge[:2], edge[2:]
-            return g1
-        maps = self._maps if dt == self.dt else self._stage_maps(dt)
-        self._stage(g, g1, maps)
-        self._stage(g1, g2, maps)
-        # g and g2 are closed and the closure is linear, so their mean is too
-        mean = np.add(g, g2, out=g1)
-        mean *= 0.5
-        return mean
+                np.matmul(window, body, out=rows)
+        else:
+            self._stage(g, g1, body)
+            self._stage(g1, g2, body)
+            np.add(g, g2, out=g1)
+            g1 *= 0.5
+        src, dst = g.view(np.float64), g1.view(np.float64)
+        edge = (np.concatenate([src[:END], src[-END:]]).reshape(-1) @ ends).reshape(4, -1)
+        dst[:2], dst[-2:] = edge[:2], edge[2:]
+        return g1
 
     def reconstruct(self, g: np.ndarray) -> np.ndarray:
         """x = S^-1 g as (nx+1, 2n) floats, in a field buffer that does not
@@ -434,9 +429,10 @@ def _norm_label(p: float) -> str:
 
 def _real_form(m: np.ndarray) -> np.ndarray:
     """The real 2n x 2n matrix r with x.view(float) @ r == (x @ m.T).view(float)
-    for complex x with n columns.  On a long x with few columns, BLAS runs
-    this real product about three times faster than the complex one."""
-    a = m.T
+    for complex x with n columns, or the stack of them for a stack m.  On a
+    long x with few columns, BLAS runs this real product about three times
+    faster than the complex one."""
+    a = np.swapaxes(m, -1, -2)
     return np.kron(a.real, np.eye(2)) + np.kron(a.imag, [[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -553,7 +549,7 @@ def setup(
 
 
 def step(state: SimState) -> SimState:
-    """Advance one time step (two Heun stages, closure after each).
+    """Advance one time step (two Heun stages, each closed).
 
     The new ``state.g`` is one of three field buffers that the steps and
     records rotate through, so the array that ``state.g`` held before this

@@ -68,19 +68,42 @@ CONSTANT_SYSTEMS = {
 # the constant systems and one variable fixture, which step on the same buffers
 SYSTEMS = dict(CONSTANT_SYSTEMS,
                string_stiffening=lambda: phs.load_system(FIXTURES / "string_stiffening.json"))
+VARIABLE_FIXTURES = ["string_stiffening", "string_uniform", "transport_grid_h",
+                     "transport_variable_h"]
 
 
 def assert_stage_is_euler_step_of_rhs(disc, src, dst, dt):
-    """One stage of src into dst is src + dt rhs(src) except on the incoming
-    traces, which the closure overwrites."""
+    """One stage of src into dst is src + dt rhs(src) on every row: a stage
+    does not close."""
     rng = np.random.default_rng(7)
     src[...] = rng.standard_normal(src.shape) + 1j * rng.standard_normal(src.shape)
     g = src.copy()
     expected = g + dt * disc.rhs(g)
     disc._stage(src, dst, disc._stage_maps(dt))
-    kept = np.ones(g.shape, dtype=bool)
-    kept[-1, :disc.n1] = kept[0, disc.n1:] = False
-    assert np.abs(dst - expected)[kept].max() <= 1e-14 * np.abs(g).max()
+    assert np.abs(dst - expected).max() <= 1e-14 * np.abs(g).max()
+
+
+def assert_step_is_mean_with_closed_euler_stages(system, nx, dt_scale):
+    """The step is (g + C E C E g) / 2 with E the Euler stage g + dt rhs(g)
+    and C the closure, on every row and also for a g that is not closed;
+    the final, shorter dt builds its own maps.  Returns the discretization."""
+    state = phs.setup(system, phs.SimConfig(nx=nx, t_final=1.0), gaussian(0.5, 0.1),
+                      allow_illposed=True)
+    disc, dt = state._disc, dt_scale * state._disc.dt
+
+    def closed_euler(g):
+        g = g + dt * disc.rhs(g)
+        disc.close(g)
+        return g
+
+    rng = np.random.default_rng(nx)
+    g = rng.standard_normal((nx + 1, system.n)) + 1j * rng.standard_normal((nx + 1, system.n))
+    expected = (g + closed_euler(closed_euler(g))) / 2.0
+    src = disc._fields[0]
+    src[...] = g
+    got = disc.heun(src, dt)
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(g).max()
+    return disc
 
 
 class TestNorms:
@@ -378,25 +401,19 @@ class TestStep:
             np.testing.assert_allclose(incoming, disc.closure_map @ outgoing,
                                        rtol=0, atol=1e-14 * np.abs(g).max())
 
-    def test_two_closures_per_step(self, monkeypatch):
-        # a variable field closes each of its two stages
-        assert self.closures_in_five_steps(SYSTEMS["string_stiffening"](), monkeypatch) == 10
-
-    def test_constant_step_calls_no_closure(self, network, monkeypatch):
-        # a constant field's end map carries both closures of a step
-        assert self.closures_in_five_steps(network, monkeypatch) == 0
-
-    @staticmethod
-    def closures_in_five_steps(system, monkeypatch) -> int:
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    def test_step_calls_no_closure(self, name, monkeypatch):
+        # the end map of a step carries both of its closures, for both
+        # kinds: only setup closes, once
         calls = []
         close = phs.simulator._Discretization.close
         monkeypatch.setattr(phs.simulator._Discretization, "close",
                             lambda disc, g: calls.append(g) or close(disc, g))
-        state = phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
-        calls.clear()
+        state = phs.setup(SYSTEMS[name](), phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
+        assert len(calls) == 1
         for _ in range(5):
             phs.step(state)
-        return len(calls)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_setup_field_is_a_buffer(self, name):
@@ -442,8 +459,7 @@ class TestStep:
         assert state.step_count == 21 and len(state.history["t"]) == 1
         assert peak < 3 * (cfg.nx + 1) * system.n * 16
 
-    @pytest.mark.parametrize("name", [
-        "string_stiffening", "string_uniform", "transport_grid_h", "transport_variable_h"])
+    @pytest.mark.parametrize("name", VARIABLE_FIXTURES)
     @pytest.mark.parametrize("dt_scale", [1.0, 0.3])
     def test_variable_stage_is_euler_step_of_rhs(self, name, dt_scale):
         system = phs.load_system(FIXTURES / f"{name}.json")
@@ -462,27 +478,20 @@ class TestStep:
     @pytest.mark.parametrize("nx", [16, 17, 18, 19, 20])
     @pytest.mark.parametrize("dt_scale", [1.0, 0.3])
     def test_constant_stage_is_euler_step_of_rhs(self, name, taps, nx, dt_scale):
-        # the composite step is (g + C E C E g) / 2 with E the Euler stage
-        # g + dt rhs(g) and C the closure, on every row and also for a g
-        # that is not closed; the final, shorter dt builds its own maps
-        system = CONSTANT_SYSTEMS[name]()
-        state = phs.setup(system, phs.SimConfig(nx=nx, t_final=1.0), gaussian(0.5, 0.1),
-                          allow_illposed=True)
-        disc, dt = state._disc, dt_scale * state._disc.dt
-        assert disc.constant and disc._taps == taps
+        # the composite stencil and the end map; a stage row i reads the
+        # rows i + t for t in taps, so a step row reads twice as far
+        disc = assert_step_is_mean_with_closed_euler_stages(CONSTANT_SYSTEMS[name](), nx,
+                                                             dt_scale)
+        assert disc.constant and disc._reach == range(2 * taps.start, 2 * taps.stop - 1)
 
-        def closed_euler(g):
-            g = g + dt * disc.rhs(g)
-            disc.close(g)
-            return g
-
-        rng = np.random.default_rng(nx)
-        g = rng.standard_normal((nx + 1, system.n)) + 1j * rng.standard_normal((nx + 1, system.n))
-        expected = (g + closed_euler(closed_euler(g))) / 2.0
-        src = disc._fields[0]
-        src[...] = g
-        got = disc.heun(src, dt)
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(g).max()
+    @pytest.mark.parametrize("name", VARIABLE_FIXTURES)
+    @pytest.mark.parametrize("nx", [16, 17, 18, 19, 20])
+    @pytest.mark.parametrize("dt_scale", [1.0, 0.3])
+    def test_variable_step_is_mean_with_closed_euler_stages(self, name, nx, dt_scale):
+        # two unclosed stages and the end map
+        disc = assert_step_is_mean_with_closed_euler_stages(
+            phs.load_system(FIXTURES / f"{name}.json"), nx, dt_scale)
+        assert not disc.constant
 
     # 200 steps at dt and nx = 32, recorded every 40 steps by the two-stage
     # Heun step (a stage, a closure, a stage, a closure and the mean)
@@ -621,7 +630,9 @@ class TestStep:
         # and the exact peak decides above it and for NaN and inf
         state = phs.setup(transport, phs.SimConfig(nx=32, t_final=1.0), gaussian(0.5, 0.1))
         limit = phs.simulator.BLOWUP_FACTOR * state._g0_max
-        new = np.zeros_like(state.g)
+        # like heun, into a field buffer that does not hold g
+        new = state._disc.spare(state.g)[0]
+        new[...] = 0.0
         new[16, 0] = value * limit * (0.6 + 0.8j) if math.isfinite(abs(value)) else value
         monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
         if raises:
@@ -662,7 +673,7 @@ class TestStep:
         state = phs.setup(transport_system(1.0, -1.0), cfg, lambda z: 10.0)
         assert state.history["l400"] == [pytest.approx(10.0, rel=1e-12)]
         assert phs.lp_norm(state, 400.0) == pytest.approx(10.0, rel=1e-12)
-        new = 2.0 * state.g
+        new = np.multiply(state.g, 2.0, out=state._disc.spare(state.g)[0])
         monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
         phs.step(state)
         assert state.history["l400"][-1] == pytest.approx(20.0, rel=1e-12)
@@ -824,3 +835,16 @@ def test_pinned_history(key):
     assert np.all(np.abs(x - expected) <= 1e-12 * np.abs(expected).max(axis=0))
     assert abs(state.max_bc_residual - pinned["max_bc_residual"]) \
         <= 1e-12 * max(1.0, pinned["max_bc_residual"])
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)])
+def test_sim_histories_generator_arguments(argv, code, capsys):
+    # asking the generator for its usage, or giving it an argument it does
+    # not know, leaves the pinned file as it is
+    before = make_sim_histories.OUT.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        make_sim_histories.main(argv)
+    assert exit_info.value.code == code
+    assert make_sim_histories.OUT.read_bytes() == before
+    out, err = capsys.readouterr()
+    assert "usage:" in (out if code == 0 else err)
