@@ -252,7 +252,7 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a non-empty 1-D array")
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise DomainError("grid points must lie in [0, 1]")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")

@@ -123,7 +123,8 @@ class CoefficientField:
         values = np.asarray(values, dtype=complex)
         if zetas.ndim != 1 or zetas.size < 2:
             raise ShapeError("grid field needs at least two sample points")
-        if np.any(np.diff(zetas) <= 0):
+        # a NaN knot fails every comparison, so it fails this one
+        if not np.all(np.diff(zetas) > 0):
             raise ValidationError("grid zetas must be strictly increasing")
         if zetas[0] != 0.0 or zetas[-1] != 1.0:
             raise ValidationError("grid zetas must include 0 and 1")

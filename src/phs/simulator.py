@@ -41,16 +41,15 @@ Discretization, chosen for transparency rather than accuracy:
     off the step on the first and last END nodes, maps the first and last
     END rows of g to the four end rows, so no step calls the closure: it
     runs once, on the initial field;
-  * variable coefficients: the node's own map is one complex n x n
-    matrix per node and the rates one row per node, and the rest of a
-    step is two unclosed stages and their mean with g;
-  * constant coefficients (a field of kind "constant"): S, S^-1, H, B and
-    the speeds are the same at every node and dS^-1/dz = 0, so the field
-    is diagonalized at z = 0 and 1 only.  A stage is then a fixed stencil
-    of w = 2 or 3 taps, and the rest of a step is set up once as a
-    composite stencil of 2w - 1 taps, applied as 2w - 1 products of
-    contiguous buffer windows with one stacked real matrix;
-  * the steps and records of both kinds write into three rotating field
+  * a stage row reads w = 2 or 3 rows, so every other step row reads a
+    window of 2w - 1 buffer rows times a composite stencil, one real
+    matrix per node set up once per dt from the stage's maps.  The rows
+    fall into 2w - 1 groups of disjoint, contiguous windows, one matrix
+    product each.  For constant coefficients (a field of kind "constant")
+    S, S^-1, H, B and the speeds are the same at every node and
+    dS^-1/dz = 0, so the field is diagonalized at z = 0 and 1 only, and
+    one composite serves every node;
+  * the steps and records of both kinds alternate between two field
     buffers, each with two zero ghost rows at both ends, so a step
     allocates no array of the field's size.
 
@@ -90,7 +89,7 @@ from .model import PHSystem
 CFL = 0.9
 # Blow-up guard: abort when the field exceeds this multiple of its start.
 BLOWUP_FACTOR = 1e6
-# Zero rows at each end of a field buffer: a constant-field step reads up to
+# Zero rows at each end of a field buffer: a step of either kind reads up to
 # two rows beyond a node.
 GHOST = 2
 # Rows at each end of the field that the step's end map reads.
@@ -129,11 +128,11 @@ class SimConfig:
 class _Discretization:
     """Everything about the grid that is constant in time.
 
-    ``speeds`` is (nx+1, n).  For a constant coefficient field it is a
-    read-only view of the speeds at one node repeated over the grid and
-    ``apply`` multiplies by one matrix (in real form).  Both kinds step
-    and record on the same three ghost-padded field buffers: ``heun`` and
-    ``reconstruct`` write into the buffers that do not hold their g.
+    ``speeds`` and the coupling B have one row per node, or only the first
+    node's for a constant coefficient field, whose ``apply`` multiplies by
+    one matrix (in real form).  Both kinds step and record on the same
+    two ghost-padded field buffers: ``heun`` and ``reconstruct`` write
+    into the buffer that does not hold their g.
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
@@ -161,7 +160,7 @@ class _Discretization:
             coupling += np.gradient(s_inv, self.dz, axis=0) * dfield.speeds[:, None, :]
         # B at every node, or at the first only for a constant field
         self._bmat = s @ coupling
-        self.speeds = np.broadcast_to(dfield.speeds[nodes], (nx + 1, n))
+        self.speeds = dfield.speeds[nodes]
         fields = {"s_inv": s_inv, "s": s}
         self._products = ({name: _real_form(m[0]) for name, m in fields.items()}
                           if self.constant else fields)
@@ -190,39 +189,41 @@ class _Discretization:
         c = max(1.0, math.sqrt(e.max()), np.linalg.norm(s_inv, axis=(1, 2)).max(),
                 np.linalg.norm(self._residual_map))
         self.record_norm = math.sqrt(np.finfo(float).max / 2.0) / c
-        # three field buffers rotate through the steps and the records; each
-        # is the view g = pad[GHOST:-GHOST] of a padded array whose zero
+        # the steps and the records alternate between two field buffers;
+        # each is the view g = pad[GHOST:-GHOST] of a padded array whose zero
         # ghost rows no write reaches
-        pads = [np.zeros((nx + 1 + 2 * GHOST, n), dtype=complex) for _ in range(3)]
+        pads = [np.zeros((nx + 1 + 2 * GHOST, n), dtype=complex) for _ in range(2)]
         self._fields = [pad[GHOST:-GHOST] for pad in pads]
-        # by the id of each buffer, the two that do not hold it
-        self._spares = {id(f): [o for o in self._fields if o is not f] for f in self._fields}
-        if self.constant:
-            # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam
-            # block), so a step row i reads the rows i + k for k in _reach
-            self._reach = range(-2 if self.n1 < n else 0, 3 if self.n1 > 0 else 1)
-            self._windows = {id(f): self._step_windows(pad)
-                             for f, pad in zip(self._fields, pads)}
-        else:
-            # the shifted products of a variable stage
-            self._scratch = np.empty((nx, 2 * n))
+        # by the id of each buffer, the other one
+        self._spares = {id(f): o for f, o in zip(self._fields, self._fields[::-1])}
+        # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam
+        # block), so a step row i reads the rows i + k for k in _reach
+        self._reach = range(-2 if self.n1 < n else 0, 3 if self.n1 > 0 else 1)
+        self._windows = {id(f): self._step_windows(pad) for f, pad in zip(self._fields, pads)}
+        # _step_maps builds one composite per node, the nodes r, r + w, ... of
+        # each window group r in one block (a constant field has one node)
+        w = len(self._reach)
+        blocks = [np.arange(r, len(self._bmat), w) for r in range(w)]
+        self._order, ends = np.concatenate(blocks), np.cumsum([len(b) for b in blocks])
+        self._groups = ([0] * w if self.constant else
+                        [slice(e - len(b), e) for b, e in zip(blocks, ends)])
         self._maps = self._step_maps(self.dt)
 
     def _step_windows(self, pad: np.ndarray) -> tuple:
-        """Views of a padded field buffer for the constant-field step, for
-        r = 0 .. w-1 with w = len(_reach): windows[r] has one row per step
-        row i = r, r + w, ..., holding the w consecutive buffer rows that
-        row i reads, and rows[r] is those rows i of the field, both on the
-        float view.  The windows of one r are disjoint and contiguous."""
+        """Views of a padded field buffer for the step, for r = 0 .. w-1
+        with w = len(_reach): windows[r] has one row per step row i = r,
+        r + w, ..., holding the w consecutive buffer rows that row i reads,
+        and rows[r] is those rows i of the field, both on the float view
+        and, for a variable field, as 1-row matrices.  The windows of one r
+        are disjoint and contiguous."""
         nx1, width = pad.shape[0] - 2 * GHOST, pad.shape[1] * 2
         flat, w = pad.view(np.float64).reshape(-1), len(self._reach)
-        windows = []
-        for r in range(w):
-            start = (GHOST + self._reach.start + r) * width
-            count = len(range(r, nx1, w))
-            windows.append(flat[start:start + count * w * width].reshape(count, w * width))
-        rows = pad[GHOST:-GHOST].view(np.float64)
-        return windows, [rows[r::w] for r in range(w)]
+        one, field = () if self.constant else (1,), pad[GHOST:-GHOST].view(np.float64)
+        counts = [len(range(r, nx1, w)) for r in range(w)]
+        starts = [(GHOST + self._reach.start + r) * width for r in range(w)]
+        return ([flat[a:a + c * w * width].reshape(c, *one, w * width)
+                 for a, c in zip(starts, counts)],
+                [field[r::w].reshape(c, *one, width) for r, c in enumerate(counts)])
 
     def apply(self, name: str, g: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Per-node product m(z_i) g_i of the field ``name`` (s_inv or s)
@@ -256,15 +257,13 @@ class _Discretization:
     def _stage_maps(self, dt: float) -> tuple:
         """Maps (own, ahead, behind) of one stage g + dt rhs(g), unclosed,
         each indexed by the node it reads: row i of the stage is
-        own_i g_i + ahead_{i+1} g_{i+1} - behind_{i-1} g_{i-1}, where a
-        missing neighbour of an end node reads as zero.  The upwind
-        difference of a lam component reads the node ahead, that of a theta
-        component the node behind.  ``own`` = I + dt B - diag(ahead) +
-        diag(behind) is complex (nodes, n, n); ``ahead`` and ``behind`` are
-        dt speed / dz as (nodes, 2n) rates on the float view, zero outside
-        the lam and theta columns.  nodes is nx + 1, or 1 for a constant
-        field."""
-        rates = np.repeat(dt * self.speeds[:len(self._bmat)] / self.dz, 2, axis=1)
+        own_i g_i + ahead_{i+1} g_{i+1} - behind_{i-1} g_{i-1}; a lam
+        component reads the node ahead, a theta component the node behind.
+        ``own`` = I + dt B - diag(ahead) + diag(behind) is complex (nodes,
+        n, n); ``ahead`` and ``behind`` are dt speed / dz as (nodes, 2n)
+        rates on the float view, zero outside the lam and theta columns.
+        nodes is nx + 1, or 1 for a constant field."""
+        rates = np.repeat(dt * self.speeds / self.dz, 2, axis=1)
         lam = np.arange(rates.shape[1]) < 2 * self.n1
         ahead, behind = np.where(lam, rates, 0.0), np.where(lam, 0.0, rates)
         own = dt * self._bmat
@@ -275,27 +274,43 @@ class _Discretization:
     def _step_maps(self, dt: float) -> tuple:
         """The Heun step g -> (g + C T C T g) / 2 on the (nx+1, 2n) float
         view of g, with T the stage of _stage_maps(dt) and C the closure, as
-        (body, ends), both read off the dense step on a grid of 2 END rows
-        that stand for the first and last END nodes of the field (node 0,
-        repeated, for a constant field).
+        (bodies, ends).  Row i of T g is the sum of g_{i+t} m_t(i+t) over
+        t = -1, 0, 1, with m_0 the real form of own, m_1 = diag(ahead) and
+        m_-1 = -diag(behind).  So step row i is the sum of g_{i+k} p_k(i)
+        over k in ``_reach``, p_k(i) = (delta_k0 I + sum_{s+t=k} m_s(i+k)
+        m_t(i+t)) / 2 with node indices clipped to the grid; ``bodies``
+        stacks the p_k of each group of ``_groups``.  Clipping changes only
+        the rows 0, 1, nx-1, nx, which read the closures: ``ends`` maps the
+        first and last END rows of g, flattened, to them, read off the dense
+        step on 2 END rows that stand for the first and last END nodes."""
+        own, ahead, behind = self._stage_maps(dt)
+        nodes, width = own.shape[0], 2 * own.shape[1]
+        m0 = _real_form(own)
+        # the halved p_k of node i = _order[j] in body[j], 0.5 scaling
+        # exactly; at[k][j] is node i + k
+        at = {k: np.clip(self._order + k, 0, nodes - 1) for k in self._reach}
+        body = np.zeros((nodes, len(self._reach), width, width))
+        p, mine = {k: body[:, j] for j, k in enumerate(self._reach)}, m0[at[0]]
+        np.matmul(mine, 0.5 * mine, out=p[0])
+        np.einsum("nii->ni", p[0])[...] += 0.5
+        # the +-1 taps are diagonal, and ahead and behind have disjoint
+        # columns: a product of two taps is diagonal, and zero in p_0
+        for t, rate in ((1, ahead), (-1, -behind)):
+            if t in p:
+                near = 0.5 * rate[at[t]]
+                np.multiply(near[:, :, None], mine, out=p[t])
+                p[t] += m0[at[t]] * near[:, None, :]
+                np.multiply(rate[at[2 * t]], near, out=np.einsum("nii->ni", p[2 * t]))
+        body = body.reshape(nodes, -1, width)
 
-        ``ends`` maps the first and last END rows of g, flattened, to the
-        step's rows 0, 1, nx-1, nx, which read the closures, the ghost rows
-        and the other end.  Every other step row i is (g + T T g)_i / 2.
-        For a variable field ``body`` is the stage maps.  For a constant
-        one row i reads the rows i + k for k in ``_reach`` and is the sum of
-        g_{i+k} p_k with the composite p_k = (delta_k0 I + sum_{s+t=k} m_s
-        m_t) / 2, m_t the real form of the stage's map that reads the row
-        i + t; ``body`` stacks the p_k in the order of ``_reach``."""
-        stage = own, ahead, behind = self._stage_maps(dt)
-        rows, width = 2 * END, 2 * own.shape[1]
+        rows = 2 * END
         # the node of the maps that each dense row stands for
-        at = np.r_[:END, -END:0] % len(own)
+        node = np.r_[:END, -END:0] % nodes
         # block (b, :, a, :) maps row b of g to row a of the stage
         dense, r, eye = np.zeros((rows, width, rows, width)), np.arange(rows), np.eye(width)
-        dense[r, :, r] = _real_form(own[at])
-        dense[r[1:], :, r[:-1]] = ahead[at[1:], :, None] * eye
-        dense[r[:-1], :, r[1:]] = -behind[at[:-1], :, None] * eye
+        dense[r, :, r] = m0[node]
+        dense[r[1:], :, r[:-1]] = ahead[node[1:], :, None] * eye
+        dense[r[:-1], :, r[1:]] = -behind[node[:-1], :, None] * eye
         # the closure reads the outgoing traces g[0, :n1], g[-1, n1:] and
         # overwrites the incoming ones g[-1, :n1], g[0, n1:]
         lam = np.arange(width) < 2 * self.n1
@@ -308,22 +323,7 @@ class _Discretization:
         half = dense.reshape(rows * width, -1) @ closure
         step = (np.eye(rows * width) + half @ half) / 2.0
         ends = step[:, index[[0, 1, -2, -1]].reshape(-1)]
-        if not self.constant:
-            return stage, ends
-        # step row END - 1 reads no row that a closure writes
-        blocks = step.reshape(rows, width, rows, width)
-        return np.vstack([blocks[END - 1 + k, :, END - 1] for k in self._reach]), ends
-
-    def _stage(self, src: np.ndarray, dst: np.ndarray, maps: tuple) -> None:
-        """dst = src + dt rhs(src), unclosed, with maps = _stage_maps(dt), for
-        variable fields."""
-        own, ahead, behind = maps
-        s, d, shifted = src.view(np.float64), dst.view(np.float64), self._scratch
-        np.einsum("nij,nj->ni", own, src, out=dst)
-        np.multiply(s[1:], ahead[1:], out=shifted)
-        d[:-1] += shifted
-        np.multiply(s[:-1], behind[:-1], out=shifted)
-        d[1:] -= shifted
+        return [body[group] for group in self._groups], ends
 
     def check(self, g: np.ndarray, limit: float) -> None:
         """Raise StabilityError unless every |g_ij| <= limit and the norm |g|
@@ -340,15 +340,14 @@ class _Discretization:
             if not norm <= self.record_norm:
                 raise StabilityError(f"field norm {norm:.3e} overflows the record's squares")
 
-    def spare(self, g: np.ndarray) -> list:
-        """The field buffers that do not hold the field buffer g."""
+    def spare(self, g: np.ndarray) -> np.ndarray:
+        """The field buffer that does not hold the field buffer g."""
         return self._spares[id(g)]
 
     def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
         """The step (g + C T C T g) / 2, written into a field buffer that
-        does not hold g: for a constant field one product per window of the
-        step stencil, for a variable one two stages and their mean with g,
-        then for both one product of the end rows of g that overwrites the
+        does not hold g: one product per window group of the composite
+        stencil, then one product of the end rows of g that overwrites the
         rows 0, 1, nx-1, nx."""
         if id(g) not in self._spares:
             # an array from outside the buffers: copy it into the one it
@@ -356,16 +355,10 @@ class _Discretization:
             src = next((f for f in self._fields if np.may_share_memory(f, g)), self._fields[0])
             np.copyto(src, g)
             g = src
-        g1, g2 = self.spare(g)
-        body, ends = self._maps if dt == self.dt else self._step_maps(dt)
-        if self.constant:
-            for window, rows in zip(self._windows[id(g)][0], self._windows[id(g1)][1]):
-                np.matmul(window, body, out=rows)
-        else:
-            self._stage(g, g1, body)
-            self._stage(g1, g2, body)
-            np.add(g, g2, out=g1)
-            g1 *= 0.5
+        g1 = self.spare(g)
+        bodies, ends = self._maps if dt == self.dt else self._step_maps(dt)
+        for window, rows, body in zip(self._windows[id(g)][0], self._windows[id(g1)][1], bodies):
+            np.matmul(window, body, out=rows)
         src, dst = g.view(np.float64), g1.view(np.float64)
         edge = (np.concatenate([src[:END], src[-END:]]).reshape(-1) @ ends).reshape(4, -1)
         dst[:2], dst[-2:] = edge[:2], edge[2:]
@@ -374,7 +367,7 @@ class _Discretization:
     def reconstruct(self, g: np.ndarray) -> np.ndarray:
         """x = S^-1 g as (nx+1, 2n) floats, in a field buffer that does not
         hold g."""
-        return self.apply("s_inv", g, out=self.spare(g)[0]).view(np.float64)
+        return self.apply("s_inv", g, out=self.spare(g)).view(np.float64)
 
     def energy(self, g: np.ndarray) -> float:
         """Trapezoid sum of Re <x_i, H x_i>: the energy weights times |g|^2."""
@@ -398,8 +391,8 @@ class SimState:
     ``history`` maps column names (t, energy, l1, ...) to growing lists.
     A record reads the energy and the boundary residual (the largest is
     ``max_bc_residual``) from ``g`` and reconstructs x only for the norms.
-    ``g`` is one of three buffers that the steps and records rotate
-    through (see step()): copy it to keep it.  An array assigned to ``g``
+    ``g`` is one of two buffers that the steps and records alternate
+    between (see step()): copy it to keep it.  An array assigned to ``g``
     is copied into a buffer by the next step.
     """
 
@@ -433,7 +426,12 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     long x with few columns, BLAS runs this real product about three times
     faster than the complex one."""
     a = np.swapaxes(m, -1, -2)
-    return np.kron(a.real, np.eye(2)) + np.kron(a.imag, [[0.0, 1.0], [-1.0, 0.0]])
+    rows, cols = a.shape[-2:]
+    r = np.empty(a.shape[:-2] + (rows, 2, cols, 2))
+    r[..., 0, :, 0] = r[..., 1, :, 1] = a.real
+    r[..., 0, :, 1] = a.imag
+    r[..., 1, :, 0] = -a.imag
+    return r.reshape(a.shape[:-2] + (2 * rows, 2 * cols))
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
@@ -549,10 +547,11 @@ def setup(
 
 
 def step(state: SimState) -> SimState:
-    """Advance one time step (two Heun stages, each closed).
+    """Advance one time step, the Heun step (g + C T C T g) / 2 of the
+    stage T and the closure C.
 
-    The new ``state.g`` is one of three field buffers that the steps and
-    records rotate through, so the array that ``state.g`` held before this
+    The new ``state.g`` is one of two field buffers that the steps and
+    records alternate between, so the array that ``state.g`` held before this
     call is overwritten by this call's record or by the next step: copy it
     to keep it.
     """

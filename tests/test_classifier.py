@@ -265,6 +265,9 @@ class TestDiagonalizeField:
             phs.diagonalize_field(network, [0.0, 0.5, 0.5])
         with pytest.raises(DomainError):
             phs.diagonalize_field(network, [0.0, 1.5])
+        # a NaN point is refused as outside [0, 1], not diagonalized
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            phs.diagonalize_field(network, [0.0, np.nan, 1.0])
 
     @pytest.mark.parametrize("make", [
         lambda: phs.load_system(FIXTURES / "string_stiffening.json"),

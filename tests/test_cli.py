@@ -111,6 +111,16 @@ class TestExitCodes:
         assert code == 2
         assert "Hermitian" in capsys.readouterr().err
 
+    def test_nan_grid_knot_exits_2(self, tmp_path, capsys):
+        # a JSON NaN literal loads as a float; the grid field refuses it
+        doc = json.loads((FIXTURES / "transport_grid_h.json").read_text())
+        doc["h"]["zetas"][1] = float("nan")
+        bad = tmp_path / "nan_knot.json"
+        bad.write_text(json.dumps(doc))
+        assert "NaN" in bad.read_text()
+        assert main(["check", str(bad)]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["classify", "no_such_model.json"]) == 2
 

@@ -190,6 +190,9 @@ class TestLoadSystem:
     (lambda: phs.CoefficientField.grid([0.0], [np.eye(2)]), ShapeError, "two sample points"),
     (lambda: phs.CoefficientField.grid([0.0, 0.5, 0.5, 1.0], [np.eye(2)] * 4),
      ValidationError, "strictly increasing"),
+    # a NaN knot: every comparison with NaN is False
+    (lambda: phs.CoefficientField.grid([0.0, np.nan, 1.0], [np.eye(2)] * 3),
+     ValidationError, "strictly increasing"),
     (lambda: phs.CoefficientField.grid([0.0, 0.5], [np.eye(2)] * 2),
      ValidationError, "include 0 and 1"),
     (lambda: phs.CoefficientField.grid([0.0, 1.0], [np.eye(2)] * 3), ShapeError, "len"),
