@@ -94,19 +94,18 @@ def check_contraction(system: PHSystem) -> ContractionCheck:
     With a shared scale, unitary implies contraction exactly:
     lambda_max <= max |lambda| and lambda_min >= -max |lambda|.
     """
-    return ContractionCheck(*_first(_contraction(_stack([system]))))
+    return ContractionCheck(**_first(_contraction(_stack([system]))))
 
 
-def _first(fields) -> list:
-    """The first system's entry of each per-system array: a matrix, or a
-    Python scalar."""
-    return [f.item(0) if f.ndim == 1 else f[0] for f in fields]
+def _first(check: ContractionCheck) -> dict:
+    """The first system's entry of each per-system array of a stacked
+    check, by field name: a matrix, or a Python scalar."""
+    return {name: f.item(0) if f.ndim == 1 else f[0] for name, f in vars(check).items()}
 
 
-def _contraction(batch) -> tuple:
-    """check_contraction for a _Batch, each test made once for the stack.
-    Returns the ContractionCheck fields in order, each an array over the
-    systems."""
+def _contraction(batch) -> ContractionCheck:
+    """check_contraction for a _Batch, each test made once for the stack:
+    a ContractionCheck whose every field is an array over the systems."""
     p1, p0, wb_tilde = batch.p1, batch.p0, batch.wb_tilde
     n = p1.shape[-1]
     a, b = _wb(p1, wb_tilde)
@@ -120,8 +119,12 @@ def _contraction(batch) -> tuple:
     full = rank == n
     nsd = p0_eigs[:, -1] <= p0_scale
     zero = p0_norm <= p0_scale
-    return (nsd & (form_eigs[:, 0] >= -form_scale) & full, zero & (form_norm <= form_scale) & full,
-            nsd, zero, p0_eigs[:, -1], p0_norm, form, form_eigs[:, 0], form_norm, rank)
+    return ContractionCheck(
+        contraction=nsd & (form_eigs[:, 0] >= -form_scale) & full,
+        unitary_group=zero & (form_norm <= form_scale) & full,
+        re_p0_nsd=nsd, re_p0_zero=zero, re_p0_max_eigenvalue=p0_eigs[:, -1], re_p0_norm=p0_norm,
+        sigma_form=form, sigma_form_min_eigenvalue=form_eigs[:, 0], sigma_form_norm=form_norm,
+        rank_wb_tilde=rank)
 
 
 def check_unitary(system: PHSystem) -> bool:
@@ -186,40 +189,17 @@ def _phase_fix(m: np.ndarray) -> np.ndarray:
                 / np.take_along_axis(mags, first, axis=-2))
 
 
-def _ordered_split(w: np.ndarray, vecs: np.ndarray):
-    """Put each point's eigenpairs from _similarity_stack positive block first
-    (descending, ties in eigh's order), then the n2 negative ones most
-    negative first (eigh's ascending order), and normalize and phase fix
-    the columns; returns (n2, speeds, vecs).  The inertia is that of P1 at
-    every point (Sylvester), and the zero band keeps the signs exact."""
-    n2 = int(np.count_nonzero(w[0] < 0.0))
-    order = np.concatenate(
-        [n2 + np.argsort(-w[:, n2:], axis=1, kind="stable"),
-         np.broadcast_to(np.arange(n2), (len(w), n2))], axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return n2, np.take_along_axis(w, order, axis=1), _phase_fix(vecs)
-
-
 def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
-    """Diagonalize P1 H(zeta) through the Hermitian similarity
-    H^(1/2) P1 H^(1/2) and split eigenvectors by eigenvalue sign.
-
-    Raises ValidationError if H(zeta) is not positive definite or an
-    eigenvalue sits in the zero band, which violates the standing
-    assumptions (P1 invertible, H positive definite).
-    """
-    if not 0.0 <= zeta <= 1.0:
-        raise DomainError(f"zeta = {zeta!r} outside [0, 1]")
-    w, vecs = _similarity_stack(system.p1, system.h.eval_many([zeta]), [zeta])
-    n2, speeds, vecs = _ordered_split(w, vecs)
-    n1 = system.n - n2
+    """diagonalize_field(system, [zeta]) as an EigenSplit, with one QR for
+    an orthonormal basis of each eigenspace.  Raises what diagonalize_field
+    raises: DomainError for zeta outside [0, 1], and ValidationError where
+    the standing assumptions fail (P1 invertible, H positive definite)."""
+    field = diagonalize_field(system, [zeta])
+    n1, speeds, vecs = field.n1, field.speeds[0], field.s_inv[0]
     return EigenSplit(
-        zeta=float(zeta), n1=n1, n2=n2, lam=speeds[0, :n1], theta=speeds[0, n1:],
-        s_inv=vecs[0],
-        z_plus=_phase_fix(np.linalg.qr(vecs[0, :, :n1])[0]),
-        z_minus=_phase_fix(np.linalg.qr(vecs[0, :, n1:])[0]),
-    )
+        zeta=float(zeta), n1=n1, n2=system.n - n1, lam=speeds[:n1], theta=speeds[n1:],
+        s_inv=vecs, z_plus=_phase_fix(np.linalg.qr(vecs[:, :n1])[0]),
+        z_minus=_phase_fix(np.linalg.qr(vecs[:, n1:])[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,22 +222,29 @@ class DiagonalizedField:
 
 
 def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
-    """Eigensplit at every grid point, with each eigenvector column phase
-    aligned against its predecessor (maximal real inner product).
-
-    All points are diagonalized at once, with eigensplit's ordering and
-    phase fix.  Raises the ValidationError eigensplit raises at the first
-    bad point.
-    """
+    """Diagonalize P1 H(zeta) at all grid points at once, through the
+    Hermitian similarity H^(1/2) P1 H^(1/2): positive eigenvalues first
+    (descending, ties in eigh's order), then the negative ones most negative
+    first, each eigenvector normalized, phase fixed and then aligned against
+    its predecessor (maximal real inner product).  Raises DomainError unless
+    the grid is a non-empty, strictly increasing 1-D array of points of
+    [0, 1] (eval_many checks the range), and the ValidationError of the
+    first bad point."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a non-empty 1-D array")
-    if not np.all((grid >= 0.0) & (grid <= 1.0)):
-        raise DomainError("grid points must lie in [0, 1]")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
     w, vecs = _similarity_stack(system.p1, system.h.eval_many(grid), grid)
-    n2, speeds, vecs = _ordered_split(w, vecs)
+    # the inertia is that of P1 at every point (Sylvester), and the zero
+    # band keeps the signs exact; eigh's order is ascending
+    n2 = int(np.count_nonzero(w[0] < 0.0))
+    order = np.concatenate(
+        [n2 + np.argsort(-w[:, n2:], axis=1, kind="stable"),
+         np.broadcast_to(np.arange(n2), (len(w), n2))], axis=1)
+    speeds = np.take_along_axis(w, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    vecs = _phase_fix(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
 
     # alignment along the grid: with inner_k the overlap of column j at points
     # k-1 and k, point k is rotated by prod_{i<=k} conj(inner_i) / |inner_i|
@@ -399,29 +386,29 @@ def classify(system: PHSystem) -> Verdict:
     independent routes to disagree, c0_semigroup is coerced to True and
     the inconsistency is flagged in notes.
     """
-    *check, c0, smin, coerced = _first(_classify_stack(_stack([system])))
-    full = check[-1] == system.n
-    notes = []
-    if not full:
-        notes.append(f"inconclusive-C0: {_inapplicable(check[-1], system.n)}")
-    if coerced:
+    check, c0, smin, coerced = _classify_stack(_stack([system]))
+    check, n = _first(check), system.n
+    full = check["rank_wb_tilde"] == n
+    notes = [] if full else [f"inconclusive-C0: {_inapplicable(check['rank_wb_tilde'], n)}"]
+    if coerced[0]:
         notes.append("InternalInconsistency: contraction holds but direct-sum test failed; "
                      "coerced c0_semigroup to True")
     if system.h.kind == "grid":
         notes.append("coefficient field is sampled: smoothness assumption of the generation "
                      "test is not verifiable; its verdict uses endpoint data only")
-    return Verdict(*check, system.n, c0 if full else None, smin if full else None, tuple(notes))
+    return Verdict(**check, n=n, c0_semigroup=c0.item(0) if full else None,
+                   direct_sum_min_singular_value=smin.item(0) if full else None,
+                   notes=tuple(notes))
 
 
 def _classify_stack(batch) -> tuple:
     """classify for a _Batch, each test made once for the stack.  Returns
-    the ContractionCheck fields, c0_semigroup, the direct sum's smallest
-    singular value and the mask of coerced c0 verdicts, each an array over
-    the systems.  The direct-sum test runs on every system, as one stack:
-    c0 and smin mean something only where rank(wb_tilde) = n, which
-    contraction implies.  Raises the ValidationError of the first system
-    that classify refuses, as classify raises it."""
+    the stacked ContractionCheck of _contraction and, as arrays over the
+    systems, c0_semigroup, the direct sum's smallest singular value and the
+    mask of coerced c0 verdicts.  The direct-sum test runs on every system,
+    as one stack: c0 and smin mean something only where rank(wb_tilde) = n,
+    which contraction implies.  Raises the ValidationError of the first
+    system that classify refuses, as classify raises it."""
     check = _contraction(batch)
-    contraction = check[0]
     ok, smin, _ = _direct_sums(batch)
-    return (*check, ok | contraction, smin, contraction & ~ok)
+    return check, ok | check.contraction, smin, check.contraction & ~ok

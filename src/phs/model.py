@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ShapeError, ValidationError
+from .errors import DomainError, SchemaError, ShapeError, ValidationError
 
 # Validation tolerances.  tol values are relative to the matrix scale,
 # eps_pd is the absolute floor for the smallest eigenvalue of H.
@@ -137,7 +137,13 @@ class CoefficientField:
         return cls(values.shape[1], "grid", (z, _freeze(values)))
 
     def eval_many(self, zetas) -> np.ndarray:
-        """Evaluate H at an array of points; returns shape (len(zetas), n, n)."""
+        """Evaluate H at an array of points of [0, 1]; returns shape
+        (len(zetas), n, n).  Raises DomainError naming the first point
+        outside [0, 1], NaN included: H is not extrapolated."""
+        zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
+        inside = (zetas >= 0.0) & (zetas <= 1.0)
+        if not inside.all():
+            raise DomainError(f"zeta = {zetas[~inside][0]:.6g} outside [0, 1]")
         data = self.data if self.kind == "grid" else (self.data[0][None],)
         return _eval_group(self.kind, data, zetas)[0]
 
@@ -199,6 +205,8 @@ def validate_system(system: PHSystem) -> None:
     """Check all structural invariants; raise ValidationError naming the
     first violated one.
 
+    Shapes and finiteness come first (P1 and P0 finite n x n, wb_tilde
+    finite n x 2n, H of dimension n), before any other check of P1 or H.
     P1 must be Hermitian within TOL_HERM (relative) and invertible: its
     smallest singular value at least EPS_INV * max(1, largest), the
     absolute floor of the classifier's zero bands.  H must be Hermitian
@@ -237,7 +245,9 @@ def _structure_error(system: PHSystem) -> str:
             return f"{name} contains non-finite entries"
     if not np.isfinite(system.wb_tilde).all():
         return "wb_tilde contains non-finite entries"
-    return f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
+    if system.wb_tilde.shape != (n, 2 * n):
+        return f"wb_tilde must be {n}x{2 * n}, got {system.wb_tilde.shape}"
+    return f"H has dimension {system.h.data[-1].shape[1]}, system has n = {n}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,17 +268,18 @@ class _Batch:
 
 
 def _stack(systems) -> _Batch:
-    """The batch of a list of systems of one dimension n.  Their shapes are
-    compared system by system first, the first structure check of
-    validate_system; a misshapen system raises its ValidationError."""
+    """The batch of a list of systems of one dimension n.  Their shapes, H's
+    dimension among them, are compared system by system first, the first
+    structure check of validate_system; a misshapen system raises its
+    ValidationError."""
     groups: dict = {}
     for i, system in enumerate(systems):
-        n = system.n
-        shapes = (system.p1.shape, system.p0.shape, system.wb_tilde.shape)
-        if shapes != ((n, n), (n, n), (n, 2 * n)):
+        n, h = system.n, system.h
+        # a field's dimension is axis 1 of its data's last array, and a
+        # polynomial's degree is in that array's shape
+        shapes = (system.p1.shape, system.p0.shape, system.wb_tilde.shape, h.data[-1].shape[1])
+        if shapes != ((n, n), (n, n), (n, 2 * n), n):
             raise ValidationError(_structure_error(system))
-        h = system.h
-        # a polynomial's degree, and any field's dimension, is in its data's shape
         groups.setdefault((h.kind, i) if h.kind == "grid" else (h.kind, h.data[0].shape),
                           []).append(i)
     fields = tuple(
@@ -290,18 +301,18 @@ def _unstack(batch: _Batch) -> list:
 
 
 def _validate(batch: _Batch) -> None:
-    """validate_system on a batch, each check made once for the whole stack:
-    finiteness (p1, then p0, then wb_tilde) and P1 on the stacked matrices,
-    the dimension of H per field group, and H on the Bernstein pieces of one
-    group at a time.  Raises at the first check that fails for any system,
-    with the ValidationError validate_system raises for that system; it need
-    not be the first invalid system of the batch (the agreement campaign
-    replays a failed batch system by system).  The stacks are only read."""
+    """validate_system on a batch, whose shapes _stack (or the campaign's
+    draws) made those of one n: each check of values made once for the whole
+    stack, finiteness (p1, then p0, then wb_tilde) and P1 on the stacked
+    matrices, and H on the Bernstein pieces of one group at a time.  Raises
+    at the first check that fails for any system, with the ValidationError
+    validate_system raises for that system; it need not be the first invalid
+    system of the batch (the agreement campaign replays a failed batch system
+    by system).  The stacks are only read."""
     for name, m in (("p1", batch.p1), ("p0", batch.p0), ("wb_tilde", batch.wb_tilde)):
         if not np.isfinite(m).all():
             raise ValidationError(f"{name} contains non-finite entries")
     p1 = batch.p1
-    n = p1.shape[-1]
     if (_herm_defect(p1) > TOL_HERM).any():
         raise ValidationError("p1 is not Hermitian")
     svals = np.linalg.svd(p1, compute_uv=False)
@@ -309,10 +320,6 @@ def _validate(batch: _Batch) -> None:
     if bad.any():
         raise ValidationError("p1 is numerically singular "
                               f"(smallest singular value {svals[bad.argmax(), -1]:.3e})")
-    for _, _, data in batch.fields:
-        # axis 2 of the values or coefficients is the field's dimension
-        if data[-1].shape[2] != n:
-            raise ValidationError(f"H has dimension {data[-1].shape[2]}, system has n = {n}")
     # each group's pieces: piece ends and control matrices; non-finite
     # fields are refused here, before any arithmetic warns about them
     h_lower, h_upper = np.empty(len(p1)), np.empty(len(p1))

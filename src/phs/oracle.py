@@ -233,14 +233,14 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
 
 
 def _cross_checked(batch):
-    """Validate, classify and cross-check a _Batch.  Returns the arrays of
-    _classify_stack and the oracle's top, bottom and holds (see
+    """Validate, classify and cross-check a _Batch.  Returns what
+    _classify_stack returns and the oracle's top, bottom and holds (see
     _kernel_test); raises the first error any stage finds, for some system
     of the batch."""
     _validate(batch)
     verdicts = _classify_stack(batch)
     dim, top, bottom, holds = _kernel_test(batch)
-    n, rank = batch.p1.shape[-1], verdicts[9]  # rank_wb_tilde, the last check field
+    n, rank = batch.p1.shape[-1], verdicts[0].rank_wb_tilde
     law = dim != 2 * n - rank
     if law.any():
         k = law.argmax()
@@ -285,13 +285,18 @@ def agreement_campaign(
     Returns a JSON-ready report including full-verdict counts and the
     number of verdict-monotonicity violations (expected 0): the systems
     whose direct-sum test fails although contraction holds, which classify
-    coerces and notes.  Raises DomainError for n < 1, a negative count or a
-    negative seed.
+    coerces and notes.  Raises DomainError for n < 1, a negative count, a
+    negative seed, or ``hint_weights``, the probabilities of the hints
+    general, contraction and unitary, not all >= 0 or not summing to 1
+    within 1e-9.
     """
     _at_least("n", n, 1)
     _at_least("count", count, 0)
     _at_least("seed", seed, 0)
-    w_general, w_contraction, _ = hint_weights
+    if (len(hint_weights) != 3 or not all(w >= 0.0 for w in hint_weights)
+            or not abs(sum(hint_weights) - 1.0) <= 1e-9):
+        raise DomainError(f"hint_weights must be 3 weights >= 0 summing to 1, got {hint_weights}")
+    w_general, w_contraction, _ = hint_weights  # the unitary hint takes the rest
     draws = np.random.default_rng(seed).random(count)
     hints = ["general" if d < w_general else
              "contraction" if d < w_general + w_contraction else "unitary" for d in draws]
@@ -302,22 +307,20 @@ def agreement_campaign(
         stop = min(count, start + CAMPAIGN_BATCH)
         batch = _random_systems(range(seed + start, seed + stop), n, hints[start:stop])
         try:
-            verdicts, (top, bottom, holds) = _cross_checked(batch)
+            (check, c0, _, coerced), (top, bottom, holds) = _cross_checked(batch)
         except PHSError:
             _first_failure(_unstack(batch))
             raise
-        (contraction, unitary, _, _, p0_max, p0_norm, _, form_min, form_norm, rank, c0, _,
-         coerced) = verdicts
         # the witnesses and their scales; dim ker(wb_tilde) = 2n - rank >= n,
         # so the form is never empty here
-        witness = np.array([p0_max, form_min, top])
-        scale = np.array([p0_norm, form_norm, np.maximum(top, -bottom)])
+        witness = np.array([check.re_p0_max_eigenvalue, check.sigma_form_min_eigenvalue, top])
+        scale = np.array([check.re_p0_norm, check.sigma_form_norm, np.maximum(top, -bottom)])
         frontier = (np.abs(witness) <= 10.0 * TOL_PSD * np.maximum(1.0, scale)).any(axis=0)
-        differ = ~frontier & (contraction != holds)
+        differ = ~frontier & (check.contraction != holds)
         mismatches += (start + np.flatnonzero(differ)).tolist()
-        full = rank == n
-        masks = (~frontier & ~differ, differ, frontier, unitary, contraction, full & c0,
-                 full & ~c0, ~full, coerced)
+        full = check.rank_wb_tilde == n
+        masks = (~frontier & ~differ, differ, frontier, check.unitary_group, check.contraction,
+                 full & c0, full & ~c0, ~full, coerced)
         for key, k in zip(tally, np.count_nonzero(masks, axis=1).tolist()):
             tally[key] += k
     return {"n": n, "count": count, "seed": seed,

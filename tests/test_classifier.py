@@ -545,15 +545,16 @@ def test_stacked_verdicts_equal_classify():
     # direct-sum test applies; the coercion mask is where classify notes an
     # inconsistency
     systems = _mixed_stack()
-    *check, c0, smin, coerced = phs.classifier._classify_stack(phs.model._stack(systems))
+    check, c0, smin, coerced = phs.classifier._classify_stack(phs.model._stack(systems))
     assert len(c0) == len(smin) == len(coerced) == len(systems)
     seen = set()
     for i, system in enumerate(systems):
         ref = phs.classify(system)
-        full = check[-1][i] == system.n
+        full = check.rank_wb_tilde[i] == system.n
         verdict = phs.classifier.Verdict(
-            *(f[i] if f.ndim > 1 else f[i].item() for f in check), system.n,
-            bool(c0[i]) if full else None, float(smin[i]) if full else None, ref.notes)
+            **{name: f[i] if f.ndim > 1 else f[i].item() for name, f in vars(check).items()},
+            n=system.n, c0_semigroup=bool(c0[i]) if full else None,
+            direct_sum_min_singular_value=float(smin[i]) if full else None, notes=ref.notes)
         _assert_same_record(verdict, ref)
         assert bool(coerced[i]) == any("InternalInconsistency" in note for note in ref.notes)
         seen.add((verdict.c0_semigroup, verdict.rank_wb_tilde == system.n,

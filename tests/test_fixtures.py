@@ -2,12 +2,19 @@
 simulator refuses exactly the fixtures that do not generate a
 C0-semigroup."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import phs
 
 from conftest import FIXTURES
+
+# written by scripts/make_classify_reports.py
+CLASSIFY_REPORTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "classify_reports.json").read_text())
 
 # (contraction, unitary_group, c0_semigroup)
 EXPECTED = {
@@ -27,7 +34,7 @@ EXPECTED = {
 
 def test_fixture_library_is_complete():
     found = {p.name for p in FIXTURES.glob("*.json")}
-    assert found == set(EXPECTED)
+    assert found == set(EXPECTED) == set(CLASSIFY_REPORTS)
     assert len(found) >= 8
 
 
@@ -45,3 +52,27 @@ def test_fixture_verdict(name):
     else:
         with pytest.raises(phs.IllPosedError):
             phs.setup(system, config, x0)
+
+
+def assert_same_report(got, pinned, where="report"):
+    """Booleans, integers, None and strings exactly, floats within 1e-12
+    relative with an absolute floor of 1e-12 for values at zero."""
+    if isinstance(pinned, dict):
+        assert got.keys() == pinned.keys(), where
+        for key in pinned:
+            assert_same_report(got[key], pinned[key], f"{where}.{key}")
+    elif isinstance(pinned, list):
+        assert len(got) == len(pinned), where
+        for i, (a, b) in enumerate(zip(got, pinned)):
+            assert_same_report(a, b, f"{where}[{i}]")
+    elif isinstance(pinned, float):
+        assert type(got) is float and got == pytest.approx(pinned, rel=1e-12, abs=1e-12), where
+    else:
+        assert type(got) is type(pinned) and got == pinned, where
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_pinned_classify_report(name):
+    # the whole report that phs classify prints, not only the verdicts
+    report = phs.classify(phs.load_system(FIXTURES / name)).as_dict()
+    assert_same_report(report, CLASSIFY_REPORTS[name])

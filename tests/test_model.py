@@ -265,6 +265,17 @@ class TestEvalH:
         b = system.h.eval_many([0.37])[0]
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("field", [
+        phs.CoefficientField.constant(np.eye(2)),
+        phs.CoefficientField.polynomial(np.array([[[1.0, 2.0]]])),
+        phs.CoefficientField.grid([0.0, 0.5, 1.0], [[[1.0]], [[2.0]], [[3.0]]]),
+    ], ids=["constant", "polynomial", "grid"])
+    @pytest.mark.parametrize("zeta", [np.nan, 2.0, -0.5])
+    def test_points_outside_the_interval_refused(self, field, zeta):
+        # H is not extrapolated: the first point outside [0, 1] is named
+        with pytest.raises(phs.DomainError, match=rf"zeta = {zeta:g} outside \[0, 1\]"):
+            field.eval_many([0.0, zeta, 1.0])
+
 
 class TestHermitianPart:
     def test_skew_matrix(self):
@@ -490,6 +501,9 @@ INVALID = {
     "p1_singular": (_raw_system(p1=np.diag([1.0, 0.0])),
                     "p1 is numerically singular (smallest singular value 0.000e+00)"),
     "h_dimension": (_raw_system(h=np.eye(3)), "H has dimension 3, system has n = 2"),
+    # H's dimension is a shape, compared before P1's values are checked
+    "h_dimension_and_p1_not_hermitian": (_raw_system(p1=[[1, 1], [0, 1]], h=np.eye(3)),
+                                         "H has dimension 3, system has n = 2"),
     "h_nan": (_raw_system(h=[[1, 0], [0, np.nan]]), "H evaluates to non-finite entries"),
     "h_nan_off_diagonal": (_raw_system(h=[[1, np.nan], [np.nan, 1]]),
                            "H evaluates to non-finite entries"),
@@ -524,6 +538,18 @@ def test_validation_message(name):
     system, message = INVALID[name]
     with pytest.raises(ValidationError) as exc:
         phs.validate_system(system)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("run", [
+    phs.classify, lambda system: phs.setup(system, phs.SimConfig(nx=16), lambda z: 1.0)],
+    ids=["classify", "setup"])
+def test_unvalidated_h_dimension_refused(run):
+    # an unvalidated system whose H does not match n gets validate_system's
+    # message from the stacking, before any arithmetic mixes the shapes
+    system, message = INVALID["h_dimension"]
+    with pytest.raises(ValidationError) as exc:
+        run(system)
     assert str(exc.value) == message
 
 

@@ -332,7 +332,7 @@ class TestCampaign:
 
         def failing(batch):
             ok, smin, k = real(batch)
-            ok[np.flatnonzero(phs.classifier._contraction(batch)[0])[:1]] = False
+            ok[np.flatnonzero(phs.classifier._contraction(batch).contraction)[:1]] = False
             return ok, smin, k
 
         before = phs.agreement_campaign(2, 40, seed=6)
@@ -356,6 +356,13 @@ class TestCampaign:
     def test_bad_count_or_seed(self, count, seed, message):
         with pytest.raises(phs.DomainError, match=message):
             phs.agreement_campaign(2, count, seed)
+
+    @pytest.mark.parametrize("weights", [
+        (0.57, 0.40, 0.5), (0.0, 0.0, 0.0), (-1.0, 2.0, 0.0), (0.5, 0.5), (0.5, 0.5, np.nan)])
+    def test_bad_hint_weights(self, weights):
+        # three weights >= 0 that sum to 1: none is ignored
+        with pytest.raises(phs.DomainError, match="hint_weights must be 3 weights"):
+            phs.agreement_campaign(2, 200, 0, hint_weights=weights)
 
     def test_campaign_deterministic(self):
         a = phs.agreement_campaign(3, 40, seed=8)
