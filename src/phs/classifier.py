@@ -209,7 +209,8 @@ class DiagonalizedField:
 
     Row k of ``s_inv`` (N, n, n) and ``speeds`` (N, n) is the eigensplit at
     ``zetas[k]`` (columns: positive block first, n1 of them), each column
-    rotated by a unit phase to align it with its predecessor.
+    rotated by a unit phase to align it with its predecessor; row k of
+    ``h`` (N, n, n) is H(zetas[k]), the values that were diagonalized.
     ``crossings`` lists grid indices where the eigenvector matching between
     neighbouring points is not the identity (eigenvalue curves reorder).
     """
@@ -219,6 +220,7 @@ class DiagonalizedField:
     speeds: np.ndarray
     s_inv: np.ndarray
     crossings: tuple
+    h: np.ndarray
 
 
 def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
@@ -226,7 +228,8 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     Hermitian similarity H^(1/2) P1 H^(1/2): positive eigenvalues first
     (descending, ties in eigh's order), then the negative ones most negative
     first, each eigenvector normalized, phase fixed and then aligned against
-    its predecessor (maximal real inner product).  Raises DomainError unless
+    its predecessor (maximal real inner product); H is evaluated here
+    once, and the field keeps it.  Raises DomainError unless
     the grid is a non-empty, strictly increasing 1-D array of points of
     [0, 1] (eval_many checks the range), and the ValidationError of the
     first bad point."""
@@ -235,7 +238,8 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
         raise DomainError("grid must be a non-empty 1-D array")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
-    w, vecs = _similarity_stack(system.p1, system.h.eval_many(grid), grid)
+    h = system.h.eval_many(grid)
+    w, vecs = _similarity_stack(system.p1, h, grid)
     # the inertia is that of P1 at every point (Sylvester), and the zero
     # band keeps the signs exact; eigh's order is ascending
     n2 = int(np.count_nonzero(w[0] < 0.0))
@@ -259,7 +263,7 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     phase = np.cumprod(np.concatenate([np.ones((1, n), dtype=complex), step]), axis=0)
     vecs *= phase[:, None, :]
     return DiagonalizedField(zetas=grid, n1=n - n2, speeds=speeds, s_inv=vecs,
-                             crossings=crossings)
+                             crossings=crossings, h=h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,15 +286,14 @@ _ENDS = (1.0, 0.0)
 
 
 def boundary_closure_matrix(system: PHSystem, field: DiagonalizedField) -> BoundaryClosure:
-    """Assemble the boundary closure blocks from the eigenvectors at z = 1
-    and z = 0: the last and first points of ``field``, whose grid must run
-    from 0 to 1."""
+    """Assemble the boundary closure blocks from H and the eigenvectors
+    at z = 1 and z = 0: the last and first points of ``field``, whose grid
+    must run from 0 to 1."""
     if field.zetas[0] != 0.0 or field.zetas[-1] != 1.0:
         raise DomainError("the field's grid must start at 0 and end at 1")
     n, n1 = system.n, field.n1
-    h1, h0 = system.h.eval_many(_ENDS)
-    v = system.wb_tilde[:, :n] @ h1 @ field.s_inv[-1]
-    u = system.wb_tilde[:, n:] @ h0 @ field.s_inv[0]
+    v = system.wb_tilde[:, :n] @ field.h[-1] @ field.s_inv[-1]
+    u = system.wb_tilde[:, n:] @ field.h[0] @ field.s_inv[0]
     return BoundaryClosure(k=np.hstack([v[:, :n1], u[:, n1:]]),
                            q=np.hstack([u[:, :n1], v[:, n1:]]))
 

@@ -455,14 +455,26 @@ def make_system(p1, p0, h, wb_tilde) -> PHSystem:
 # JSON document format
 # ---------------------------------------------------------------------------
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, but not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _float_from_doc(v, where: str) -> float:
+    """A JSON number as a float; anything else, or an integer too large for
+    a float, is refused."""
+    if not _is_number(v):
+        raise SchemaError(f"{where}: expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer too large for a float") from None
+
+
 def _scalar_from_pair(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_is_number, obj)):
         raise SchemaError(f"{where}: complex scalars must be [re, im] pairs, got {obj!r}")
-    return complex(obj[0], obj[1])
+    return complex(_float_from_doc(obj[0], f"{where}[0]"), _float_from_doc(obj[1], f"{where}[1]"))
 
 
 def _matrix_from_doc(obj, where: str) -> np.ndarray:
@@ -524,8 +536,13 @@ def _field_from_doc(obj) -> CoefficientField:
     vals = obj["values"]
     if not isinstance(zetas, list) or not isinstance(vals, list) or len(zetas) != len(vals):
         raise SchemaError("'h.zetas' and 'h.values' must be lists of equal length")
+    knots = [_float_from_doc(z, f"h.zetas[{k}]") for k, z in enumerate(zetas)]
     matrices = [_matrix_from_doc(v, f"h.values[{k}]") for k, v in enumerate(vals)]
-    return CoefficientField.grid(np.asarray(zetas, dtype=float), np.array(matrices))
+    for k, m in enumerate(matrices):
+        if m.shape != matrices[0].shape:
+            raise SchemaError(f"h.values[{k}]: every matrix must have the shape of "
+                              f"h.values[0], {matrices[0].shape}, got {m.shape}")
+    return CoefficientField.grid(np.asarray(knots, dtype=float), np.array(matrices))
 
 
 def load_system(document) -> PHSystem:

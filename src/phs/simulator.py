@@ -51,7 +51,9 @@ Discretization, chosen for transparency rather than accuracy:
     one composite serves every node;
   * the steps and records of both kinds alternate between two field
     buffers, each with two zero ghost rows at both ends, so a step
-    allocates no array of the field's size.
+    allocates no array of the field's size; the state keeps the index of
+    the buffer that holds g, and a step or a record reads that buffer and
+    writes into the other.
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
@@ -106,15 +108,16 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        # bool subclasses int, but True is not taken for a number
         for name in ("nx", "record_every"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.nx < 16:
             raise ValidationError(f"nx must be >= 16, got {self.nx}")
-        if not isinstance(self.t_final, Real) or not 0.0 < self.t_final < math.inf:
+        if not _number(self.t_final) or not 0.0 < self.t_final < math.inf:
             raise ValidationError(f"t_final must be positive and finite, got {self.t_final!r}")
-        if not (isinstance(self.p_norms, tuple)
-                and all(isinstance(p, Real) for p in self.p_norms)):
+        if not (isinstance(self.p_norms, tuple) and all(map(_number, self.p_norms))):
             raise ValidationError(f"p_norms must be a tuple of numbers, got {self.p_norms!r}")
         if not all(1.0 <= p < math.inf for p in self.p_norms):
             raise ValidationError(f"p_norms must all be finite and >= 1, got {self.p_norms}")
@@ -131,8 +134,8 @@ class _Discretization:
     ``speeds`` and the coupling B have one row per node, or only the first
     node's for a constant coefficient field, whose ``apply`` multiplies by
     one matrix (in real form).  Both kinds step and record on the same
-    two ghost-padded field buffers: ``heun`` and ``reconstruct`` write
-    into the buffer that does not hold their g.
+    two ghost-padded field buffers ``_fields``: ``heun(k, dt)`` and
+    ``reconstruct(k)`` read buffer k and write into buffer 1 - k.
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
@@ -151,8 +154,7 @@ class _Discretization:
                 f"{list(dfield.crossings)}: the characteristics transform is not smooth")
         self.n1 = dfield.n1
         nodes = slice(0, 1) if self.constant else slice(None)
-        s_inv = dfield.s_inv[nodes]
-        h = system.h.eval_many(self.zetas[nodes])
+        s_inv, h = dfield.s_inv[nodes], dfield.h[nodes]
         s = np.linalg.inv(s_inv)
         hs_inv = h @ s_inv
         coupling = system.p0 @ hs_inv
@@ -194,12 +196,10 @@ class _Discretization:
         # ghost rows no write reaches
         pads = [np.zeros((nx + 1 + 2 * GHOST, n), dtype=complex) for _ in range(2)]
         self._fields = [pad[GHOST:-GHOST] for pad in pads]
-        # by the id of each buffer, the other one
-        self._spares = {id(f): o for f, o in zip(self._fields, self._fields[::-1])}
         # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam
         # block), so a step row i reads the rows i + k for k in _reach
         self._reach = range(-2 if self.n1 < n else 0, 3 if self.n1 > 0 else 1)
-        self._windows = {id(f): self._step_windows(pad) for f, pad in zip(self._fields, pads)}
+        self._windows = [self._step_windows(pad) for pad in pads]
         # _step_maps builds one composite per node; window group r reads
         # those of the nodes r, r + w, ... (a constant field has one node)
         w = len(self._reach)
@@ -340,34 +340,23 @@ class _Discretization:
             if not norm <= self.record_norm:
                 raise StabilityError(f"field norm {norm:.3e} overflows the record's squares")
 
-    def spare(self, g: np.ndarray) -> np.ndarray:
-        """The field buffer that does not hold the field buffer g."""
-        return self._spares[id(g)]
-
-    def heun(self, g: np.ndarray, dt: float) -> np.ndarray:
-        """The step (g + C T C T g) / 2, written into a field buffer that
-        does not hold g: one product per window group of the composite
-        stencil, then one product of the end rows of g that overwrites the
-        rows 0, 1, nx-1, nx."""
-        if id(g) not in self._spares:
-            # an array from outside the buffers: copy it into the one it
-            # overlaps, if any, else into the first
-            src = next((f for f in self._fields if np.may_share_memory(f, g)), self._fields[0])
-            np.copyto(src, g)
-            g = src
-        g1 = self.spare(g)
+    def heun(self, k: int, dt: float) -> np.ndarray:
+        """The step (g + C T C T g) / 2 of the g in buffer k, written into
+        buffer 1 - k and returned: one product per window group of the
+        composite stencil, then one product of the end rows of g that
+        overwrites the rows 0, 1, nx-1, nx."""
         bodies, ends = self._maps if dt == self.dt else self._step_maps(dt)
-        for window, rows, body in zip(self._windows[id(g)][0], self._windows[id(g1)][1], bodies):
+        for window, rows, body in zip(self._windows[k][0], self._windows[1 - k][1], bodies):
             np.matmul(window, body, out=rows)
-        src, dst = g.view(np.float64), g1.view(np.float64)
+        src, dst = self._fields[k].view(np.float64), self._fields[1 - k].view(np.float64)
         edge = (np.concatenate([src[:END], src[-END:]]).reshape(-1) @ ends).reshape(4, -1)
         dst[:2], dst[-2:] = edge[:2], edge[2:]
-        return g1
+        return self._fields[1 - k]
 
-    def reconstruct(self, g: np.ndarray) -> np.ndarray:
-        """x = S^-1 g as (nx+1, 2n) floats, in a field buffer that does not
-        hold g."""
-        return self.apply("s_inv", g, out=self.spare(g)).view(np.float64)
+    def reconstruct(self, k: int) -> np.ndarray:
+        """x = S^-1 g of the g in buffer k as (nx+1, 2n) floats, written
+        into buffer 1 - k."""
+        return self.apply("s_inv", self._fields[k], out=self._fields[1 - k]).view(np.float64)
 
     def energy(self, g: np.ndarray) -> float:
         """Trapezoid sum of Re <x_i, H x_i>: the energy weights times |g|^2."""
@@ -391,21 +380,29 @@ class SimState:
     ``history`` maps column names (t, energy, l1, ...) to growing lists.
     A record reads the energy and the boundary residual (the largest is
     ``max_bc_residual``) from ``g`` and reconstructs x only for the norms.
-    ``g`` is one of two buffers that the steps and records alternate
-    between (see step()): copy it to keep it.  An array assigned to ``g``
-    is copied into a buffer by the next step.
+    ``g`` is the field buffer of index ``_k``, one of two that the steps
+    and records alternate between (see step()): copy it to keep it.  An
+    array assigned to ``g`` is copied into that buffer at once.
     """
 
     system: PHSystem
     config: SimConfig
     t: float
-    g: np.ndarray
     history: dict
     verdict: object = None
     step_count: int = 0
     max_bc_residual: float = 0.0
     _disc: _Discretization = field(default=None, repr=False)
+    _k: int = 0
     _g0_max: float = 0.0
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._disc._fields[self._k]
+
+    @g.setter
+    def g(self, value) -> None:
+        np.copyto(self.g, value)
 
     @property
     def zetas(self) -> np.ndarray:
@@ -414,6 +411,10 @@ class SimState:
     def x(self) -> np.ndarray:
         """Reconstructed physical field, a new array of shape (nx+1, n)."""
         return self._disc.apply("s_inv", self.g)
+
+
+def _number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
 
 
 def _norm_label(p: float) -> str:
@@ -475,7 +476,7 @@ def _record(state: SimState) -> None:
     """Append one history row: the energy from |g|^2, the boundary residual
     from the end rows of g, and the norms from one reconstruction of x."""
     disc, g, p_norms = state._disc, state.g, state.config.p_norms
-    squares = _node_squares(disc.reconstruct(g)) if p_norms else None
+    squares = _node_squares(disc.reconstruct(state._k)) if p_norms else None
     state.history["t"].append(state.t)
     state.history["energy"].append(disc.energy(g))
     state.max_bc_residual = max(state.max_bc_residual, disc.residual(g))
@@ -525,7 +526,6 @@ def setup(
     if not finite.all():
         raise StabilityError(
             f"initial field is not finite at z = {disc.zetas[np.argmin(finite)]:.6g}")
-    # the buffer itself: for a constant field, apply returns a new view of it
     g = disc._fields[0]
     disc.apply("s", x_init, out=g)
     disc.close(g)
@@ -536,7 +536,6 @@ def setup(
         system=system,
         config=config,
         t=0.0,
-        g=g,
         history=history,
         verdict=verdict,
         _disc=disc,
@@ -550,10 +549,10 @@ def step(state: SimState) -> SimState:
     """Advance one time step, the Heun step (g + C T C T g) / 2 of the
     stage T and the closure C.
 
-    The new ``state.g`` is one of two field buffers that the steps and
-    records alternate between, so the array that ``state.g`` held before this
-    call is overwritten by this call's record or by the next step: copy it
-    to keep it.
+    The step reads the field buffer ``state._k`` and writes into the
+    other, and ``_k`` flips once the guard accepts the new field, so the
+    array that ``state.g`` held before this call is overwritten by this
+    call's record or by the next step: copy it to keep it.
     """
     cfg = state.config
     horizon = _horizon(cfg.t_final)
@@ -561,9 +560,8 @@ def step(state: SimState) -> SimState:
         raise PreconditionError(f"t = {state.t} has already reached t_final")
     disc = state._disc
     dt = min(disc.dt, cfg.t_final - state.t)
-    gnew = disc.heun(state.g, dt)
-    disc.check(gnew, BLOWUP_FACTOR * max(state._g0_max, 1e-300))
-    state.g = gnew
+    disc.check(disc.heun(state._k, dt), BLOWUP_FACTOR * max(state._g0_max, 1e-300))
+    state._k = 1 - state._k
     state.t += dt
     state.step_count += 1
     if state.step_count % cfg.record_every == 0 or state.t >= horizon:
@@ -585,12 +583,10 @@ def run(system: PHSystem, config: SimConfig, x0, allow_illposed: bool = False) -
 # ---------------------------------------------------------------------------
 
 def write_history_csv(state: SimState, fileobj) -> None:
-    """Norm history as CSV with columns t, energy, l1, l2, ..."""
-    columns = ["t", "energy"]
-    columns.extend(_norm_label(p) for p in state.config.p_norms)
+    """Norm history as CSV, one column per history list: t, energy, l1, ..."""
     writer = csv.writer(fileobj)
-    writer.writerow(columns)
-    for row in zip(*(state.history[c] for c in columns)):
+    writer.writerow(state.history)
+    for row in zip(*state.history.values()):
         writer.writerow([f"{v:.16g}" for v in row])
 
 

@@ -293,6 +293,14 @@ class TestDiagonalizeField:
         np.testing.assert_allclose(result.s_inv, aligned, rtol=0, atol=1e-12)
         assert result.crossings == crossings
 
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening",
+                                      "transport_grid_h"])
+    def test_keeps_the_h_it_diagonalizes(self, name):
+        system = phs.load_system(FIXTURES / f"{name}.json")
+        grid = np.linspace(0.0, 1.0, 65)
+        np.testing.assert_array_equal(phs.diagonalize_field(system, grid).h,
+                                      system.h.eval_many(grid))
+
     @pytest.mark.parametrize("system", [
         # H(z) = diag(1 - 2z, 1) is not positive definite from z = 1/2 on
         _unchecked_system(np.eye(2),

@@ -121,6 +121,14 @@ class TestExitCodes:
         assert main(["check", str(bad)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_string_grid_knot_exits_2(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "transport_grid_h.json").read_text())
+        doc["h"]["zetas"][1] = "x"
+        bad = tmp_path / "string_knot.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        assert "SchemaError: h.zetas[1]: expected a number" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["classify", "no_such_model.json"]) == 2
 

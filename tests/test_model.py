@@ -24,6 +24,12 @@ def transport_doc(w1=1.0, w0=0.0):
     }
 
 
+def grid_doc(zetas, values=None):
+    """A grid field document of n = 1, H = 1 at every knot by default."""
+    return {"kind": "grid", "zetas": zetas,
+            "values": values if values is not None else [pairs([[1.0]])] * len(zetas)}
+
+
 class TestLoadSystem:
     def test_transport_document(self):
         system = phs.load_system(transport_doc())
@@ -146,6 +152,18 @@ class TestLoadSystem:
         (lambda d: d.update(h={"kind": "polynomial", "coeffs": [[[]]]}), "non-empty list"),
         (lambda d: d.update(h={"kind": "grid", "zetas": [0.0, 1.0],
                                "values": [pairs([[1.0]])]}), "equal length"),
+        # knots are JSON numbers, booleans and strings are not
+        (lambda d: d.update(h=grid_doc([0, "x"])), r"h\.zetas\[1\]: expected a number"),
+        (lambda d: d.update(h=grid_doc(["0", "1"])), r"h\.zetas\[0\]: expected a number"),
+        (lambda d: d.update(h=grid_doc([False, True])), r"h\.zetas\[0\]: expected a number"),
+        (lambda d: d.update(h=grid_doc([0, 10**400])), r"h\.zetas\[1\]: integer too large"),
+        # every grid value has one shape
+        (lambda d: d.update(h=grid_doc([0.0, 1.0], [pairs([[1.0]]), pairs(np.eye(2))])),
+         r"h\.values\[1\]: every matrix must have the shape of h\.values\[0\]"),
+        # a number too large for a float, named where it is
+        (lambda d: d["p1"][0][0].__setitem__(0, 10**400), r"p1\[0\]\[0\]\[0\]: integer too large"),
+        (lambda d: d.update(h=grid_doc([0.0, 1.0], [[[[1.0, 0.0]]], [[[1.0, -10**400]]]])),
+         r"h\.values\[1\]\[0\]\[0\]\[1\]: integer too large"),
     ])
     def test_schema_errors(self, mutate, match):
         doc = transport_doc()

@@ -88,9 +88,8 @@ def assert_step_is_mean_with_closed_euler_stages(system, nx, dt_scale):
     rng = np.random.default_rng(nx)
     g = rng.standard_normal((nx + 1, system.n)) + 1j * rng.standard_normal((nx + 1, system.n))
     expected = (g + closed_euler(closed_euler(g))) / 2.0
-    src = disc._fields[0]
-    src[...] = g
-    got = disc.heun(src, dt)
+    disc._fields[0][...] = g
+    got = disc.heun(0, dt)
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(g).max()
     return disc
 
@@ -240,6 +239,9 @@ class TestSetup:
     def test_config_validation(self):
         for kwargs in ({"nx": 8}, {"t_final": 0.0}, {"p_norms": (0.5,)},
                        {"record_every": 0},
+                       # bool subclasses int, but is not taken for a number
+                       {"nx": True}, {"t_final": True}, {"p_norms": (True, 2.0)},
+                       {"record_every": True},
                        # an lnan column, and a linf that reads 1 whatever the field
                        {"p_norms": (math.nan,)}, {"p_norms": (2.0, math.inf)},
                        {"nx": 16.5}, {"record_every": 2.0},
@@ -410,7 +412,32 @@ class TestStep:
         # object, not a new view of it, so the first step reads it in place
         state = phs.setup(SYSTEMS[name](), phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
         assert state.g is state._disc._fields[0]
-        assert id(state.g) in state._disc._spares
+        assert state._k == 0
+
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    def test_assigned_field_is_copied_at_once(self, name):
+        # assignment copies into the buffer that holds g, so the assigned
+        # array stays the caller's
+        state = phs.setup(SYSTEMS[name](), phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
+        phs.step(state)
+        arr = np.full_like(state.g, 2.0 + 1.0j)
+        state.g = arr
+        assert state.g is state._disc._fields[state._k]
+        assert state.g is not arr
+        arr[...] = 0.0
+        assert (state.g == 2.0 + 1.0j).all()
+
+    @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
+    def test_setup_evaluates_h_once(self, name, monkeypatch):
+        # diagonalize_field evaluates H on its grid; the coupling, the
+        # energy weights and the closure read those values
+        system, calls = SYSTEMS[name](), []
+        eval_many = phs.CoefficientField.eval_many
+        monkeypatch.setattr(phs.CoefficientField, "eval_many",
+                            lambda field, zetas: calls.append(len(zetas))
+                            or eval_many(field, zetas))
+        phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_step_allocates_no_field(self, name):
@@ -610,11 +637,11 @@ class TestStep:
         # and the exact peak decides above it and for NaN and inf
         state = phs.setup(transport, phs.SimConfig(nx=32, t_final=1.0), gaussian(0.5, 0.1))
         limit = phs.simulator.BLOWUP_FACTOR * state._g0_max
-        # like heun, into a field buffer that does not hold g
-        new = state._disc.spare(state.g)
+        # like heun, into the field buffer that does not hold g
+        new = state._disc._fields[1 - state._k]
         new[...] = 0.0
         new[16, 0] = value * limit * (0.6 + 0.8j) if math.isfinite(abs(value)) else value
-        monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
+        monkeypatch.setattr(state._disc, "heun", lambda k, dt: new)
         if raises:
             with pytest.raises(StabilityError, match="not finite or exceeds"):
                 phs.step(state)
@@ -637,8 +664,9 @@ class TestStep:
         assert all(np.isfinite(column).all() for column in state.history.values())
         # a step to entries that the blow-up limit allows but whose squares
         # overflow is refused before the state changes
-        new = np.full_like(state.g, 1e-3 * phs.simulator.BLOWUP_FACTOR * state._g0_max)
-        monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
+        new = state._disc._fields[1 - state._k]
+        new[...] = 1e-3 * phs.simulator.BLOWUP_FACTOR * state._g0_max
+        monkeypatch.setattr(state._disc, "heun", lambda k, dt: new)
         with pytest.raises(StabilityError, match="overflows the record"):
             phs.step(state)
         assert state.step_count == 1
@@ -653,8 +681,8 @@ class TestStep:
         state = phs.setup(transport_system(1.0, -1.0), cfg, lambda z: 10.0)
         assert state.history["l400"] == [pytest.approx(10.0, rel=1e-12)]
         assert phs.lp_norm(state, 400.0) == pytest.approx(10.0, rel=1e-12)
-        new = np.multiply(state.g, 2.0, out=state._disc.spare(state.g))
-        monkeypatch.setattr(state._disc, "heun", lambda g, dt: new)
+        new = np.multiply(state.g, 2.0, out=state._disc._fields[1 - state._k])
+        monkeypatch.setattr(state._disc, "heun", lambda k, dt: new)
         phs.step(state)
         assert state.history["l400"][-1] == pytest.approx(20.0, rel=1e-12)
         assert phs.lp_norm(state, 400.0) == pytest.approx(20.0, rel=1e-12)
