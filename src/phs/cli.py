@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .model import load_system
+from .model import _as_float, load_system
 from .oracle import agreement_campaign
 from .simulator import SimConfig, run, write_field_csv, write_history_csv
 
@@ -52,38 +53,67 @@ def _parse_profile(text: str):
     body = m.group(2).strip()
     try:
         args = ast.literal_eval(f"({body},)") if body else ()
-    except (ValueError, SyntaxError):
+    # TypeError: a set or dict key that is a list; the last two: too deep a
+    # nesting of operators for the parser
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         raise SpecError(f"malformed arguments in profile {text!r}") from None
     return name, args
 
 
+def _spec_float(v, where: str) -> float:
+    """A number of a spec under the rule of model._as_float, and finite."""
+    value = _as_float(v, where, SpecError)
+    if not math.isfinite(value):
+        raise SpecError(f"{where}: expected a finite number, got {value}")
+    return value
+
+
+def _payload(v, name: str):
+    """The value of a constant or indicator profile: a number, or a tuple
+    of numbers for the whole field."""
+    if isinstance(v, tuple):
+        return np.array([_spec_float(u, f"{name} value[{k}]") for k, u in enumerate(v)])
+    return np.array(_spec_float(v, f"{name} value"))
+
+
 def _scalar_profile(name: str, args: tuple):
     """One built-in profile as a function of zeta.  May be vector valued
-    (constant/indicator with tuple payload)."""
+    (constant/indicator with tuple payload).  Every number of the spec is
+    finite, and no profile warns at a zeta of [0, 1]."""
     if name == "sine":
-        if len(args) != 1 or not isinstance(args[0], (int, float)):
+        if len(args) != 1:
             raise SpecError("sine takes one numeric argument: sine(k)")
-        k = float(args[0])
+        k = _spec_float(args[0], "sine k")
+        if not math.isfinite(k * np.pi):
+            raise SpecError(f"sine k = {k:g} is too large: k pi overflows")
         return lambda z: np.sin(k * np.pi * z)
     if name == "gaussian":
-        if len(args) != 2 or not all(isinstance(a, (int, float)) for a in args):
+        if len(args) != 2:
             raise SpecError("gaussian takes two numeric arguments: gaussian(center, width)")
-        center, width = float(args[0]), float(args[1])
+        center = _spec_float(args[0], "gaussian center")
+        width = _spec_float(args[1], "gaussian width")
         if width <= 0.0:
             raise SpecError("gaussian width must be positive")
-        return lambda z: np.exp(-0.5 * ((z - center) / width) ** 2)
+
+        def gaussian(z):
+            # far from a narrow peak the square overflows, and exp(-inf) = 0;
+            # np.square, as a float's ** 2 raises OverflowError
+            with np.errstate(over="ignore"):
+                return np.exp(-0.5 * np.square((z - center) / width))
+
+        return gaussian
     if name == "constant":
         if len(args) != 1:
             raise SpecError("constant takes one argument: constant(value)")
-        value = np.asarray(args[0], dtype=float)
+        value = _payload(args[0], name)
         return lambda z: value
     if name == "indicator":
-        if len(args) != 3 or not all(isinstance(a, (int, float)) for a in args[:2]):
+        if len(args) != 3:
             raise SpecError("indicator takes indicator(a, b, value)")
-        a, b = float(args[0]), float(args[1])
+        a, b = _spec_float(args[0], "indicator a"), _spec_float(args[1], "indicator b")
         if a > b:
             raise SpecError(f"indicator needs a <= b, got ({a}, {b})")
-        value = np.asarray(args[2], dtype=float)
+        value = _payload(args[2], name)
         return lambda z: value if a <= z <= b else np.zeros_like(value)
     raise SpecError(f"unknown profile {name!r}")
 

@@ -22,9 +22,11 @@ threads.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -455,26 +457,35 @@ def make_system(p1, p0, h, wb_tilde) -> PHSystem:
 # JSON document format
 # ---------------------------------------------------------------------------
 
-def _is_number(v) -> bool:
-    """A JSON number: an int or a float, but not a boolean."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _float_from_doc(v, where: str) -> float:
-    """A JSON number as a float; anything else, or an integer too large for
-    a float, is refused."""
-    if not _is_number(v):
-        raise SchemaError(f"{where}: expected a number, got {v!r}")
+def _as_float(v, where: str, error=SchemaError) -> float:
+    """A number from outside (a document, a config or a spec) as a float:
+    any numbers.Real but a boolean that fits a float.  Anything else raises
+    ``error`` at ``where``, naming a refused value by its type only."""
+    if not isinstance(v, Real) or isinstance(v, bool):
+        raise error(f"{where}: expected a number, got {type(v).__name__}")
     try:
         return float(v)
     except OverflowError:
-        raise SchemaError(f"{where}: integer too large for a float") from None
+        raise error(f"{where}: integer too large for a float") from None
+
+
+def _is_integer(v) -> bool:
+    """An integer from outside: any numbers.Integral but a boolean that fits a float."""
+    return (isinstance(v, Integral) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+def _check_keys(obj: dict, keys: set, where: str) -> None:
+    """Raise SchemaError unless the keys of ``obj`` are exactly ``keys``."""
+    for problem, names in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+        if names:
+            raise SchemaError(f"{where} has {problem} keys {sorted(names, key=str)}")
 
 
 def _scalar_from_pair(obj, where: str) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_is_number, obj)):
-        raise SchemaError(f"{where}: complex scalars must be [re, im] pairs, got {obj!r}")
-    return complex(_float_from_doc(obj[0], f"{where}[0]"), _float_from_doc(obj[1], f"{where}[1]"))
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise SchemaError(f"{where}: complex scalars must be [re, im] pairs")
+    return complex(_as_float(obj[0], f"{where}[0]"), _as_float(obj[1], f"{where}[1]"))
 
 
 def _matrix_from_doc(obj, where: str) -> np.ndarray:
@@ -502,15 +513,9 @@ def _field_from_doc(obj) -> CoefficientField:
     kind = obj.get("kind")
     if kind not in FIELD_KINDS:
         raise SchemaError(f"'h.kind' must be one of {FIELD_KINDS}, got {kind!r}")
-    keys = {"constant": {"kind", "value"},
-            "polynomial": {"kind", "coeffs"},
-            "grid": {"kind", "zetas", "values"}}[kind]
-    extra = set(obj) - keys
-    if extra:
-        raise SchemaError(f"'h' has unknown keys {sorted(extra)}")
-    missing = keys - set(obj)
-    if missing:
-        raise SchemaError(f"'h' is missing keys {sorted(missing)}")
+    _check_keys(obj, {"constant": {"kind", "value"},
+                      "polynomial": {"kind", "coeffs"},
+                      "grid": {"kind", "zetas", "values"}}[kind], "'h'")
     if kind == "constant":
         return CoefficientField.constant(_matrix_from_doc(obj["value"], "h.value"))
     if kind == "polynomial":
@@ -536,7 +541,7 @@ def _field_from_doc(obj) -> CoefficientField:
     vals = obj["values"]
     if not isinstance(zetas, list) or not isinstance(vals, list) or len(zetas) != len(vals):
         raise SchemaError("'h.zetas' and 'h.values' must be lists of equal length")
-    knots = [_float_from_doc(z, f"h.zetas[{k}]") for k, z in enumerate(zetas)]
+    knots = [_as_float(z, f"h.zetas[{k}]") for k, z in enumerate(zetas)]
     matrices = [_matrix_from_doc(v, f"h.values[{k}]") for k, v in enumerate(vals)]
     for k, m in enumerate(matrices):
         if m.shape != matrices[0].shape:
@@ -549,39 +554,32 @@ def load_system(document) -> PHSystem:
     """Load and validate a system from a model document.
 
     ``document`` may be a dict (already-parsed JSON), a JSON string, or a
-    path to a JSON file.  Raises SchemaError for malformed documents and
-    ValidationError for well-formed documents violating an invariant.
+    path to a UTF-8 JSON file, parsed by one json.loads.  Raises SchemaError
+    for malformed documents (unreadable, not UTF-8, not JSON, more than 4300
+    digits in an integer, keys other than the format's, numbers refused by
+    _as_float) and ValidationError for valid ones violating an invariant.
     """
     if isinstance(document, (str, Path)):
-        text = str(document)
-        if isinstance(document, str) and text.lstrip().startswith("{"):
-            try:
-                document = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}") from None
-        else:
-            try:
-                document = json.loads(Path(document).read_text())
-            except OSError as exc:
-                raise SchemaError(f"cannot read model document: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}") from None
+        try:
+            if not (isinstance(document, str) and document.lstrip().startswith("{")):
+                document = Path(document).read_text(encoding="utf-8")
+            document = json.loads(document)
+        except OSError as exc:
+            raise SchemaError(f"cannot read model document: {exc}") from None
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError and the integer digit limit
+            raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaError("model document must be a JSON object")
-    required = {"n", "p1", "p0", "h", "wb_tilde"}
-    extra = set(document) - required
-    if extra:
-        raise SchemaError(f"unknown document keys {sorted(extra)}")
-    missing = required - set(document)
-    if missing:
-        raise SchemaError(f"missing document keys {sorted(missing)}")
+    _check_keys(document, {"n", "p1", "p0", "h", "wb_tilde"}, "document")
     n = document["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SchemaError(f"'n' must be a positive integer, got {n!r}")
+    if not _is_integer(n) or n < 1:
+        got = n if _is_integer(n) else type(n).__name__
+        raise SchemaError(f"'n' must be a positive integer that fits a float, got {got}")
     p1 = _matrix_from_doc(document["p1"], "p1")
     p0 = _matrix_from_doc(document["p0"], "p0")
     wb = _matrix_from_doc(document["wb_tilde"], "wb_tilde")
     field = _field_from_doc(document["h"])
-    system = PHSystem(n=n, p1=_freeze(p1), p0=_freeze(p0), h=field, wb_tilde=_freeze(wb))
+    system = PHSystem(n=int(n), p1=_freeze(p1), p0=_freeze(p0), h=field, wb_tilde=_freeze(wb))
     validate_system(system)
     return system

@@ -40,7 +40,7 @@ Discretization, chosen for transparency rather than accuracy:
     step row is that row of (g + T T g) / 2.  One small real matrix, read
     off the step on the first and last END nodes, maps the first and last
     END rows of g to the four end rows, so no step calls the closure: it
-    runs once, on the initial field;
+    closes the initial field, and the unit fields of that end model;
   * a stage row reads w = 2 or 3 rows, so every other step row reads a
     window of 2w - 1 buffer rows times a composite stencil, one real
     matrix per node set up once per dt from the stage's maps.  The rows
@@ -71,7 +71,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -85,7 +84,7 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from .model import PHSystem
+from .model import PHSystem, _as_float, _is_integer
 
 # Courant number: dt * max|speed| / dz.
 CFL = 0.9
@@ -96,6 +95,8 @@ BLOWUP_FACTOR = 1e6
 GHOST = 2
 # Rows at each end of the field that the step's end map reads.
 END = 4
+# The most steps that setup lets a run take: N = ceil(t_final / dt).
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -108,17 +109,21 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        # bool subclasses int, but True is not taken for a number
+        # numbers and integers as model._as_float and _is_integer take them
         for name in ("nx", "record_every"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer that fits a float, "
+                                      f"got {type(value).__name__}")
         if self.nx < 16:
             raise ValidationError(f"nx must be >= 16, got {self.nx}")
-        if not _number(self.t_final) or not 0.0 < self.t_final < math.inf:
-            raise ValidationError(f"t_final must be positive and finite, got {self.t_final!r}")
-        if not (isinstance(self.p_norms, tuple) and all(map(_number, self.p_norms))):
-            raise ValidationError(f"p_norms must be a tuple of numbers, got {self.p_norms!r}")
+        t_final = _as_float(self.t_final, "t_final", ValidationError)
+        if not 0.0 < t_final < math.inf:
+            raise ValidationError(f"t_final must be positive and finite, got {t_final!r}")
+        if not isinstance(self.p_norms, tuple):
+            raise ValidationError(f"p_norms must be a tuple, got {type(self.p_norms).__name__}")
+        for k, p in enumerate(self.p_norms):
+            _as_float(p, f"p_norms[{k}]", ValidationError)
         if not all(1.0 <= p < math.inf for p in self.p_norms):
             raise ValidationError(f"p_norms must all be finite and >= 1, got {self.p_norms}")
         # each exponent names a history column: l followed by p in %g format
@@ -232,13 +237,14 @@ class _Discretization:
         return np.einsum("nij,nj->ni", m, g, out=out)
 
     def close(self, g: np.ndarray) -> None:
-        """Set the incoming traces in place from the outgoing ones; g is
-        (nx+1, n).  Only setup calls it: a step's end map carries both of
-        its closures."""
+        """Set the incoming traces g[-1, :n1], g[0, n1:] of a field (rows, n),
+        or of each of a stack (..., rows, n), in place from the outgoing
+        ones g[0, :n1], g[-1, n1:].  No step calls it (see _step_maps)."""
         n1 = self.n1
-        incoming = self.closure_map @ np.concatenate([g[0, :n1], g[-1, n1:]])
-        g[-1, :n1] = incoming[:n1]
-        g[0, n1:] = incoming[n1:]
+        outgoing = np.concatenate([g[..., 0, :n1], g[..., -1, n1:]], axis=-1)
+        incoming = outgoing @ self.closure_map.T
+        g[..., -1, :n1] = incoming[..., :n1]
+        g[..., 0, n1:] = incoming[..., n1:]
 
     def rhs(self, g: np.ndarray) -> np.ndarray:
         """d/dt g before the closure, as a new array: the reference that a
@@ -282,7 +288,7 @@ class _Discretization:
         1024).  Clipping changes only the rows 0, 1, nx-1, nx, which read the
         closures: ``ends`` maps the first and last END rows of g, flattened,
         to them, read off the dense step on 2 END rows that stand for the
-        first and last END nodes."""
+        first and last END nodes, closed by ``close`` on its unit fields."""
         own, ahead, behind = self._stage_maps(dt)
         nodes, width = own.shape[0], 2 * own.shape[1]
         m0 = _real_form(own)
@@ -311,18 +317,12 @@ class _Discretization:
         dense[r, :, r] = m0[node]
         dense[r[1:], :, r[:-1]] = ahead[node[1:], :, None] * eye
         dense[r[:-1], :, r[1:]] = -behind[node[:-1], :, None] * eye
-        # the closure reads the outgoing traces g[0, :n1], g[-1, n1:] and
-        # overwrites the incoming ones g[-1, :n1], g[0, n1:]
-        lam = np.arange(width) < 2 * self.n1
-        index = np.arange(rows * width).reshape(rows, width)
-        outgoing = np.concatenate([index[0, lam], index[-1, ~lam]])
-        incoming = np.concatenate([index[-1, lam], index[0, ~lam]])
+        # row j of the closure's matrix on the float view: unit field j, closed
         closure = np.eye(rows * width)
-        closure[:, incoming] = 0.0
-        closure[np.ix_(outgoing, incoming)] = _real_form(self.closure_map)
+        self.close(closure.view(complex).reshape(rows * width, rows, -1))
         half = dense.reshape(rows * width, -1) @ closure
         step = (np.eye(rows * width) + half @ half) / 2.0
-        ends = step[:, index[[0, 1, -2, -1]].reshape(-1)]
+        ends = step.reshape(rows * width, rows, width)[:, [0, 1, -2, -1]].reshape(rows * width, -1)
         return [np.ascontiguousarray(body[group]) for group in self._groups], ends
 
     def check(self, g: np.ndarray, limit: float) -> None:
@@ -413,10 +413,6 @@ class SimState:
         return self._disc.apply("s_inv", self.g)
 
 
-def _number(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool)
-
-
 def _norm_label(p: float) -> str:
     return f"l{p:g}"
 
@@ -498,7 +494,9 @@ def setup(
     for every component).  Raises ShapeError when a value of x0 is not
     one number or n numbers, IllPosedError when the system is not
     classified as a C0-semigroup generator, unless ``allow_illposed`` is
-    set, ContinuityError when eigenvalues cross on the grid, and
+    set, ContinuityError when eigenvalues cross on the grid,
+    ValidationError, before x0 is sampled, when dt is not positive and
+    finite or a run to t_final would take more than MAX_STEPS steps, and
     StabilityError when x0 is not finite somewhere on the grid or its
     record overflows.
     The incoming traces of the initial field are projected onto the
@@ -512,6 +510,14 @@ def setup(
             f"(c0_semigroup={verdict.c0_semigroup}); "
             "pass allow_illposed=True for a demonstration run")
     disc = _Discretization(system, config)
+    dt = disc.dt
+    t_final = float(config.t_final)
+    steps = t_final / dt if 0.0 < dt < math.inf else math.inf
+    if not steps <= MAX_STEPS:
+        raise ValidationError(
+            f"a run to t_final = {t_final:g} needs N = t_final / dt = {steps:.10g} steps "
+            f"of dt = {dt:.3e} (largest speed {float(np.abs(disc.speeds).max()):.3e}), "
+            f"more than MAX_STEPS = {MAX_STEPS}")
 
     x_init = np.empty((config.nx + 1, system.n), dtype=complex)
     for i, z in enumerate(disc.zetas):

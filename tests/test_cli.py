@@ -5,16 +5,26 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phs
 from phs.cli import main, x0_from_spec
 from phs.errors import SpecError
 
 from conftest import FIXTURES, crossing_system
+
+
+# the arguments of the spec fuzz: extreme numbers and what is not a number
+SPEC_SCALARS = st.sampled_from([10**400, -10**400, 1e308, -1e308, 1e-320, -0.0, 0, 0.5, 3,
+                                True, False, None, "x", "", 1 + 2j, 1j])
+SPEC_ARGUMENTS = st.one_of(SPEC_SCALARS, st.tuples(SPEC_SCALARS),
+                           st.lists(SPEC_SCALARS, min_size=2, max_size=4).map(tuple))
 
 
 class TestX0Spec:
@@ -62,10 +72,48 @@ class TestX0Spec:
         "constant(1, 2)",
         "indicator(0.2, 0.8)",
         "constant((1,2)); sine(1); sine(2)",  # non-scalar entry of a per-component list
+        # every number of a spec is a finite number under the document rule,
+        # and a payload is a number or a tuple of numbers
+        "sine(True)",
+        "gaussian(0.5, True)",
+        pytest.param("sine(1" + "0" * 400 + ")", id="sine(401 digits)"),
+        'constant("x")',
+        'constant((1,"x",2))',
+        'indicator(0.1, 0.5, "a")',
+        "constant(1+2j)",
+        "constant(None)",
+        "constant([1, 2, 3])",
+        "constant(1e999)",
+        "sine(1e308)",               # k pi overflows
+        "sine({[1]: 2})",            # literal_eval raises TypeError
     ])
     def test_spec_errors(self, spec):
         with pytest.raises(SpecError):
             x0_from_spec(spec, 3)
+
+    @pytest.mark.parametrize("spec", ["gaussian(0.5, 1e-320)", "sine(1e300)",
+                                      "gaussian(-1.7e308, 1e-300)", "gaussian(-1e308, 3)"])
+    def test_extreme_arguments_do_not_warn(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = x0_from_spec(spec, 2)
+            values = np.array([f(z) for z in np.linspace(0.0, 1.0, 17)])
+        assert values.shape == (17, 2) and np.isfinite(values).all()
+
+    @settings(max_examples=500, deadline=None)
+    @given(name=st.sampled_from(["sine", "gaussian", "constant", "indicator", "wavelet"]),
+           args=st.lists(SPEC_ARGUMENTS, max_size=4), n=st.integers(1, 3))
+    def test_fuzzed_spec_is_finite_or_refused(self, name, args, n):
+        spec = f"{name}({', '.join(map(repr, args))})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                f = x0_from_spec(spec, n)
+                values = [f(z) for z in np.linspace(0.0, 1.0, 17)]
+            except SpecError:
+                return
+        for v in values:
+            assert np.shape(v) == (n,) and np.isfinite(v).all()
 
 
 class TestExitCodes:
@@ -137,6 +185,14 @@ class TestExitCodes:
                      "--t-final", "0.05", "--nx", "32", "--x0", "vortex(3)"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["sine(True)", "sine(1" + "0" * 400 + ")", 'constant("x")'],
+                             ids=["bool", "401_digits", "string"])
+    def test_bad_x0_payload_exits_2(self, capsys, spec):
+        code = main(["simulate", str(FIXTURES / "transport_w1_1_w0_0.json"),
+                     "--t-final", "0.05", "--nx", "32", "--x0", spec])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("phs: SpecError: ")
+
     @pytest.mark.parametrize("p_norms, message", [
         ("nan", "p_norms must all be finite and >= 1, got (nan,)"),
         ("1,two", "cannot parse --p-norms '1,two'"),
@@ -181,6 +237,25 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("phs: StabilityError: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b'{"n": 1' + b"0" * 5000 + b"}", b'{"n": "\xff"}'],
+                             ids=["5001_digits", "not_utf8"])
+    def test_unparsable_model_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("phs: SchemaError: invalid JSON: ")
+
+    def test_runaway_simulation_exits_2(self):
+        # 1.8e301 steps: refused by the step bound before x0 is sampled
+        env = dict(os.environ, PYTHONPATH=str(Path(phs.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "phs.cli", "simulate",
+             str(FIXTURES / "transport_w1_1_w0_1.json"), "--nx", "16", "--t-final", "1e300"],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("phs: ValidationError: ")
+        assert "MAX_STEPS" in proc.stderr and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],

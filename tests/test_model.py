@@ -164,6 +164,18 @@ class TestLoadSystem:
         (lambda d: d["p1"][0][0].__setitem__(0, 10**400), r"p1\[0\]\[0\]\[0\]: integer too large"),
         (lambda d: d.update(h=grid_doc([0.0, 1.0], [[[[1.0, 0.0]]], [[[1.0, -10**400]]]])),
          r"h\.values\[1\]\[0\]\[0\]\[1\]: integer too large"),
+        # a bad pair is named by where it is, not by its digits: formatting
+        # an integer of 5001 digits raises ValueError
+        (lambda d: d.update(p1=[[[10**5000, "x"]]]),
+         r"p1\[0\]\[0\]\[0\]: integer too large for a float"),
+        (lambda d: d.update(p1=[[[1.0, "x"]]]), r"p1\[0\]\[0\]\[1\]: expected a number, got str"),
+        # n is an integer that fits a float
+        (lambda d: d.update(n=10**400), "'n' must be a positive integer"),
+        (lambda d: d.update(n=-10**5000), "'n' must be a positive integer"),
+        # one key-set check serves the document and h; keys of mixed types
+        # are listed, not compared
+        (lambda d: d.update({1: 0, "x": 0}), r"document has unknown keys \[1, 'x'\]"),
+        (lambda d: d["h"].update({1: 0, "x": 0}), r"'h' has unknown keys \[1, 'x'\]"),
     ])
     def test_schema_errors(self, mutate, match):
         doc = transport_doc()
@@ -176,10 +188,16 @@ class TestLoadSystem:
         ("bad.json", "invalid JSON"),
         ("list.json", "must be a JSON object"),
         ("missing.json", "cannot read"),
+        # 5001 digits: more than Python converts from text
+        pytest.param('{"n": 1' + "0" * 5000 + "}", "invalid JSON", id="digits_text"),
+        ("digits.json", "invalid JSON"),
+        ("latin1.json", "invalid JSON"),
     ])
     def test_unreadable_documents(self, tmp_path, document, match):
         (tmp_path / "bad.json").write_text('{"n": 1,')
         (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "digits.json").write_text('{"n": 1' + "0" * 5000 + "}")
+        (tmp_path / "latin1.json").write_bytes(b'{"n": "\xff"}')
         if document.endswith(".json"):
             document = tmp_path / document
         with pytest.raises(SchemaError, match=match):
@@ -194,6 +212,17 @@ class TestLoadSystem:
         a = phs.load_system(path)
         b = phs.load_system(json.dumps(doc))
         assert np.array_equal(a.wb_tilde, b.wb_tilde)
+
+    def test_numpy_numbers_in_a_dict_document(self):
+        doc = transport_doc(2.0, 1.0)
+        doc["n"] = np.int64(1)
+        doc["wb_tilde"] = [[[np.int64(2), np.float32(0.0)], [np.float64(1.0), 0]]]
+        system = phs.load_system(doc)
+        assert type(system.n) is int and system.n == 1
+        assert np.array_equal(system.wb_tilde, [[2.0, 1.0]])
+        doc["wb_tilde"] = [[[np.bool_(True), 0.0], [1.0, 0.0]]]
+        with pytest.raises(SchemaError, match=r"wb_tilde\[0\]\[0\]\[0\]: expected a number"):
+            phs.load_system(doc)
 
     def test_arrays_immutable(self):
         system = phs.load_system(transport_doc())

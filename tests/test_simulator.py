@@ -236,6 +236,25 @@ class TestSetup:
         state = phs.setup(network, cfg, lambda z: 2.0)
         np.testing.assert_allclose(state.x()[1:-1], 2.0, rtol=1e-13)
 
+    def test_step_bound(self):
+        # dt = 5.6e-102 at nx 16: a run to t = 1 would take 1.8e101 steps,
+        # and x0 is not sampled
+        fast = phs.make_system([[1.0]], [[0.0]], [[1e100]], [[1.0, -0.5]])
+        assert phs.classify(fast).c0_semigroup is True
+        sampled = []
+        with pytest.raises(ValidationError, match=r"N = t_final / dt = 1\.77+8e\+101 steps "
+                           r"of dt = 5\.625e-102 \(largest speed 1\.000e\+100\), more than "
+                           r"MAX_STEPS = 1000000"):
+            phs.setup(fast, phs.SimConfig(nx=16, t_final=1.0), lambda z: sampled.append(z))
+        assert not sampled
+        # a run of MAX_STEPS steps is let through: dt = 0.9 / 16 here
+        slow = phs.make_system([[1.0]], [[0.0]], [[1.0]], [[1.0, -0.5]])
+        t_final = phs.simulator.MAX_STEPS * 0.9 / 16
+        state = phs.setup(slow, phs.SimConfig(nx=16, t_final=t_final), lambda z: 1.0)
+        assert t_final / state._disc.dt <= phs.simulator.MAX_STEPS
+        with pytest.raises(ValidationError, match="MAX_STEPS"):
+            phs.setup(slow, phs.SimConfig(nx=16, t_final=t_final * 1.001), lambda z: 1.0)
+
     def test_config_validation(self):
         for kwargs in ({"nx": 8}, {"t_final": 0.0}, {"p_norms": (0.5,)},
                        {"record_every": 0},
@@ -247,7 +266,11 @@ class TestSetup:
                        {"nx": 16.5}, {"record_every": 2.0},
                        # two exponents with one column label l2
                        {"p_norms": (2, 2.0)}, {"p_norms": (2, 2.0000001)},
-                       {"p_norms": ("2",)}, {"p_norms": 2}, {"t_final": "1"}):
+                       {"p_norms": ("2",)}, {"p_norms": 2}, {"t_final": "1"},
+                       # integers too large for a float
+                       {"t_final": 10**400}, {"p_norms": (10**400,)},
+                       {"p_norms": (1.0, -10**400)}, {"nx": 10**400},
+                       {"record_every": 10**400}):
             with pytest.raises(ValidationError):
                 phs.SimConfig(**kwargs)
         assert phs.SimConfig(nx=np.int64(32), record_every=np.int64(2)).nx == 32
@@ -395,16 +418,39 @@ class TestStep:
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_step_calls_no_closure(self, name, monkeypatch):
         # the end map of a step carries both of its closures, for both
-        # kinds: only setup closes, once
+        # kinds: only setup closes (the initial field, and the unit fields
+        # from which the step maps read the closure)
         calls = []
         close = phs.simulator._Discretization.close
         monkeypatch.setattr(phs.simulator._Discretization, "close",
                             lambda disc, g: calls.append(g) or close(disc, g))
         state = phs.setup(SYSTEMS[name](), phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
-        assert len(calls) == 1
+        after_setup = len(calls)
         for _ in range(5):
             phs.step(state)
-        assert len(calls) == 1
+        assert len(calls) == after_setup
+
+    @pytest.mark.parametrize("name", ["network_three_lines", "constant_string",
+                                      "backward_transport", "string_stiffening"])
+    def test_close_on_a_stack_closes_each_field(self, name):
+        disc = phs.setup(SYSTEMS[name](), phs.SimConfig(nx=16, t_final=1.0),
+                         gaussian(0.5, 0.1))._disc
+        rng = np.random.default_rng(7)
+        n, n1 = disc.speeds.shape[1], disc.n1
+        original = rng.standard_normal((2, 3, 17, n)) + 1j * rng.standard_normal((2, 3, 17, n))
+        stack, each = original.copy(), original.copy()
+        for g in each.reshape(-1, 17, n):
+            disc.close(g)
+        disc.close(stack)
+        # equal to rounding: BLAS may sum a stacked product in another order
+        np.testing.assert_allclose(stack, each, rtol=0, atol=1e-14 * np.abs(each).max())
+        # the incoming traces are set from the outgoing ones, which stay
+        incoming = np.concatenate([stack[..., -1, :n1], stack[..., 0, n1:]], axis=-1)
+        outgoing = np.concatenate([original[..., 0, :n1], original[..., -1, n1:]], axis=-1)
+        np.testing.assert_allclose(incoming, outgoing @ disc.closure_map.T, rtol=1e-14)
+        np.testing.assert_array_equal(stack[..., 1:-1, :], original[..., 1:-1, :])
+        np.testing.assert_array_equal(stack[..., 0, :n1], original[..., 0, :n1])
+        np.testing.assert_array_equal(stack[..., -1, n1:], original[..., -1, n1:])
 
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_setup_field_is_a_buffer(self, name):
