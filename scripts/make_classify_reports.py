@@ -3,8 +3,9 @@
 (``classify(system).as_dict()``, as ``phs classify`` prints it) of every
 fixture, keyed by file name and written as JSON with sorted keys.  The
 tests hold booleans, integers, None and notes exactly and floats within
-1e-12 relative; the last bits of a float can differ between BLAS builds,
-so the file is not regenerated and compared in CI.
+1e-12 relative, since the last bits of a float can differ between BLAS
+builds; CI regenerates the file and fails on any diff, so that a change
+of arithmetic on its build shows there.
 
     PYTHONPATH=src python scripts/make_classify_reports.py
 """

@@ -67,8 +67,8 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
+def _freeze(a: np.ndarray, dtype=complex) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -86,18 +86,26 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m.conj() * m).real.sum(axis=(-2, -1)))
 
 
+def _norm(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of a matrix or of each matrix in a stack, taken on
+    the matrix divided by the power of two at or below its largest entry
+    magnitude: the division is exact and no square overflows."""
+    scale = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1)))[1] - 1)
+    return scale * _frobenius(m / scale[..., None, None])
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Matrix-valued Hamiltonian density H(z) on [0,1].
-
-    kind is one of:
-      * "constant":   data = (value,),             value (n,n)
-      * "polynomial": data = (coeffs,),            coeffs (n,n,deg+1), entry
-                      (i,j) holds coefficients in ascending powers of z
-      * "grid":       data = (zetas, values),      zetas strictly increasing
-                      including 0 and 1; values (m,n,n); evaluation is linear
-                      interpolation followed by Hermitian symmetrization
-    """
+    """Matrix-valued Hamiltonian density H(z) on [0,1], of every kind
+    stored as polynomial pieces: data = (knots, values, coeffs), read-only:
+    knots (m + 1,) from 0 to 1, H at them (m + 1, n, n), the ends of the
+    pieces, exact where coefficients summed at t = 1 are rounded, and the
+    coefficients (m, n, n, d + 1) of piece k in ascending powers of its own
+    t = (z - knots[k]) / (knots[k + 1] - knots[k]).  kind records the
+    input: a "constant" is one piece of degree 0, a "polynomial" (n, n,
+    d + 1) in powers of z one piece on [0, 1], where t = z, and a "grid" of
+    samples (m + 1, n, n) one affine piece per knot interval between the
+    Hermitian parts of its samples."""
 
     n: int
     kind: str
@@ -108,7 +116,7 @@ class CoefficientField:
         value = np.atleast_2d(np.asarray(value, dtype=complex))
         if value.shape[0] != value.shape[1]:
             raise ShapeError(f"constant field value must be square, got {value.shape}")
-        return cls(value.shape[0], "constant", (_freeze(value),))
+        return cls(value.shape[0], "constant", _one_piece(value[..., None]))
 
     @classmethod
     def polynomial(cls, coeffs) -> "CoefficientField":
@@ -117,11 +125,11 @@ class CoefficientField:
             raise ShapeError(
                 f"polynomial coefficients must have shape (n, n, deg+1), got {coeffs.shape}"
             )
-        return cls(coeffs.shape[0], "polynomial", (_freeze(coeffs),))
+        return cls(coeffs.shape[0], "polynomial", _one_piece(coeffs))
 
     @classmethod
     def grid(cls, zetas, values) -> "CoefficientField":
-        zetas = np.asarray(zetas, dtype=float)
+        zetas = _freeze(zetas, float)
         values = np.asarray(values, dtype=complex)
         if zetas.ndim != 1 or zetas.size < 2:
             raise ShapeError("grid field needs at least two sample points")
@@ -134,9 +142,11 @@ class CoefficientField:
             raise ShapeError(
                 f"grid values must have shape (m, n, n) with m = len(zetas), got {values.shape}"
             )
-        z = np.array(zetas)
-        z.flags.writeable = False
-        return cls(values.shape[1], "grid", (z, _freeze(values)))
+        # too large or non-finite samples: validation refuses the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = hermitian_part(values)
+            coeffs = np.stack([values[:-1], values[1:] - values[:-1]], axis=-1)
+        return cls(values.shape[1], "grid", (zetas, _freeze(values), _freeze(coeffs)))
 
     def eval_many(self, zetas) -> np.ndarray:
         """Evaluate H at an array of points of [0, 1]; returns shape
@@ -146,29 +156,53 @@ class CoefficientField:
         inside = (zetas >= 0.0) & (zetas <= 1.0)
         if not inside.all():
             raise DomainError(f"zeta = {zetas[~inside][0]:.6g} outside [0, 1]")
-        data = self.data if self.kind == "grid" else (self.data[0][None],)
-        return _eval_group(self.kind, data, zetas)[0]
+        knots, values, coeffs = self.data
+        return _eval_group(knots, values[None], coeffs[None], zetas)[0]
 
 
-def _eval_group(kind: str, data, zetas) -> np.ndarray:
-    """H of the fields of one group of a _Batch at an array of points,
-    stacked (len(group), len(zetas), n, n)."""
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
-    if kind == "grid":
-        zs, values = data
-        idx = np.clip(np.searchsorted(zs, zetas, side="right") - 1, 0, zs.size - 2)
-        w = (zetas - zs[idx]) / (zs[idx + 1] - zs[idx])
-        out = (1.0 - w)[:, None, None] * values[idx] + w[:, None, None] * values[idx + 1]
-        return hermitian_part(out)[None]
-    (data,) = data
-    if kind == "constant":
-        return np.repeat(data[:, None], zetas.size, axis=1)
-    # Horner's rule with the operations of np.polynomial.polynomial.polyval,
-    # in its order (so the same values), without its per-call overhead
-    vals = data[..., -1:] + zetas * 0.0
-    for k in range(data.shape[-1] - 2, -1, -1):
-        vals = data[..., k:k + 1] + vals * zetas
-    return vals.transpose(0, 3, 1, 2)
+# The knots of a field that is one piece on [0, 1].
+_UNIT = _freeze([0.0, 1.0], float)
+
+
+def _one_piece(coeffs) -> tuple:
+    """The data of fields that are one piece on [0, 1], coefficients (...,
+    n, n, d + 1) in powers of z: H at 0 and at 1 (..., 2, n, n), the latter
+    with the operations of Horner's rule in evaluation at t = 1, and the
+    coefficients (..., 1, n, n, d + 1)."""
+    end = coeffs[..., -1]
+    # too large or non-finite coefficients: validation refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(coeffs.shape[-1] - 2, -1, -1):
+            end = coeffs[..., j] + (end + 0.0)
+    ends = np.concatenate([coeffs[..., None, :, :, 0], end[..., None, :, :]], axis=-3)
+    ends.flags.writeable = False
+    return _UNIT, ends, _freeze(coeffs[..., None, :, :, :])
+
+
+def _eval_group(knots, values, coeffs, zetas) -> np.ndarray:
+    """H of the fields of one group of a _Batch (data stacked on a first
+    axis) at an array of points, stacked (k, len(zetas), n, n): in the
+    piece that starts at or before each point (at t = 0, its knot's value),
+    and the last knot's value at z = 1."""
+    zetas = t = np.atleast_1d(np.asarray(zetas, dtype=float))
+    # one piece is on [0, 1], where t = z and its coefficients broadcast
+    if knots.size > 2:
+        k = np.searchsorted(knots[1:-1], zetas, side="right")
+        t = (zetas - knots[k]) / (knots[k + 1] - knots[k])
+        coeffs = coeffs[:, k]
+    if coeffs.shape[-1] == 1:
+        # degree 0: one piece repeated per point, or the pieces' constants
+        vals = np.repeat(coeffs[..., 0], t.size // coeffs.shape[1], axis=1)
+    else:
+        # Horner's rule with the operations of np.polynomial.polynomial.
+        # polyval, in its order (so the same values), the points on axis 3
+        c = coeffs.transpose(0, 2, 3, 1, 4)
+        vals = c[..., -1] + t * 0.0
+        for j in range(c.shape[-1] - 2, -1, -1):
+            vals = c[..., j] + vals * t
+        vals = vals.transpose(0, 3, 1, 2)
+    vals[:, zetas == knots[-1]] = values[:, -1:]
+    return vals
 
 
 def _eval_fields(batch, zetas) -> np.ndarray:
@@ -176,8 +210,8 @@ def _eval_fields(batch, zetas) -> np.ndarray:
     with one evaluation per group."""
     n = batch.p1.shape[-1]
     out = np.empty((len(batch.p1), len(zetas), n, n), dtype=complex)
-    for idx, kind, data in batch.fields:
-        out[idx] = _eval_group(kind, data, zetas)
+    for idx, _, knots, values, coeffs in batch.fields:
+        out[idx] = _eval_group(knots, values, coeffs, zetas)
     return out
 
 
@@ -256,12 +290,12 @@ def _structure_error(system: PHSystem) -> str:
 class _Batch:
     """Systems of one dimension n as stacks along a first axis, in order:
     p1 and p0 (B, n, n) and wb_tilde (B, n, 2n).  ``fields`` holds the
-    coefficient fields as groups (indices, kind, data), each evaluated and
-    certified at once: the constant fields (data (values (k, n, n),)), the
-    polynomial fields of each degree (data (coeffs (k, n, n, d + 1),)) and
-    each grid field alone (its data), in order of first appearance.  Every
-    stage of the classifier, the oracle and validation reads a batch; a
-    single system is a batch of one."""
+    coefficient fields as groups (indices, kind, knots, values, coeffs),
+    each evaluated and certified at once: the fields of one kind on the same
+    knots with coefficients of one shape, values and coeffs stacked on a
+    first axis, in order of first appearance.  Every stage of the
+    classifier, the oracle and validation reads a batch; a single system is
+    a batch of one."""
 
     p1: np.ndarray
     p0: np.ndarray
@@ -276,18 +310,15 @@ def _stack(systems) -> _Batch:
     ValidationError."""
     groups: dict = {}
     for i, system in enumerate(systems):
-        n, h = system.n, system.h
-        # a field's dimension is axis 1 of its data's last array, and a
-        # polynomial's degree is in that array's shape
-        shapes = (system.p1.shape, system.p0.shape, system.wb_tilde.shape, h.data[-1].shape[1])
+        n, (knots, _, coeffs) = system.n, system.h.data
+        shapes = (system.p1.shape, system.p0.shape, system.wb_tilde.shape, coeffs.shape[1])
         if shapes != ((n, n), (n, n), (n, 2 * n), n):
             raise ValidationError(_structure_error(system))
-        groups.setdefault((h.kind, i) if h.kind == "grid" else (h.kind, h.data[0].shape),
-                          []).append(i)
+        groups.setdefault((system.h.kind, knots.tobytes(), coeffs.shape), []).append(i)
     fields = tuple(
-        (np.array(idx), kind, systems[idx[0]].h.data if kind == "grid"
-         else (np.array([systems[i].h.data[0] for i in idx]),))
-        for (kind, _), idx in groups.items())
+        (np.array(idx), kind, systems[idx[0]].h.data[0],
+         *(np.array([systems[i].h.data[j] for i in idx]) for j in (1, 2)))
+        for (kind, _, _), idx in groups.items())
     return _Batch(np.array([s.p1 for s in systems]), np.array([s.p0 for s in systems]),
                   np.array([s.wb_tilde for s in systems]), fields)
 
@@ -296,9 +327,9 @@ def _unstack(batch: _Batch) -> list:
     """The systems of a batch, their arrays views of its stacks."""
     n = batch.p1.shape[-1]
     fields = [None] * len(batch.p1)
-    for idx, kind, data in batch.fields:
+    for idx, kind, knots, values, coeffs in batch.fields:
         for j, i in enumerate(idx.tolist()):
-            fields[i] = CoefficientField(n, kind, data if kind == "grid" else (data[0][j],))
+            fields[i] = CoefficientField(n, kind, (knots, values[j], coeffs[j]))
     return [PHSystem(n, *parts) for parts in zip(batch.p1, batch.p0, fields, batch.wb_tilde)]
 
 
@@ -320,14 +351,15 @@ def _validate(batch: _Batch) -> None:
     svals = np.linalg.svd(p1, compute_uv=False)
     bad = svals[:, -1] < EPS_INV * np.maximum(1.0, svals[:, 0])
     if bad.any():
-        raise ValidationError("p1 is numerically singular "
-                              f"(smallest singular value {svals[bad.argmax(), -1]:.3e})")
+        smin, smax = svals[bad.argmax(), [-1, 0]]
+        raise ValidationError(f"p1 is numerically singular (smallest singular value {smin:.3e} "
+                              f"< {EPS_INV:g} × max(1, largest {smax:.3e}))")
     # each group's pieces: piece ends and control matrices; non-finite
     # fields are refused here, before any arithmetic warns about them
     h_lower, h_upper = np.empty(len(p1)), np.empty(len(p1))
-    for idx, kind, data in batch.fields:
+    for idx, _, knots, values, coeffs in batch.fields:
         with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi, ctrl = _bernstein_pieces(kind, data)
+            lo, hi, ctrl = _bernstein_pieces(knots, values, coeffs)
             # a Hermitian part that overflows counts as non-finite too
             herm = hermitian_part(ctrl)
             if not np.isfinite(herm).all():
@@ -339,9 +371,10 @@ def _validate(batch: _Batch) -> None:
             raise ValidationError(f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
                                   f"(relative defect {defect[k]:.3e})")
         lower, upper = _certify(lo, hi, herm)
-        # a grid field is many pieces of one field
-        if kind == "grid":
-            lower, upper = lower.min(), upper.max()
+        if knots.size > 2:
+            # each field's bounds over its pieces
+            lower = lower.reshape(len(idx), -1).min(axis=1)
+            upper = upper.reshape(len(idx), -1).max(axis=1)
         h_lower[idx], h_upper[idx] = lower, upper
     # Ostrowski: |eig(H^(1/2) P1 H^(1/2))| >= lambda_min(H) sigma_min(P1)
     floor = h_lower * svals[:, -1]
@@ -401,30 +434,24 @@ def _certify(lo, hi, ctrl) -> tuple:
         origin = np.repeat(origin, 2)
 
 
-def _bernstein_pieces(kind: str, data):
-    """Write the fields of one group of a _Batch as polynomial pieces of one
-    degree d in Bernstein form.
+def _bernstein_pieces(knots, values, coeffs):
+    """Write the k fields of one group of a _Batch, m pieces each, in
+    Bernstein form.
 
     Returns the ends lo < hi of the pieces and their control matrices B of
-    shape (P, d + 1, n, n), the pieces of each field contiguous and in
+    shape (k m, d + 1, n, n), the pieces of each field contiguous and in
     increasing order: on a piece, with t = (z - lo) / (hi - lo), H(z) =
     sum_j binom(d, j) t^j (1 - t)^(d - j) B[j], so B[0] and B[d] are H at
-    the ends.  A constant field is one piece of degree 0, a polynomial
-    sum_k a_k z^k one piece with B_j = sum_(k <= j) binom(j, k) / binom(d, k)
-    a_k (one product for the group), and a grid field one affine piece per
-    knot interval, its knot values symmetrized as grid evaluation does.
+    the ends.  A piece sum_k a_k t^k has B_j = sum_(k <= j) binom(j, k) /
+    binom(d, k) a_k: one product, whose B[0] = a_0 is the value at the
+    piece's start; B[d] is read from the value at its end, which the
+    rounded sum of the a_k need not give.
     """
-    if kind == "grid":
-        zetas, values = data
-        values = hermitian_part(values)
-        return zetas[:-1], zetas[1:], np.stack([values[:-1], values[1:]], axis=1)
-    (data,) = data
-    lo, hi = np.zeros(len(data)), np.ones(len(data))
-    if kind == "constant":
-        return lo, hi, data[:, None]
-    d = data.shape[-1] - 1
-    ctrl = _to_bernstein(d) @ data.transpose(3, 0, 1, 2).reshape(d + 1, -1)
-    return lo, hi, ctrl.reshape((d + 1,) + data.shape[:-1]).transpose(1, 0, 2, 3)
+    count, m, n, _, d1 = coeffs.shape
+    ctrl = _to_bernstein(d1 - 1) @ coeffs.transpose(4, 0, 1, 2, 3).reshape(d1, -1)
+    ctrl = ctrl.reshape(d1, count * m, n, n).transpose(1, 0, 2, 3)
+    ctrl[:, -1] = values[:, 1:].reshape(-1, n, n)
+    return np.tile(knots[:-1], count), np.tile(knots[1:], count), ctrl
 
 
 @lru_cache(maxsize=None)
@@ -512,7 +539,10 @@ def _field_from_doc(obj) -> CoefficientField:
         raise SchemaError("'h' must be an object")
     kind = obj.get("kind")
     if kind not in FIELD_KINDS:
-        raise SchemaError(f"'h.kind' must be one of {FIELD_KINDS}, got {kind!r}")
+        # a kind that is not a string is named by its type: the repr of an
+        # integer of more than 4300 digits raises ValueError
+        got = repr(kind) if isinstance(kind, str) else type(kind).__name__
+        raise SchemaError(f"'h.kind' must be one of {FIELD_KINDS}, got {got}")
     _check_keys(obj, {"constant": {"kind", "value"},
                       "polynomial": {"kind", "coeffs"},
                       "grid": {"kind", "zetas", "values"}}[kind], "'h'")

@@ -24,7 +24,7 @@ import numpy as np
 from .classifier import TOL_PSD, TOL_RANK, _classify_stack
 from .errors import DomainError, InvariantError, PHSError, _at_least
 from .model import (
-    PHSystem, _adjoint, _Batch, _stack, _unstack, _validate, hermitian_part)
+    PHSystem, _adjoint, _Batch, _one_piece, _stack, _unstack, _validate, hermitian_part)
 
 # Systems per stacked batch of agreement_campaign: bounds its memory.
 CAMPAIGN_BATCH = 100
@@ -202,9 +202,9 @@ def _random_systems(seeds, n: int, hints) -> _Batch:
         p0[bounded], wb_tilde[bounded] = p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)
 
     constant = np.flatnonzero(~slope_coin)
-    fields = [(constant, "constant", (h0[constant],)), (affine, "polynomial", (coeffs,))]
-    fields = [group for group in fields if group[0].size]
-    for m in (p1, p0, wb_tilde, *(data for _, _, (data,) in fields)):
+    groups = ((constant, "constant", h0[constant][..., None]), (affine, "polynomial", coeffs))
+    fields = [(idx, kind, *_one_piece(c)) for idx, kind, c in groups if idx.size]
+    for m in (p1, p0, wb_tilde):
         m.flags.writeable = False
     # the groups in order of their first system
     return _Batch(p1, p0, wb_tilde, tuple(sorted(fields, key=lambda group: group[0][0])))

@@ -84,7 +84,7 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from .model import PHSystem, _as_float, _is_integer
+from .model import PHSystem, _as_float, _is_integer, _norm
 
 # Courant number: dt * max|speed| / dz.
 CFL = 0.9
@@ -188,13 +188,13 @@ class _Discretization:
         ends = np.zeros((2 * n, 2 * n), dtype=complex)
         ends[:n, :n], ends[n:, n:] = hs_inv[-1], hs_inv[0]
         self._residual_map = np.vstack([ends, system.wb_tilde @ ends])
-        self.wb_tilde_norm = float(np.linalg.norm(system.wb_tilde))
+        self.wb_tilde_norm = float(_norm(system.wb_tilde))
         # a record squares g, x = S^-1 g and the residual map times the end
         # rows of g, and sums the energy: each is at most (c |g|)^2 with c
         # below, so none overflows while |g| <= record_norm (with a factor 2
         # to spare)
-        c = max(1.0, math.sqrt(e.max()), np.linalg.norm(s_inv, axis=(1, 2)).max(),
-                np.linalg.norm(self._residual_map))
+        c = max(1.0, math.sqrt(e.max()), _norm(s_inv).max(),
+                _norm(self._residual_map))
         self.record_norm = math.sqrt(np.finfo(float).max / 2.0) / c
         # the steps and the records alternate between two field buffers;
         # each is the view g = pad[GHOST:-GHOST] of a padded array whose zero

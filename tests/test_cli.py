@@ -208,7 +208,7 @@ class TestExitCodes:
         # run as a process, so that anything the program writes to stderr,
         # warnings included, is seen
         system = crossing_system()
-        zetas, values = system.h.data
+        zetas, values, _ = system.h.data
         model = tmp_path / "crossing.json"
         model.write_text(json.dumps({
             "n": system.n, "p1": phs.matrix_to_pairs(system.p1),

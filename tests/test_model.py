@@ -139,6 +139,9 @@ class TestLoadSystem:
         (lambda d: d.update(n="one"), "positive integer"),
         (lambda d: d.update(p1=[[1.0]]), "pairs"),
         (lambda d: d.update(h={"kind": "fourier"}), "kind"),
+        # a kind that is not a string is named by its type: formatting an
+        # integer of 5001 digits raises ValueError
+        (lambda d: d["h"].update(kind=10**5000), r"'h\.kind' must be one of .*, got int$"),
         (lambda d: d.update(h={"kind": "constant"}), "missing"),
         (lambda d: d.update(p1=[[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]), "equal length"),
         (lambda d: d.update(p1=[[]]), "non-empty"),
@@ -383,6 +386,60 @@ def test_narrow_dip_between_uniform_samples_rejected():
         phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
 
 
+def test_grid_at_its_knots_is_the_hermitian_part_of_its_samples():
+    # each piece starts at its knot with the Hermitian part of the sample
+    # there, and z = 1 reads the last one; the samples' scales differ, so a
+    # slope's rounding would show at the ends of the pieces
+    rng = np.random.default_rng(5)
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 5)), [1.0]])
+    samples = rng.standard_normal((7, 3, 3)) + 1j * rng.standard_normal((7, 3, 3))
+    samples *= 10.0 ** rng.integers(-8, 8, (7, 1, 1))
+    field = phs.CoefficientField.grid(knots, samples)
+    expected = phs.hermitian_part(samples)
+    np.testing.assert_array_equal(field.eval_many(knots), expected)
+    np.testing.assert_array_equal(field.eval_many(knots[::-1]), expected[::-1])
+    np.testing.assert_array_equal(field.data[1], expected)
+
+
+def test_grid_certified_at_its_samples():
+    # the end of the first piece is the sample EPS_PD, not 2 plus the
+    # rounded slope (1e-8 - 2), which falls below EPS_PD
+    field = phs.CoefficientField.grid([0.0, 0.6, 1.0], [[[2.0]], [[EPS_PD]], [[1.0]]])
+    phs.make_system([[1.0]], [[0.0]], field, [[1.0, 0.0]])
+    assert 2.0 + (EPS_PD - 2.0) < EPS_PD
+
+
+def test_grids_on_shared_knots_form_one_group():
+    # grid fields on equal knots are one group of a batch: validating and
+    # classifying the batch gives what each system gives alone, refusals
+    # and their messages included
+    knots = [0.0, 0.3, 1.0]
+    fields = [phs.CoefficientField.grid(knots, [np.eye(2), s * np.eye(2), np.diag([1.0, 2.0])])
+              for s in (2.0, 0.5, -1.0)]
+    # (Hx)(1) = -w (Hx)(0) with P1 = I: a contraction for |w| <= 1 only
+    p1, p0 = np.eye(2), np.zeros((2, 2))
+    wbs = [np.hstack([np.eye(2), w * np.eye(2)]) for w in (0.5, 2.0)]
+    systems = [phs.make_system(p1, p0, field, wb) for field, wb in zip(fields, wbs)]
+    batch = phs.model._stack(systems)
+    assert len(batch.fields) == 1 and batch.fields[0][0].tolist() == [0, 1]
+    phs.model._validate(batch)
+    check, c0, smin, _ = phs.classifier._classify_stack(batch)
+    refs = [phs.classify(system) for system in systems]
+    assert refs[0].contraction != refs[1].contraction
+    for i, ref in enumerate(refs):
+        for name, value in vars(check).items():
+            np.testing.assert_allclose(value[i], getattr(ref, name), rtol=1e-12, atol=1e-12)
+        assert c0[i] == ref.c0_semigroup
+        assert smin[i] == pytest.approx(ref.direct_sum_min_singular_value, rel=1e-12)
+    # the third field dips below zero at its middle knot
+    bad = phs.PHSystem(2, systems[0].p1, systems[0].p0, fields[2], systems[0].wb_tilde)
+    message = _raised(phs.validate_system, bad)
+    assert message == "H(zeta=0.3) is not positive definite (min eigenvalue -1.000e+00 < 1e-08)"
+    batch = phs.model._stack(systems + [bad])
+    assert len(batch.fields) == 1
+    assert _raised(phs.model._validate, batch) == message
+
+
 def _hermitian_with_min_eigenvalue(rng, n, target):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = phs.hermitian_part(m)
@@ -546,7 +603,12 @@ INVALID = {
     "p1_not_hermitian_and_h_indefinite": (_raw_system(p1=[[1, 1], [0, 1]], h=-np.eye(2)),
                                           "p1 is not Hermitian"),
     "p1_singular": (_raw_system(p1=np.diag([1.0, 0.0])),
-                    "p1 is numerically singular (smallest singular value 0.000e+00)"),
+                    "p1 is numerically singular (smallest singular value 0.000e+00 "
+                    "< 1e-10 × max(1, largest 1.000e+00))"),
+    # the refusal names its scale: 1 is singular next to 1.7e308
+    "p1_singular_at_scale": (_raw_system(p1=np.diag([1.7e308, 1.0])),
+                             "p1 is numerically singular (smallest singular value 1.000e+00 "
+                             "< 1e-10 × max(1, largest 1.700e+308))"),
     "h_dimension": (_raw_system(h=np.eye(3)), "H has dimension 3, system has n = 2"),
     # H's dimension is a shape, compared before P1's values are checked
     "h_dimension_and_p1_not_hermitian": (_raw_system(p1=[[1, 1], [0, 1]], h=np.eye(3)),
@@ -651,9 +713,8 @@ def _raised(check, *args):
 
 
 def _scaled(field: phs.CoefficientField, factor: float) -> phs.CoefficientField:
-    if field.kind == "constant":
-        return phs.CoefficientField.constant(factor * field.data[0])
-    return phs.CoefficientField.polynomial(factor * field.data[0])
+    knots, values, coeffs = field.data
+    return phs.CoefficientField(field.n, field.kind, (knots, factor * values, factor * coeffs))
 
 
 @given(seed=st.integers(0, 2**16), n=st.sampled_from([1, 2, 3]),

@@ -159,7 +159,11 @@ def test_stacked_generation_equals_random_system():
             np.testing.assert_allclose(getattr(system, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12)
         assert system.h.kind == ref.h.kind
-        np.testing.assert_allclose(system.h.data[0], ref.h.data[0], rtol=1e-12, atol=1e-12)
+        (knots, *arrays), (ref_knots, *ref_arrays) = system.h.data, ref.h.data
+        np.testing.assert_array_equal(knots, ref_knots)
+        # H at the knots and the coefficients
+        for a, ref_a in zip(arrays, ref_arrays, strict=True):
+            np.testing.assert_allclose(a, ref_a, rtol=1e-12, atol=1e-12)
 
 
 def _per_key_draws(seed, n, hint):
@@ -222,9 +226,10 @@ def test_batch_systems_are_read_only():
     systems = phs.model._unstack(phs.oracle._random_systems(seeds, 2, hints))
     assert {s.h.kind for s in systems} == {"constant", "polynomial"}
     for system in systems:
-        for m in (system.p1, system.p0, system.wb_tilde, system.h.data[0]):
+        knots, values, coeffs = system.h.data
+        for m in (system.p1, system.p0, system.wb_tilde, knots, values, coeffs):
             with pytest.raises(ValueError, match="read-only"):
-                m[0, 0] = 1.0
+                m[0] = 1.0
 
 
 def test_stacked_kernel_test_equals_single_system_oracle():

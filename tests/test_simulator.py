@@ -717,6 +717,16 @@ class TestStep:
             phs.step(state)
         assert state.step_count == 1
 
+    @pytest.mark.parametrize("t_final, error, match", [
+        (0.05, ValidationError, "MAX_STEPS"), (1e-203, StabilityError, "overflows the record")])
+    def test_large_field_bound_without_warning(self, t_final, error, match):
+        # H = 1e200: the norms behind the record's bound scale each matrix
+        # before squaring, so set-up ends in its typed error, without a numpy
+        # warning (the test configuration turns warnings into errors)
+        system = phs.make_system([[1]], [[0]], [[1e200]], [[1, -0.5]])
+        with pytest.raises(error, match=match):
+            phs.setup(system, phs.SimConfig(nx=32, t_final=t_final), lambda z: 1.0)
+
     def test_record_power_overflows(self, monkeypatch):
         # |x|^400 overflows from |x| = 10 on, but the norm divides the node
         # squares by their maximum first: l400 of a constant 10 (closed, as
