@@ -14,9 +14,10 @@ Three nested verdicts are computed from finite matrix data:
     checked as invertibility of K = [W1 H(1) B+ | W0 H(0) B-] for
     orthonormal bases B+ of Z+(1) and B- of Z-(0).
 
-The eigen-splitting runs through the Hermitian similarity
-H^(1/2) P1 H^(1/2), so inertia is inherited from P1 and the numerics stay
-in symmetric eigensolvers throughout.
+The eigen-splitting runs through the congruence L* P1 L with H = L L*
+(Cholesky), a Hermitian matrix similar to P1 H, so inertia is inherited
+from P1 and the numerics stay in a Cholesky factor and symmetric
+eigensolvers throughout.
 """
 
 from __future__ import annotations
@@ -154,21 +155,27 @@ class EigenSplit:
 
 
 def _similarity_stack(p1, h, zetas):
-    """Eigen-decompose P1 H(zeta) through the Hermitian similarity
-    H^(1/2) P1 H^(1/2); h (..., N, n, n) holds H at ``zetas`` for each
-    system of a stack, p1 broadcasts against it.  Returns the eigenvalues
-    (ascending) and the eigenvectors H^(-1/2) q (not normalized).  Raises a
-    ValidationError at the first point, systems first, where H is not
-    positive definite or an eigenvalue sits in the zero band (P1 not
-    invertible)."""
-    w_h, q_h = np.linalg.eigh(hermitian_part(h))
-    h_pd = w_h[..., 0] > 0.0
-    # any positive stand-in where H is not positive definite
-    sq = np.sqrt(np.abs(w_h) + ~h_pd[..., None])[..., None, :]
-    q_h_adj = _adjoint(q_h)
-    h_sqrt = (q_h * sq) @ q_h_adj
-    h_isqrt = (q_h / sq) @ q_h_adj
-    w, q = np.linalg.eigh(hermitian_part(h_sqrt @ p1 @ h_sqrt))
+    """Eigen-decompose P1 H(zeta) through the congruence L* P1 L with
+    H = L L* (Cholesky), which is Hermitian and similar to P1 H:
+    P1 H L^(-*) = L^(-*) (L* P1 L).  h (..., N, n, n) holds H at ``zetas``
+    for each system of a stack, p1 broadcasts against it.  Returns the
+    eigenvalues (ascending) and the eigenvectors L^(-*) y of P1 H (not
+    normalized).  Raises a ValidationError at the first point, systems
+    first, where H is not positive definite (has no Cholesky factor) or an
+    eigenvalue sits in the zero band (P1 not invertible)."""
+    h = hermitian_part(h)
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        # the stacked factorization fails as a whole: test point by point,
+        # and factor the identity as a stand-in where H has no factor
+        h_pd = np.array([_has_cholesky(m) for m in h.reshape(-1, *h.shape[-2:])])
+        h_pd = h_pd.reshape(h.shape[:-2])
+        chol = np.linalg.cholesky(np.where(h_pd[..., None, None], h, np.eye(h.shape[-1])))
+    else:
+        h_pd = np.ones(h.shape[:-2], dtype=bool)
+    chol_adj = _adjoint(chol)
+    w, y = np.linalg.eigh(hermitian_part(chol_adj @ p1 @ chol))
     band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
     bad = ~h_pd | (np.abs(w) <= band[..., None]).any(axis=-1)
     if bad.any():
@@ -177,7 +184,17 @@ def _similarity_stack(p1, h, zetas):
         raise ValidationError(
             f"H(zeta={zeta:.6g}) is not positive definite" if not h_pd.flat[k] else
             f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band.flat[k]:.3e} of zero")
-    return w, h_isqrt @ q
+    return w, np.linalg.solve(chol_adj, y)
+
+
+def _has_cholesky(m: np.ndarray) -> bool:
+    """Whether the Hermitian matrix m is positive definite: it has a
+    Cholesky factor."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _phase_fix(m: np.ndarray) -> np.ndarray:
@@ -225,11 +242,11 @@ class DiagonalizedField:
 
 def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     """Diagonalize P1 H(zeta) at all grid points at once, through the
-    Hermitian similarity H^(1/2) P1 H^(1/2): positive eigenvalues first
-    (descending, ties in eigh's order), then the negative ones most negative
-    first, each eigenvector normalized, phase fixed and then aligned against
-    its predecessor (maximal real inner product); H is evaluated here
-    once, and the field keeps it.  Raises DomainError unless
+    congruence L* P1 L with H = L L* (see _similarity_stack): positive
+    eigenvalues first (descending, ties in eigh's order), then the negative
+    ones most negative first, each eigenvector normalized, phase fixed and
+    then aligned against its predecessor (maximal real inner product); H
+    is evaluated here once, and the field keeps it.  Raises DomainError unless
     the grid is a non-empty, strictly increasing 1-D array of points of
     [0, 1] (eval_many checks the range), and the ValidationError of the
     first bad point."""

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class PHSError(Exception):
     """Base class for all errors raised by this package."""
@@ -19,7 +21,9 @@ class DomainError(PHSError, ValueError):
 
 
 def _at_least(name: str, value: int, least: int) -> None:
-    """Raise DomainError unless value >= least."""
+    """Raise DomainError unless value is an integer, not a bool, and >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
 

@@ -257,13 +257,15 @@ def validate_system(system: PHSystem) -> None:
     EPS_PD, or else a piece still open at the cap.  Constant, affine and
     grid fields are decided exactly, without halving.
 
-    Finally the eigenvalues of P1 H(z), those of H^(1/2) P1 H^(1/2), must
-    stay out of the classifier's zero band at every z.  By Ostrowski's
-    theorem their moduli lie between lambda_min(H) sigma_min(P1) and
-    lambda_max(H) sigma_max(P1).  The least certified control eigenvalue
-    bounds lambda_min(H) from below and the largest control eigenvalue
-    bounds lambda_max(H) from above (lambda_max is convex), so the system
-    is refused when the lower end is below TOL_EIG * max(1, upper end).
+    Finally the eigenvalues of P1 H(z), those of L* P1 L with H = L L*
+    (Cholesky), the Hermitian matrix the classifier decomposes, must stay
+    out of its zero band at every z.  By Ostrowski's theorem their moduli
+    lie between lambda_min(L* L) sigma_min(P1) and lambda_max(L* L)
+    sigma_max(P1), and L* L has the eigenvalues of H = L L*.  The least
+    certified control eigenvalue bounds lambda_min(H) from below and the
+    largest control eigenvalue bounds lambda_max(H) from above (lambda_max
+    is convex), so the system is refused when the lower end is below
+    TOL_EIG * max(1, upper end).
     The test is sufficient, not necessary: it may refuse a system whose
     eigenvalues all clear the band.
     """
@@ -376,7 +378,8 @@ def _validate(batch: _Batch) -> None:
             lower = lower.reshape(len(idx), -1).min(axis=1)
             upper = upper.reshape(len(idx), -1).max(axis=1)
         h_lower[idx], h_upper[idx] = lower, upper
-    # Ostrowski: |eig(H^(1/2) P1 H^(1/2))| >= lambda_min(H) sigma_min(P1)
+    # Ostrowski: |eig(L* P1 L)| >= lambda_min(L* L) sigma_min(P1) with
+    # H = L L*, and L* L has the eigenvalues of H
     floor = h_lower * svals[:, -1]
     band = TOL_EIG * np.maximum(1.0, h_upper * svals[:, 0])
     if (floor < band).any():

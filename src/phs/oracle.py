@@ -221,8 +221,9 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
       * "general":     dense random wb_tilde and unrestricted P0.
 
     The system is generated as a batch of one: its arrays are read-only
-    views into that batch's stacks.  Raises DomainError for a negative seed,
-    n < 1 or an unknown class_hint.
+    views into that batch's stacks.  Raises DomainError for a seed or n that
+    is not an integer (a bool is not), a negative seed, n < 1 or an unknown
+    class_hint.
     """
     if class_hint not in ("general", "contraction", "unitary"):
         raise DomainError(f"unknown class_hint {class_hint!r}")
@@ -285,10 +286,10 @@ def agreement_campaign(
     Returns a JSON-ready report including full-verdict counts and the
     number of verdict-monotonicity violations (expected 0): the systems
     whose direct-sum test fails although contraction holds, which classify
-    coerces and notes.  Raises DomainError for n < 1, a negative count, a
-    negative seed, or ``hint_weights``, the probabilities of the hints
-    general, contraction and unitary, not all >= 0 or not summing to 1
-    within 1e-9.
+    coerces and notes.  Raises DomainError for n, count or seed not an
+    integer (a bool is not), n < 1, a negative count, a negative seed, or
+    ``hint_weights``, the probabilities of the hints general, contraction
+    and unitary, not all >= 0 or not summing to 1 within 1e-9.
     """
     _at_least("n", n, 1)
     _at_least("count", count, 0)

@@ -2,6 +2,7 @@
 contraction/unitary/generation verdicts and their invariances."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -514,6 +515,91 @@ class TestEndpointDecomposition:
             calls.clear()
             phs.classify(system)
             assert len(calls) == 1
+
+
+def _square_root_split(p1, h, zetas):
+    """The eigen-split route the Cholesky factor replaced: P1 H(zeta)
+    decomposed through the similarity H^(1/2) P1 H^(1/2), the square roots
+    from an eigen-decomposition of H, for a stack of positive definite H.
+    Returns the eigenvalues (ascending) and the eigenvectors H^(-1/2) q."""
+    w_h, q_h = np.linalg.eigh(phs.hermitian_part(h))
+    sq = np.sqrt(w_h)[..., None, :]
+    q_h_adj = np.conj(np.swapaxes(q_h, -1, -2))
+    h_sqrt = (q_h * sq) @ q_h_adj
+    w, q = np.linalg.eigh(phs.hermitian_part(h_sqrt @ p1 @ h_sqrt))
+    return w, (q_h / sq) @ q_h_adj @ q
+
+
+class TestCholeskyRoute:
+    """The C0 test, the simulator's set-up and eigensplit read P1 H through
+    the congruence L* P1 L with H = L L*; the fixtures' H are diagonal,
+    where L = H^(1/2), so random systems with dense H are compared against
+    the square-root route."""
+
+    def test_random_systems_match_square_root_route(self, monkeypatch):
+        hints = ("general", "contraction", "unitary")
+        grid = np.linspace(0.0, 1.0, 33)
+        systems = [phs.random_system(5100 * n + seed, n, hints[seed % 3])
+                   for n in (1, 2, 3, 4, 6) for seed in range(120)]
+
+        def routes():
+            verdicts = [phs.classify(system) for system in systems]
+            return verdicts, [phs.diagonalize_field(system, grid) for system in systems]
+
+        verdicts, fields = routes()
+        monkeypatch.setattr(phs.classifier, "_similarity_stack", _square_root_split)
+        ref_verdicts, ref_fields = routes()
+        assert {system.n for system in systems} == {1, 2, 3, 4, 6}
+        for got, ref in zip(verdicts, ref_verdicts):
+            assert got.c0_semigroup is ref.c0_semigroup
+            smin, ref_smin = got.direct_sum_min_singular_value, ref.direct_sum_min_singular_value
+            assert abs(smin - ref_smin) <= 1e-12 * ref_smin
+        for got, ref in zip(fields, ref_fields):
+            assert got.crossings == ref.crossings and got.n1 == ref.n1
+            scale = np.abs(ref.speeds).max(axis=1, keepdims=True)
+            assert (np.abs(got.speeds - ref.speeds) <= 1e-13 * scale).all()
+
+    # P1 H(0) = diag(1, -1e-12) sits in the zero band; H = diag(1, -1) is not
+    # positive definite
+    _BAND = np.diag([1.0, 1e-12])
+    _NOT_PD = np.diag([1.0, -1.0])
+
+    @pytest.mark.parametrize("first, second, message", [
+        (_BAND, _NOT_PD, "P1 H(zeta=0.5) has an eigenvalue within 1.000e-09 of zero"),
+        (_NOT_PD, _BAND, "H(zeta=0.5) is not positive definite")], ids=["band_first", "h_first"])
+    def test_first_refused_point_named(self, first, second, message):
+        # systems first: the first system's bad point, at zeta = 0.5, is named
+        # whether the second system's bad point comes earlier on the grid or
+        # later, and so is the earlier of two bad points of one system
+        zetas = (0.0, 0.5, 1.0)
+        p1 = np.diag([1.0, -1.0])
+        good = np.eye(2)
+        for later in ((good, good, second), (second, good, good)):
+            h = np.array([[good, first, good], later])
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                phs.classifier._similarity_stack(p1, h, zetas)
+        h = np.array([[good, first, second]])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            phs.classifier._similarity_stack(p1, h, zetas)
+
+    @pytest.mark.parametrize("least", [0.0, 1e-17, -1e-17, 2.2e-16, -2.2e-16, 1e-300])
+    @pytest.mark.parametrize("p1", [np.eye(2), np.diag([1.0, -3.0])], ids=["definite", "indefinite"])
+    def test_edge_of_definiteness_refused(self, least, p1):
+        # H with its smallest eigenvalue within rounding of 0 of either sign,
+        # in a basis where it is dense: whether or not its Cholesky factor
+        # exists, the end is a ValidationError, and no warning
+        rotation = np.array([[0.6, -0.8j], [0.8, 0.6j]])
+        h = rotation @ np.diag([least, 1.0]) @ rotation.conj().T
+        system = phs.PHSystem(2, p1.astype(complex), np.zeros((2, 2), dtype=complex),
+                              phs.CoefficientField.constant(h), np.eye(2, 4, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="zeta=1"):
+                phs.classifier._similarity_stack(p1, np.array([h, np.eye(2), h]), (1.0, 0.5, 0.0))
+            with pytest.raises(ValidationError, match="zeta=1"):
+                phs.classify(system)
+            with pytest.raises(ValidationError, match="zeta=0"):
+                phs.diagonalize_field(system, [0.0, 1.0])
 
 
 def _mixed_stack(n=3):

@@ -1,5 +1,7 @@
 """Kernel-form oracle, random system generation, agreement campaign."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ class TestRandomSystem:
     def test_negative_seed_refused(self):
         with pytest.raises(phs.DomainError, match="seed must be >= 0, got -1"):
             phs.random_system(-1, 2)
+
+    @pytest.mark.parametrize("seed, n, message", [
+        (True, 2, "seed must be an integer, got True"),
+        (1.5, 2, "seed must be an integer, got 1.5"),
+        (float("nan"), 2, "seed must be an integer, got nan"),
+        ("3", 2, "seed must be an integer, got '3'"),
+        (None, 2, "seed must be an integer, got None"),
+        (np.bool_(True), 2, "seed must be an integer, got np.True_"),
+        (0, 2.0, "n must be an integer, got 2.0"),
+        (0, True, "n must be an integer, got True")])
+    def test_non_integer_arguments_refused(self, seed, n, message):
+        with pytest.raises(phs.DomainError, match=f"^{re.escape(message)}$"):
+            phs.random_system(seed, n)
+
+    def test_integer_seeds_of_any_size_and_type(self):
+        big = phs.random_system(2**70 + 3, 2)
+        assert np.array_equal(phs.random_system(2**70 + 3, 2).p1, big.p1)
+        np.testing.assert_array_equal(phs.random_system(np.int64(5), np.int32(2)).p1,
+                                      phs.random_system(5, 2).p1)
 
 
 def test_stacked_generation_equals_random_system():
@@ -361,6 +382,22 @@ class TestCampaign:
     def test_bad_count_or_seed(self, count, seed, message):
         with pytest.raises(phs.DomainError, match=message):
             phs.agreement_campaign(2, count, seed)
+
+    @pytest.mark.parametrize("n, count, seed, message", [
+        (2, 10, True, "seed must be an integer, got True"),
+        (2, 10, 1.5, "seed must be an integer, got 1.5"),
+        (2, 10, None, "seed must be an integer, got None"),
+        (2, 2.0, 0, "count must be an integer, got 2.0"),
+        (2, True, 0, "count must be an integer, got True"),
+        (2.0, 10, 0, "n must be an integer, got 2.0"),
+        (True, 10, 0, "n must be an integer, got True")])
+    def test_non_integer_arguments_refused(self, n, count, seed, message):
+        with pytest.raises(phs.DomainError, match=f"^{re.escape(message)}$"):
+            phs.agreement_campaign(n, count, seed)
+
+    def test_seed_above_64_bits(self):
+        report = phs.agreement_campaign(2, 5, 2**70)
+        assert report["seed"] == 2**70 and report["agree"] + report["frontier"] == 5
 
     @pytest.mark.parametrize("weights", [
         (0.57, 0.40, 0.5), (0.0, 0.0, 0.0), (-1.0, 2.0, 0.0), (0.5, 0.5), (0.5, 0.5, np.nan)])
