@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .model import (
-    TOL_EIG, PHSystem, _adjoint, _eval_fields, _stack, hermitian_part, matrix_to_pairs)
+    TOL_EIG, PHSystem, _adjoint, _as_float, _eval_fields, _stack, hermitian_part,
+    matrix_to_pairs)
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
 TOL_PSD = 1e-9
@@ -209,8 +210,9 @@ def _phase_fix(m: np.ndarray) -> np.ndarray:
 def eigensplit(system: PHSystem, zeta: float) -> EigenSplit:
     """diagonalize_field(system, [zeta]) as an EigenSplit, with one QR for
     an orthonormal basis of each eigenspace.  Raises what diagonalize_field
-    raises: DomainError for zeta outside [0, 1], and ValidationError where
-    the standing assumptions fail (P1 invertible, H positive definite)."""
+    raises: DomainError for zeta outside [0, 1] or not a number, and
+    ValidationError where the standing assumptions fail (P1 invertible, H
+    positive definite)."""
     field = diagonalize_field(system, [zeta])
     n1, speeds, vecs = field.n1, field.speeds[0], field.s_inv[0]
     return EigenSplit(
@@ -240,6 +242,18 @@ class DiagonalizedField:
     h: np.ndarray
 
 
+def _grid_points(grid) -> np.ndarray:
+    """Grid points from outside as floats: an integer or float array
+    whole, anything else point by point through model._as_float, so that a
+    bool, a string, None or a complex point raises DomainError naming its
+    type."""
+    if isinstance(grid, np.ndarray) and grid.dtype.kind in "iuf":
+        return grid.astype(float, copy=False)
+    points = np.asarray(grid, dtype=object)
+    return np.array([_as_float(z, "grid point", DomainError) for z in points.flat],
+                    dtype=float).reshape(points.shape)
+
+
 def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     """Diagonalize P1 H(zeta) at all grid points at once, through the
     congruence L* P1 L with H = L L* (see _similarity_stack): positive
@@ -248,9 +262,9 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     then aligned against its predecessor (maximal real inner product); H
     is evaluated here once, and the field keeps it.  Raises DomainError unless
     the grid is a non-empty, strictly increasing 1-D array of points of
-    [0, 1] (eval_many checks the range), and the ValidationError of the
-    first bad point."""
-    grid = np.asarray(grid, dtype=float)
+    [0, 1] (eval_many checks the range) that are numbers by
+    model._as_float's rule, and the ValidationError of the first bad point."""
+    grid = _grid_points(grid)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("grid must be a non-empty 1-D array")
     if np.any(np.diff(grid) <= 0.0):

@@ -41,19 +41,18 @@ Discretization, chosen for transparency rather than accuracy:
     off the step on the first and last END nodes, maps the first and last
     END rows of g to the four end rows, so no step calls the closure: it
     closes the initial field, and the unit fields of that end model;
-  * a stage row reads w = 2 or 3 rows, so every other step row reads a
-    window of 2w - 1 buffer rows times a composite stencil, one real
-    matrix per node set up once per dt from the stage's maps.  The rows
+  * a stage row reads w = 2 or 3 rows, so each other step row, 2 .. nx-2,
+    reads a window of 2w - 1 rows of g times a composite stencil, one real
+    matrix per row set up once per dt from the stage's maps.  The rows
     fall into 2w - 1 groups of disjoint, contiguous windows, one matrix
     product each.  For constant coefficients (a field of kind "constant")
     S, S^-1, H, B and the speeds are the same at every node and
     dS^-1/dz = 0, so the field is diagonalized at z = 0 and 1 only, and
-    one composite serves every node;
-  * the steps and records of both kinds alternate between two field
-    buffers, each with two zero ghost rows at both ends, so a step
-    allocates no array of the field's size; the state keeps the index of
-    the buffer that holds g, and a step or a record reads that buffer and
-    writes into the other.
+    one composite serves every row;
+  * the steps and records of both kinds alternate between two (nx+1, n)
+    field buffers, so a step allocates no array of the field's size; the
+    state keeps the index of the buffer that holds g, and a step or a
+    record reads that buffer and writes into the other.
 
 Energy <x, Hx> and norms (sum_i w_i |x(z_i)|^p)^(1/p) with trapezoid
 weights w and the Euclidean norm per node are recorded every
@@ -90,9 +89,6 @@ from .model import PHSystem, _as_float, _is_integer, _norm
 CFL = 0.9
 # Blow-up guard: abort when the field exceeds this multiple of its start.
 BLOWUP_FACTOR = 1e6
-# Zero rows at each end of a field buffer: a step of either kind reads up to
-# two rows beyond a node.
-GHOST = 2
 # Rows at each end of the field that the step's end map reads.
 END = 4
 # The most steps that setup lets a run take: N = ceil(t_final / dt).
@@ -139,20 +135,24 @@ class _Discretization:
     ``speeds`` and the coupling B have one row per node, or only the first
     node's for a constant coefficient field, whose ``apply`` multiplies by
     one matrix (in real form).  Both kinds step and record on the same
-    two ghost-padded field buffers ``_fields``: ``heun(k, dt)`` and
+    two (nx+1, n) field buffers ``_fields``: ``heun(k, dt)`` and
     ``reconstruct(k)`` read buffer k and write into buffer 1 - k.
     """
 
     def __init__(self, system: PHSystem, config: SimConfig):
         nx, n = config.nx, system.n
-        self.zetas = np.linspace(0.0, 1.0, nx + 1)
         self.dz = 1.0 / nx
+        # the grid holds z = 0 and 1, whose speeds refuse a run too long
+        # for MAX_STEPS before any array of the grid's size
+        at_ends = diagonalize_field(system, (0.0, 1.0))
+        _time_step(config.t_final, self.dz, at_ends.speeds, "at least ")
+        self.zetas = np.linspace(0.0, 1.0, nx + 1)
 
         # Constant coefficients: S, S^-1, H, B and the speeds do not depend
         # on the node and dS^-1/dz = 0, so the field is diagonalized at its
         # two ends (the closure reads both) and the rest at the first node.
         self.constant = system.h.kind == "constant"
-        dfield = diagonalize_field(system, (0.0, 1.0) if self.constant else self.zetas)
+        dfield = at_ends if self.constant else diagonalize_field(system, self.zetas)
         if dfield.crossings:
             raise ContinuityError(
                 f"eigenvalue crossing on the simulation grid at indices "
@@ -176,7 +176,7 @@ class _Discretization:
         closure = boundary_closure_matrix(system, dfield)
         self.closure_map = -np.linalg.pinv(closure.k) @ closure.q
 
-        self.dt = CFL * self.dz / float(np.abs(self.speeds).max())
+        self.dt = _time_step(config.t_final, self.dz, self.speeds)
         self.weights = weights = np.full(nx + 1, self.dz)
         weights[[0, -1]] = self.dz / 2.0
         # <x_i, H x_i> = sum_j e_ij |g_ij|^2 with e the diagonal of
@@ -196,36 +196,28 @@ class _Discretization:
         c = max(1.0, math.sqrt(e.max()), _norm(s_inv).max(),
                 _norm(self._residual_map))
         self.record_norm = math.sqrt(np.finfo(float).max / 2.0) / c
-        # the steps and the records alternate between two field buffers;
-        # each is the view g = pad[GHOST:-GHOST] of a padded array whose zero
-        # ghost rows no write reaches
-        pads = [np.zeros((nx + 1 + 2 * GHOST, n), dtype=complex) for _ in range(2)]
-        self._fields = [pad[GHOST:-GHOST] for pad in pads]
+        # the steps and the records alternate between two field buffers
+        self._fields = [np.zeros((nx + 1, n), dtype=complex) for _ in range(2)]
         # a stage row i reads rows i - 1 (theta block), i and i + 1 (lam
-        # block), so a step row i reads the rows i + k for k in _reach
+        # block), so a step row i reads the rows i + k for k in _reach; the
+        # rows 2 .. nx-2 fall into w = len(_reach) groups of disjoint,
+        # contiguous windows, the rows r, r + w, ... for r = 2 .. w + 1
         self._reach = range(-2 if self.n1 < n else 0, 3 if self.n1 > 0 else 1)
-        self._windows = [self._step_windows(pad) for pad in pads]
-        # _step_maps builds one composite per node; window group r reads
-        # those of the nodes r, r + w, ... (a constant field has one node)
         w = len(self._reach)
-        self._groups = [0] * w if self.constant else [slice(r, None, w) for r in range(w)]
+        self._rows = [range(r, nx - 1, w) for r in range(2, 2 + w)]
+        self._windows = [self._step_windows(g) for g in self._fields]
         self._maps = self._step_maps(self.dt)
 
-    def _step_windows(self, pad: np.ndarray) -> tuple:
-        """Views of a padded field buffer for the step, for r = 0 .. w-1
-        with w = len(_reach): windows[r] has one row per step row i = r,
-        r + w, ..., holding the w consecutive buffer rows that row i reads,
-        and rows[r] is those rows i of the field, both on the float view
-        and, for a variable field, as 1-row matrices.  The windows of one r
-        are disjoint and contiguous."""
-        nx1, width = pad.shape[0] - 2 * GHOST, pad.shape[1] * 2
-        flat, w = pad.view(np.float64).reshape(-1), len(self._reach)
-        one, field = () if self.constant else (1,), pad[GHOST:-GHOST].view(np.float64)
-        counts = [len(range(r, nx1, w)) for r in range(w)]
-        starts = [(GHOST + self._reach.start + r) * width for r in range(w)]
-        return ([flat[a:a + c * w * width].reshape(c, *one, w * width)
-                 for a, c in zip(starts, counts)],
-                [field[r::w].reshape(c, *one, width) for r, c in enumerate(counts)])
+    def _step_windows(self, g: np.ndarray) -> tuple:
+        """Views of a field buffer g for the step, one per group of
+        ``_rows``: windows[r] has one row per step row i of group r, holding
+        the w = len(_reach) consecutive rows of g that row i reads, and
+        rows[r] is those rows i of g, both on the float view and, for a
+        variable field, as 1-row matrices."""
+        field, w, one = g.view(np.float64), len(self._reach), () if self.constant else (1,)
+        return ([field[i.start + self._reach.start:][:len(i) * w].reshape(len(i), *one, -1)
+                 for i in self._rows],
+                [field[i.start:i.stop:w].reshape(len(i), *one, -1) for i in self._rows])
 
     def apply(self, name: str, g: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Per-node product m(z_i) g_i of the field ``name`` (s_inv or s)
@@ -233,7 +225,7 @@ class _Discretization:
         m = self._products[name]
         if self.constant:
             floats = None if out is None else out.view(np.float64)
-            return np.matmul(_floats(g), m, out=floats).view(complex)
+            return np.matmul(g.view(np.float64), m, out=floats).view(complex)
         return np.einsum("nij,nj->ni", m, g, out=out)
 
     def close(self, g: np.ndarray) -> None:
@@ -249,7 +241,7 @@ class _Discretization:
     def rhs(self, g: np.ndarray) -> np.ndarray:
         """d/dt g before the closure, as a new array: the reference that a
         stage g + dt rhs(g) is tested against.  The flux beyond the ends
-        reads as zero, as a stage reads the ghost rows."""
+        reads as zero, as in the stages of the end map (see _step_maps)."""
         flux = self.speeds / self.dz * g
         out = np.einsum("...ij,...j->...i", self._bmat, g)
         n1 = self.n1
@@ -279,35 +271,39 @@ class _Discretization:
         view of g, with T the stage of _stage_maps(dt) and C the closure, as
         (bodies, ends).  Row i of T g is the sum of g_{i+t} m_t(i+t) over
         t = -1, 0, 1, with m_0 the real form of own, m_1 = diag(ahead) and
-        m_-1 = -diag(behind).  So step row i is the sum of g_{i+k} p_k(i)
-        over k in ``_reach``, p_k(i) = (delta_k0 I + sum_{s+t=k} m_s(i+k)
-        m_t(i+t)) / 2 with node indices clipped to the grid; ``bodies``
-        holds the p_k of the nodes of each group of ``_groups``, built as one
-        stack in node order and copied contiguous per group (on a 2-vCPU
-        Xeon, heun ran about 10% slower on strided bodies at n = 2, nx =
-        1024).  Clipping changes only the rows 0, 1, nx-1, nx, which read the
-        closures: ``ends`` maps the first and last END rows of g, flattened,
-        to them, read off the dense step on 2 END rows that stand for the
-        first and last END nodes, closed by ``close`` on its unit fields."""
+        m_-1 = -diag(behind).  C writes only the rows 0 and nx, so a step
+        row i of 2 .. nx-2 is the sum of g_{i+k} p_k(i) over k in
+        ``_reach``, p_k(i) = (delta_k0 I + sum_{s+t=k} m_s(i+k) m_t(i+t)) / 2;
+        ``bodies`` holds the p_k of the rows of each group of ``_rows`` as
+        one contiguous stack (on a 2-vCPU Xeon, heun ran about 10% slower on
+        strided bodies at n = 2, nx = 1024), or a constant field's one p_k.
+        ``ends``, read off the dense step on 2 END rows that stand for the
+        first and last END nodes, closed by ``close`` on its unit fields,
+        maps the first and last END rows of g, flattened, to the rows 0, 1,
+        nx-1, nx, which read the closures."""
         own, ahead, behind = self._stage_maps(dt)
         nodes, width = own.shape[0], 2 * own.shape[1]
         m0 = _real_form(own)
-        # the halved p_k of node i in body[i], 0.5 scaling exactly; at[k][i]
-        # is node i + k
-        at = {k: np.clip(np.arange(nodes) + k, 0, nodes - 1) for k in self._reach}
-        body = np.zeros((nodes, len(self._reach), width, width))
-        p = {k: body[:, j] for j, k in enumerate(self._reach)}
-        np.matmul(m0, 0.5 * m0, out=p[0])
+        # body holds the halved p_k (0.5 scales exactly) of the step rows
+        # i in order, group after group; at[k] holds their nodes i + k,
+        # modulo nodes so that a constant field's one row reads its node
+        order = np.concatenate(self._rows) if nodes > 1 else np.zeros(1, dtype=int)
+        at = {k: (order + k) % nodes for k in self._reach}
+        body = np.zeros((len(order), len(self._reach) * width, width))
+        p = {k: body[:, j * width:(j + 1) * width] for j, k in enumerate(self._reach)}
+        here = m0[at[0]]
+        np.matmul(here, 0.5 * here, out=p[0])
         np.einsum("nii->ni", p[0])[...] += 0.5
         # the +-1 taps are diagonal, and ahead and behind have disjoint
         # columns: a product of two taps is diagonal, and zero in p_0
         for t, rate in ((1, ahead), (-1, -behind)):
             if t in p:
                 near = 0.5 * rate[at[t]]
-                np.multiply(near[:, :, None], m0, out=p[t])
-                p[t] += m0[at[t]] * near[:, None, :]
+                np.multiply(m0[at[t]], near[:, None, :], out=p[t])
+                p[t] += near[:, :, None] * here
                 np.multiply(rate[at[2 * t]], near, out=np.einsum("nii->ni", p[2 * t]))
-        body = body.reshape(nodes, -1, width)
+        bodies = (np.split(body, np.cumsum([len(group) for group in self._rows[:-1]]))
+                  if nodes > 1 else [body[0]] * len(self._rows))
 
         rows = 2 * END
         # the node of the maps that each dense row stands for
@@ -323,7 +319,7 @@ class _Discretization:
         half = dense.reshape(rows * width, -1) @ closure
         step = (np.eye(rows * width) + half @ half) / 2.0
         ends = step.reshape(rows * width, rows, width)[:, [0, 1, -2, -1]].reshape(rows * width, -1)
-        return [np.ascontiguousarray(body[group]) for group in self._groups], ends
+        return bodies, ends
 
     def check(self, g: np.ndarray, limit: float) -> None:
         """Raise StabilityError unless every |g_ij| <= limit and the norm |g|
@@ -343,8 +339,8 @@ class _Discretization:
     def heun(self, k: int, dt: float) -> np.ndarray:
         """The step (g + C T C T g) / 2 of the g in buffer k, written into
         buffer 1 - k and returned: one product per window group of the
-        composite stencil, then one product of the end rows of g that
-        overwrites the rows 0, 1, nx-1, nx."""
+        composite stencil for the rows 2 .. nx-2, and one product of the
+        end rows of g for the rows 0, 1, nx-1, nx."""
         bodies, ends = self._maps if dt == self.dt else self._step_maps(dt)
         for window, rows, body in zip(self._windows[k][0], self._windows[1 - k][1], bodies):
             np.matmul(window, body, out=rows)
@@ -360,7 +356,7 @@ class _Discretization:
 
     def energy(self, g: np.ndarray) -> float:
         """Trapezoid sum of Re <x_i, H x_i>: the energy weights times |g|^2."""
-        squares = np.square(_floats(g), out=self._squares)
+        squares = np.square(g.view(np.float64), out=self._squares)
         return float(np.vdot(self._energy_weights, squares))
 
     def residual(self, g: np.ndarray) -> float:
@@ -413,6 +409,20 @@ class SimState:
         return self._disc.apply("s_inv", self.g)
 
 
+def _time_step(t_final: float, dz: float, speeds: np.ndarray, at_least: str = "") -> float:
+    """dt = CFL dz / max|speeds|; ValidationError unless it is positive and
+    finite and a run to t_final takes at most MAX_STEPS steps of it.
+    ``at_least`` words the message for speeds below the grid's largest."""
+    speed = float(np.abs(speeds).max())
+    dt, t_final = CFL * dz / speed, float(t_final)
+    steps = t_final / dt if 0.0 < dt < math.inf else math.inf
+    if not steps <= MAX_STEPS:
+        raise ValidationError(f"a run to t_final = {t_final:g} needs {at_least}N = t_final / dt "
+                              f"= {steps:.10g} steps of dt = {dt:.3e} (largest speed "
+                              f"{speed:.3e}), more than MAX_STEPS = {MAX_STEPS}")
+    return dt
+
+
 def _norm_label(p: float) -> str:
     return f"l{p:g}"
 
@@ -429,11 +439,6 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     r[..., 0, :, 1] = a.imag
     r[..., 1, :, 0] = -a.imag
     return r.reshape(a.shape[:-2] + (2 * rows, 2 * cols))
-
-
-def _floats(x: np.ndarray) -> np.ndarray:
-    """Complex (N, n) data as (N, 2n) floats: re and im of each entry side by side."""
-    return np.ascontiguousarray(x, dtype=complex).view(np.float64)
 
 
 def _node_squares(xf: np.ndarray) -> np.ndarray:
@@ -463,9 +468,10 @@ def energy(state: SimState) -> float:
 
 def lp_norm(state: SimState, p: float) -> float:
     """Trapezoid-rule (sum_i w_i |x(z_i)|^p)^(1/p), Euclidean norm per node."""
+    p = _as_float(p, "p", DomainError)
     if not 1.0 <= p < math.inf:
         raise DomainError(f"p must be finite and >= 1, got {p}")
-    return _lp(state._disc.weights, _node_squares(_floats(state.x())), p)
+    return _lp(state._disc.weights, _node_squares(state.x().view(np.float64)), p)
 
 
 def _record(state: SimState) -> None:
@@ -496,7 +502,8 @@ def setup(
     classified as a C0-semigroup generator, unless ``allow_illposed`` is
     set, ContinuityError when eigenvalues cross on the grid,
     ValidationError, before x0 is sampled, when dt is not positive and
-    finite or a run to t_final would take more than MAX_STEPS steps, and
+    finite or a run to t_final would take more than MAX_STEPS steps (before
+    any array of the grid's size if the speeds at z = 0 and 1 do so), and
     StabilityError when x0 is not finite somewhere on the grid or its
     record overflows.
     The incoming traces of the initial field are projected onto the
@@ -510,14 +517,6 @@ def setup(
             f"(c0_semigroup={verdict.c0_semigroup}); "
             "pass allow_illposed=True for a demonstration run")
     disc = _Discretization(system, config)
-    dt = disc.dt
-    t_final = float(config.t_final)
-    steps = t_final / dt if 0.0 < dt < math.inf else math.inf
-    if not steps <= MAX_STEPS:
-        raise ValidationError(
-            f"a run to t_final = {t_final:g} needs N = t_final / dt = {steps:.10g} steps "
-            f"of dt = {dt:.3e} (largest speed {float(np.abs(disc.speeds).max()):.3e}), "
-            f"more than MAX_STEPS = {MAX_STEPS}")
 
     x_init = np.empty((config.nx + 1, system.n), dtype=complex)
     for i, z in enumerate(disc.zetas):

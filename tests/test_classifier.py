@@ -270,6 +270,30 @@ class TestDiagonalizeField:
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
             phs.diagonalize_field(network, [0.0, np.nan, 1.0])
 
+    @pytest.mark.parametrize("point, message", [
+        (True, "got bool"), ("0.5", "got str"), (None, "got NoneType"),
+        (0.5 + 0j, "got complex"), (np.True_, "got bool"),
+        (10**400, "integer too large for a float")],
+        ids=["bool", "str", "none", "complex", "numpy_bool", "huge_int"])
+    def test_grid_points_are_numbers(self, network, point, message):
+        # points as model._as_float takes numbers, a refused one named by
+        # its type
+        with pytest.raises(DomainError, match=f"^grid point: .*{message}$"):
+            phs.eigensplit(network, point)
+        with pytest.raises(DomainError, match=f"^grid point: .*{message}$"):
+            phs.diagonalize_field(network, [0.0, point])
+
+    @pytest.mark.parametrize("grid", ["abc", np.array([False, True]), np.array([0.0, 1.0j])],
+                             ids=["str", "bool_array", "complex_array"])
+    def test_grid_arrays_are_numbers(self, network, grid):
+        with pytest.raises(DomainError, match="^grid point: expected a number"):
+            phs.diagonalize_field(network, grid)
+
+    def test_grid_of_integers(self, network):
+        # an integer array is taken whole, as floats
+        np.testing.assert_array_equal(phs.diagonalize_field(network, np.array([0, 1])).zetas,
+                                      [0.0, 1.0])
+
     @pytest.mark.parametrize("make", [
         lambda: phs.load_system(FIXTURES / "string_stiffening.json"),
         lambda: phs.load_system(FIXTURES / "transport_grid_h.json"),

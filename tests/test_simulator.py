@@ -167,6 +167,11 @@ class TestNorms:
         for p in (0.5, math.nan, math.inf):
             with pytest.raises(phs.DomainError):
                 phs.lp_norm(state, p)
+        # numbers as SimConfig takes them: no bool, string, None, complex or
+        # integer too large for a float
+        for p in (True, "2", None, 2 + 0j, 10**400):
+            with pytest.raises(phs.DomainError, match="^p: "):
+                phs.lp_norm(state, p)
 
 
 class TestSetup:
@@ -254,6 +259,34 @@ class TestSetup:
         assert t_final / state._disc.dt <= phs.simulator.MAX_STEPS
         with pytest.raises(ValidationError, match="MAX_STEPS"):
             phs.setup(slow, phs.SimConfig(nx=16, t_final=t_final * 1.001), lambda z: 1.0)
+
+    @pytest.mark.parametrize("name, nx, t_final", [
+        ("transport_w1_1_w0_1", 2 * 10**6, 1.0), ("string_stiffening", 20000, 100.0)])
+    def test_step_bound_before_the_grid(self, name, nx, t_final):
+        # the speeds at z = 0 and 1 already take the run past MAX_STEPS, so
+        # it is refused before any array of the grid's size: the grid alone
+        # is 16 MB and 160 kB here
+        system = phs.load_system(FIXTURES / f"{name}.json")
+        config = phs.SimConfig(nx=nx, t_final=t_final)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="needs at least N = t_final / dt"):
+                phs.setup(system, config, gaussian(0.5, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_step_bound_reads_the_whole_grid(self):
+        # H = 1 + 4 z (1 - z): speed 1 at the ends and 2 at z = 1/2, a node
+        # at nx 16, so a run that the ends' speed allows in 3/4 MAX_STEPS
+        # takes 3/2 MAX_STEPS on the grid
+        field = phs.CoefficientField.polynomial(np.array([[[1.0, 4.0, -4.0]]]))
+        system = phs.make_system([[1.0]], [[0.0]], field, [[1.0, -0.5]])
+        t_final = 0.75 * phs.simulator.MAX_STEPS * 0.9 / 16
+        with pytest.raises(ValidationError, match=r"needs N = t_final / dt = 1500000 steps "
+                           r"of dt = 2\.812e-02 \(largest speed 2\.000e\+00\)"):
+            phs.setup(system, phs.SimConfig(nx=16, t_final=t_final), lambda z: 1.0)
 
     def test_config_validation(self):
         for kwargs in ({"nx": 8}, {"t_final": 0.0}, {"p_norms": (0.5,)},
@@ -476,14 +509,16 @@ class TestStep:
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_setup_evaluates_h_once(self, name, monkeypatch):
         # diagonalize_field evaluates H on its grid; the coupling, the
-        # energy weights and the closure read those values
+        # energy weights and the closure read those values.  The step
+        # budget reads the speeds at z = 0 and 1 first, which are the grid
+        # of a constant field
         system, calls = SYSTEMS[name](), []
         eval_many = phs.CoefficientField.eval_many
         monkeypatch.setattr(phs.CoefficientField, "eval_many",
                             lambda field, zetas: calls.append(len(zetas))
                             or eval_many(field, zetas))
         phs.setup(system, phs.SimConfig(nx=64, t_final=1.0), gaussian(0.5, 0.1))
-        assert len(calls) == 1
+        assert calls == ([2] if system.h.kind == "constant" else [2, 65])
 
     @pytest.mark.parametrize("name", ["network_three_lines", "string_stiffening"])
     def test_step_allocates_no_field(self, name):
@@ -520,6 +555,25 @@ class TestStep:
             tracemalloc.stop()
         assert state.step_count == 21 and len(state.history["t"]) == 1
         assert peak < 3 * (cfg.nx + 1) * system.n * 16
+
+    @pytest.mark.parametrize("nx", [1024, 4096])
+    def test_step_maps_hold_one_stack(self, nx):
+        # the composites are built in window-group order, each group one
+        # contiguous slice of one stack, and the four end rows have none:
+        # the build holds no second stack of them
+        system = phs.random_system(2, 4, "contraction")
+        state = phs.setup(system, phs.SimConfig(nx=nx, t_final=1.0), gaussian(0.5, 0.1))
+        disc = state._disc
+        assert not disc.constant and len(disc._reach) == 5
+        tracemalloc.start()
+        try:
+            bodies, _ = disc._step_maps(disc.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(body.flags.c_contiguous for body in bodies)
+        assert sum(len(body) for body in bodies) == nx - 3
+        assert peak < 2 * sum(body.nbytes for body in bodies)
 
     @pytest.mark.parametrize("name, taps", [
         ("network_three_lines", range(0, 2)), ("constant_string", range(-1, 2)),
@@ -595,8 +649,7 @@ class TestStep:
         ids=["copy", "fortran", "user"])
     def test_foreign_field_steps_like_a_buffer(self, name, foreign):
         # an array assigned to state.g is copied into a buffer before the
-        # step reads it; the two ghost rows at each end stay zero through
-        # every step
+        # step reads it
         system = SYSTEMS[name]()
         cfg = phs.SimConfig(nx=64, t_final=1.0)
         x0 = lambda z: (1.0 + z) * np.arange(1, system.n + 1) + 1j * np.cos(3.0 * z)
@@ -607,11 +660,6 @@ class TestStep:
                 assigned.g = foreign(assigned.g)
             phs.step(assigned)
             assert np.array_equal(assigned.g, kept.g)
-        for state in (kept, assigned):
-            for f in state._disc._fields:
-                pad = f.base
-                assert pad.shape == (cfg.nx + 5, system.n)
-                assert not pad[:2].any() and not pad[-2:].any()
 
     @pytest.mark.parametrize("constant", [True, False])
     def test_previous_field_is_overwritten(self, network, constant):
@@ -635,7 +683,8 @@ class TestStep:
                             or diagonalize(system, grid))
         phs.setup(network, phs.SimConfig(nx=64), gaussian(0.5, 0.1))
         phs.setup(string_system((1.0, 1.0)), phs.SimConfig(nx=64), gaussian(0.5, 0.1))
-        assert points == [2, 65]
+        # a variable field's ends are diagonalized for the step budget first
+        assert points == [2, 2, 65]
 
     def test_step_after_final_rejected(self, transport):
         cfg = phs.SimConfig(nx=32, t_final=0.05)
