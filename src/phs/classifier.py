@@ -17,7 +17,12 @@ Three nested verdicts are computed from finite matrix data:
 The eigen-splitting runs through the congruence L* P1 L with H = L L*
 (Cholesky), a Hermitian matrix similar to P1 H, so inertia is inherited
 from P1 and the numerics stay in a Cholesky factor and symmetric
-eigensolvers throughout.
+eigensolvers throughout.  With y the eigenvectors of L* P1 L, those of
+P1 H are L^-* y; the C0 test needs only orthonormal bases of their spans,
+and since (L y-)* L^-* y+ = y-* y+ = 0, Z+ is the orthogonal complement of
+L Y- and Z- that of L Y+: one QR of L Y gives B+ and B- with no solve by
+L*.  H(1) and H(0) are read from the ends of the field's values, which
+hold them exactly, not evaluated.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .model import (
-    TOL_EIG, PHSystem, _adjoint, _as_float, _eval_fields, _stack, hermitian_part,
+    TOL_EIG, PHSystem, _adjoint, _as_float, _field_ends, _stack, hermitian_part,
     matrix_to_pairs)
 
 # Frontier tolerance for semidefiniteness tests, relative to max(1, ||M||).
@@ -99,15 +104,16 @@ def check_contraction(system: PHSystem) -> ContractionCheck:
     return ContractionCheck(**_first(_contraction(_stack([system]))))
 
 
-def _first(check: ContractionCheck) -> dict:
+def _first(check: dict) -> dict:
     """The first system's entry of each per-system array of a stacked
     check, by field name: a matrix, or a Python scalar."""
-    return {name: f.item(0) if f.ndim == 1 else f[0] for name, f in vars(check).items()}
+    return {name: f.item(0) if f.ndim == 1 else f[0] for name, f in check.items()}
 
 
-def _contraction(batch) -> ContractionCheck:
+def _contraction(batch) -> dict:
     """check_contraction for a _Batch, each test made once for the stack:
-    a ContractionCheck whose every field is an array over the systems."""
+    the fields of a ContractionCheck by name, each an array over the
+    systems."""
     p1, p0, wb_tilde = batch.p1, batch.p0, batch.wb_tilde
     n = p1.shape[-1]
     a, b = _wb(p1, wb_tilde)
@@ -121,7 +127,7 @@ def _contraction(batch) -> ContractionCheck:
     full = rank == n
     nsd = p0_eigs[:, -1] <= p0_scale
     zero = p0_norm <= p0_scale
-    return ContractionCheck(
+    return dict(
         contraction=nsd & (form_eigs[:, 0] >= -form_scale) & full,
         unitary_group=zero & (form_norm <= form_scale) & full,
         re_p0_nsd=nsd, re_p0_zero=zero, re_p0_max_eigenvalue=p0_eigs[:, -1], re_p0_norm=p0_norm,
@@ -160,10 +166,13 @@ def _similarity_stack(p1, h, zetas):
     H = L L* (Cholesky), which is Hermitian and similar to P1 H:
     P1 H L^(-*) = L^(-*) (L* P1 L).  h (..., N, n, n) holds H at ``zetas``
     for each system of a stack, p1 broadcasts against it.  Returns the
-    eigenvalues (ascending) and the eigenvectors L^(-*) y of P1 H (not
-    normalized).  Raises a ValidationError at the first point, systems
-    first, where H is not positive definite (has no Cholesky factor) or an
-    eigenvalue sits in the zero band (P1 not invertible)."""
+    eigenvalues w (ascending), the orthonormal eigenvectors y of L* P1 L
+    and the factors L: the eigenvectors of P1 H are L^(-*) y, and since
+    (L y_j)* L^(-*) y_k = y_j* y_k, the span of those with eigenvalues of
+    one sign is orthogonal to L y of the other sign.  Raises a
+    ValidationError at the first point, systems first, where H is not
+    positive definite (has no Cholesky factor) or an eigenvalue sits in the
+    zero band (P1 not invertible)."""
     h = hermitian_part(h)
     try:
         chol = np.linalg.cholesky(h)
@@ -174,18 +183,20 @@ def _similarity_stack(p1, h, zetas):
         h_pd = h_pd.reshape(h.shape[:-2])
         chol = np.linalg.cholesky(np.where(h_pd[..., None, None], h, np.eye(h.shape[-1])))
     else:
-        h_pd = np.ones(h.shape[:-2], dtype=bool)
-    chol_adj = _adjoint(chol)
-    w, y = np.linalg.eigh(hermitian_part(chol_adj @ p1 @ chol))
-    band = TOL_EIG * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
-    bad = ~h_pd | (np.abs(w) <= band[..., None]).any(axis=-1)
+        h_pd = None
+    w, y = np.linalg.eigh(hermitian_part(_adjoint(chol) @ p1 @ chol))
+    size = np.abs(w)
+    band = TOL_EIG * np.maximum(1.0, size.max(axis=-1, initial=0.0))
+    bad = (size <= band[..., None]).any(axis=-1)
+    if h_pd is not None:
+        bad |= ~h_pd
     if bad.any():
         k = bad.argmax()
         zeta = zetas[k % len(zetas)]
         raise ValidationError(
-            f"H(zeta={zeta:.6g}) is not positive definite" if not h_pd.flat[k] else
-            f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band.flat[k]:.3e} of zero")
-    return w, np.linalg.solve(chol_adj, y)
+            f"H(zeta={zeta:.6g}) is not positive definite" if h_pd is not None and not h_pd.flat[k]
+            else f"P1 H(zeta={zeta:.6g}) has an eigenvalue within {band.flat[k]:.3e} of zero")
+    return w, y, chol
 
 
 def _has_cholesky(m: np.ndarray) -> bool:
@@ -270,7 +281,8 @@ def diagonalize_field(system: PHSystem, grid) -> DiagonalizedField:
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
     h = system.h.eval_many(grid)
-    w, vecs = _similarity_stack(system.p1, h, grid)
+    w, y, chol = _similarity_stack(system.p1, h, grid)
+    vecs = np.linalg.solve(_adjoint(chol), y)
     # the inertia is that of P1 at every point (Sylvester), and the zero
     # band keeps the signs exact; eigh's order is ascending
     n2 = int(np.count_nonzero(w[0] < 0.0))
@@ -335,24 +347,29 @@ def _inapplicable(rank: int, n: int) -> str:
 
 def _direct_sums(batch):
     """direct_sum_check for every system of a _Batch, from one decomposition
-    of both ends of all of them; the verdict means something only where
-    rank(wb_tilde) = n.  eigh sorts ascending: Z+(1) is spanned by the last
-    n1 columns at z = 1 and Z-(0) by the first n2 at z = 0, so with the
-    columns at z = 1 reversed the leading columns of one QR are orthonormal
-    bases of both; K's singular values do not depend on the basis within
-    each block.  Returns (ok, smin, K) as arrays over the systems; raises
-    the ValidationError of the first refused end, systems first."""
+    of both ends of all of them, H read from the ends of the fields' values;
+    the verdict means something only where rank(wb_tilde) = n.  eigh sorts
+    ascending, negative eigenvalues first, and Z+(1) is the orthogonal
+    complement of L Y-(1), Z-(0) that of L Y+(0) (see _similarity_stack):
+    one QR of L Y, its columns at z = 0 reversed, gives orthonormal bases of
+    both as the last columns of Q, with no solve by L*.  K's singular values
+    do not depend on the basis within each block.  Returns (ok, smin, K) as
+    arrays over the systems; raises the ValidationError of the first refused
+    end, systems first."""
     p1, wb_tilde = batch.p1, batch.wb_tilde
     n = p1.shape[-1]
-    h = _eval_fields(batch, _ENDS)
-    w, vecs = _similarity_stack(p1[:, None], h, _ENDS)
-    b = np.linalg.qr(np.array([vecs[:, 0, :, ::-1], vecs[:, 1]]))[0]
+    h = _field_ends(batch)
+    w, y, chol = _similarity_stack(p1[:, None], h, _ENDS)
+    # at z = 0 the positive eigenvectors first: Q's last columns span Z-(0)
+    y[:, 1] = y[:, 1, :, ::-1]
+    b = np.linalg.qr(chol @ y)[0]
     # W1 H(1) B(1) and W0 H(0) B(0) for every system, each (count, n, n)
-    v, u = wb_tilde.reshape(-1, n, 2, n).transpose(2, 0, 1, 3) @ h.swapaxes(0, 1) @ b
-    # K: column j < n1 from V, column j >= n1 the column n - 1 - j of U, one of
-    # its first n2 (B- taken backwards)
-    n1 = n - (w[:, 0] < 0.0).sum(axis=-1)
-    k = np.where(np.arange(n) < n1[:, None, None], v, u[..., ::-1])
+    v, u = (wb_tilde.reshape(-1, n, 2, n).transpose(2, 0, 1, 3) @ h.swapaxes(0, 1)
+            @ b.swapaxes(0, 1))
+    # K: column j < n1 the column n - 1 - j of V, one of its last n1 (B+
+    # taken backwards), column j >= n1 from U, one of its last n2 (B-);
+    # j < n1 where eigenvalue n - 1 - j at z = 1 is positive
+    k = np.where(w[:, 0, None, ::-1] > 0.0, v[..., ::-1], u)
     svals = np.linalg.svd(k, compute_uv=False)
     ok = (svals[:, 0] > 0.0) & (svals[:, -1] >= TOL_RANK * svals[:, 0])
     return ok, svals[:, -1], k
@@ -437,7 +454,7 @@ def classify(system: PHSystem) -> Verdict:
 
 def _classify_stack(batch) -> tuple:
     """classify for a _Batch, each test made once for the stack.  Returns
-    the stacked ContractionCheck of _contraction and, as arrays over the
+    the stacked check of _contraction and, as arrays over the
     systems, c0_semigroup, the direct sum's smallest singular value and the
     mask of coerced c0 verdicts.  The direct-sum test runs on every system,
     as one stack: c0 and smin mean something only where rank(wb_tilde) = n,
@@ -445,4 +462,5 @@ def _classify_stack(batch) -> tuple:
     system that classify refuses, as classify raises it."""
     check = _contraction(batch)
     ok, smin, _ = _direct_sums(batch)
-    return check, ok | check.contraction, smin, check.contraction & ~ok
+    contraction = check["contraction"]
+    return check, ok | contraction, smin, contraction & ~ok

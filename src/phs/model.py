@@ -75,10 +75,15 @@ def _freeze(a: np.ndarray, dtype=complex) -> np.ndarray:
 
 def _herm_defect(m: np.ndarray) -> np.ndarray:
     """Relative deviation ||m - m*|| / ||m|| (Frobenius; 0 for m = 0) of a
-    matrix or of each matrix in a stack (..., n, n), each scaled by its
-    largest entry magnitude first so that squaring cannot overflow."""
+    matrix or of each matrix in a stack (..., n, n) of finite entries, each
+    scaled by its largest entry magnitude first so that squaring cannot
+    overflow.  An exactly Hermitian stack, the usual case for drawn systems
+    and documents, has defect 0 and skips that arithmetic."""
+    if (m == _adjoint(m)).all():
+        return np.zeros(m.shape[:-2])
     m = m / np.abs(m).max(axis=(-2, -1), initial=1e-300, keepdims=True)
-    return _frobenius(m - _adjoint(m)) / np.maximum(_frobenius(m), 1e-300)
+    defect, size = _frobenius(np.array([m - _adjoint(m), m]))
+    return defect / np.maximum(size, 1e-300)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -156,8 +161,28 @@ class CoefficientField:
         inside = (zetas >= 0.0) & (zetas <= 1.0)
         if not inside.all():
             raise DomainError(f"zeta = {zetas[~inside][0]:.6g} outside [0, 1]")
+        # in the piece that starts at or before each point (at t = 0, its
+        # knot's value), and the last knot's value at z = 1
         knots, values, coeffs = self.data
-        return _eval_group(knots, values[None], coeffs[None], zetas)[0]
+        t = zetas
+        # one piece is on [0, 1], where t = z and its coefficients broadcast
+        if knots.size > 2:
+            k = np.searchsorted(knots[1:-1], zetas, side="right")
+            t = (zetas - knots[k]) / (knots[k + 1] - knots[k])
+            coeffs = coeffs[k]
+        if coeffs.shape[-1] == 1:
+            # degree 0: one piece repeated per point, or the pieces' constants
+            vals = np.repeat(coeffs[..., 0], t.size // len(coeffs), axis=0)
+        else:
+            # Horner's rule with the operations of np.polynomial.polynomial.
+            # polyval, in its order (so the same values), the points on axis 2
+            c = coeffs.transpose(1, 2, 0, 3)
+            vals = c[..., -1] + t * 0.0
+            for j in range(c.shape[-1] - 2, -1, -1):
+                vals = c[..., j] + vals * t
+            vals = vals.transpose(2, 0, 1)
+        vals[zetas == knots[-1]] = values[-1]
+        return vals
 
 
 # The knots of a field that is one piece on [0, 1].
@@ -179,39 +204,14 @@ def _one_piece(coeffs) -> tuple:
     return _UNIT, ends, _freeze(coeffs[..., None, :, :, :])
 
 
-def _eval_group(knots, values, coeffs, zetas) -> np.ndarray:
-    """H of the fields of one group of a _Batch (data stacked on a first
-    axis) at an array of points, stacked (k, len(zetas), n, n): in the
-    piece that starts at or before each point (at t = 0, its knot's value),
-    and the last knot's value at z = 1."""
-    zetas = t = np.atleast_1d(np.asarray(zetas, dtype=float))
-    # one piece is on [0, 1], where t = z and its coefficients broadcast
-    if knots.size > 2:
-        k = np.searchsorted(knots[1:-1], zetas, side="right")
-        t = (zetas - knots[k]) / (knots[k + 1] - knots[k])
-        coeffs = coeffs[:, k]
-    if coeffs.shape[-1] == 1:
-        # degree 0: one piece repeated per point, or the pieces' constants
-        vals = np.repeat(coeffs[..., 0], t.size // coeffs.shape[1], axis=1)
-    else:
-        # Horner's rule with the operations of np.polynomial.polynomial.
-        # polyval, in its order (so the same values), the points on axis 3
-        c = coeffs.transpose(0, 2, 3, 1, 4)
-        vals = c[..., -1] + t * 0.0
-        for j in range(c.shape[-1] - 2, -1, -1):
-            vals = c[..., j] + vals * t
-        vals = vals.transpose(0, 3, 1, 2)
-    vals[:, zetas == knots[-1]] = values[:, -1:]
-    return vals
-
-
-def _eval_fields(batch, zetas) -> np.ndarray:
-    """eval_many of each field of a _Batch, stacked (B, len(zetas), n, n),
-    with one evaluation per group."""
+def _field_ends(batch) -> np.ndarray:
+    """H at z = 1 and at z = 0 of each field of a _Batch, stacked (B, 2,
+    n, n): the last and the first of its values."""
     n = batch.p1.shape[-1]
-    out = np.empty((len(batch.p1), len(zetas), n, n), dtype=complex)
-    for idx, _, knots, values, coeffs in batch.fields:
-        out[idx] = _eval_group(knots, values, coeffs, zetas)
+    out = np.empty((len(batch.p1), 2, n, n), dtype=complex)
+    for idx, _, _, values, _ in batch.fields:
+        # the last value and the first, a step of -m
+        out[idx] = values[:, ::1 - len(values[0])]
     return out
 
 
@@ -338,17 +338,29 @@ def _unstack(batch: _Batch) -> list:
 def _validate(batch: _Batch) -> None:
     """validate_system on a batch, whose shapes _stack (or the campaign's
     draws) made those of one n: each check of values made once for the whole
-    stack, finiteness (p1, then p0, then wb_tilde) and P1 on the stacked
-    matrices, and H on the Bernstein pieces of one group at a time.  Raises
-    at the first check that fails for any system, with the ValidationError
-    validate_system raises for that system; it need not be the first invalid
-    system of the batch (the agreement campaign replays a failed batch system
-    by system).  The stacks are only read."""
-    for name, m in (("p1", batch.p1), ("p0", batch.p0), ("wb_tilde", batch.wb_tilde)):
-        if not np.isfinite(m).all():
-            raise ValidationError(f"{name} contains non-finite entries")
+    stack, finiteness (p1, then p0, wb_tilde and H) and the Hermitian defect
+    on the stacked matrices, P1's and H's control matrices together, and
+    the certification of H on the Bernstein pieces of one group at a time.
+    Raises at the first check that fails for any system, with the
+    ValidationError validate_system raises for that system; it need not be
+    the first invalid system of the batch (the agreement campaign replays a
+    failed batch system by system).  The stacks are only read."""
+    # each group's control matrices, whose arithmetic may overflow here
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctrls = [_bernstein_pieces(values, coeffs) for _, _, _, values, coeffs in batch.fields]
+        herms = [hermitian_part(ctrl) for ctrl in ctrls]
+    # finiteness first, in one test of every entry, the first non-finite
+    # part named; a Hermitian part of H that overflows counts as non-finite
+    parts = (("p1", batch.p1), ("p0", batch.p0), ("wb_tilde", batch.wb_tilde),
+             *(("H", herm) for herm in herms))
+    if not np.isfinite(np.concatenate([m.ravel() for _, m in parts])).all():
+        name = next(name for name, m in parts if not np.isfinite(m).all())
+        raise ValidationError("H evaluates to non-finite entries" if name == "H" else
+                              f"{name} contains non-finite entries")
     p1 = batch.p1
-    if (_herm_defect(p1) > TOL_HERM).any():
+    count, n = p1.shape[:2]
+    defect = _herm_defect(np.concatenate([p1, *(ctrl.reshape(-1, n, n) for ctrl in ctrls)]))
+    if (defect[:count] > TOL_HERM).any():
         raise ValidationError("p1 is not Hermitian")
     svals = np.linalg.svd(p1, compute_uv=False)
     bad = svals[:, -1] < EPS_INV * np.maximum(1.0, svals[:, 0])
@@ -356,23 +368,20 @@ def _validate(batch: _Batch) -> None:
         smin, smax = svals[bad.argmax(), [-1, 0]]
         raise ValidationError(f"p1 is numerically singular (smallest singular value {smin:.3e} "
                               f"< {EPS_INV:g} × max(1, largest {smax:.3e}))")
-    # each group's pieces: piece ends and control matrices; non-finite
-    # fields are refused here, before any arithmetic warns about them
-    h_lower, h_upper = np.empty(len(p1)), np.empty(len(p1))
-    for idx, _, knots, values, coeffs in batch.fields:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi, ctrl = _bernstein_pieces(knots, values, coeffs)
-            # a Hermitian part that overflows counts as non-finite too
-            herm = hermitian_part(ctrl)
-            if not np.isfinite(herm).all():
-                raise ValidationError("H evaluates to non-finite entries")
-        defect = _herm_defect(ctrl).max(axis=1)
-        bad = defect > TOL_HERM
+    h_lower, h_upper = np.empty(count), np.empty(count)
+    start = count
+    for (idx, _, knots, _, _), ctrl, herm in zip(batch.fields, ctrls, herms):
+        pieces, d1 = ctrl.shape[:2]
+        piece_defect = defect[start:start + pieces * d1].reshape(pieces, d1).max(axis=1)
+        start += pieces * d1
+        bad = piece_defect > TOL_HERM
         if bad.any():
             k = bad.argmax()
-            raise ValidationError(f"H is not Hermitian on [{lo[k]:.6g}, {hi[k]:.6g}] "
-                                  f"(relative defect {defect[k]:.3e})")
-        lower, upper = _certify(lo, hi, herm)
+            m = len(knots) - 1
+            raise ValidationError(f"H is not Hermitian on [{knots[k % m]:.6g}, "
+                                  f"{knots[k % m + 1]:.6g}] "
+                                  f"(relative defect {piece_defect[k]:.3e})")
+        lower, upper = _certify(knots, herm)
         if knots.size > 2:
             # each field's bounds over its pieces
             lower = lower.reshape(len(idx), -1).min(axis=1)
@@ -390,10 +399,10 @@ def _validate(batch: _Batch) -> None:
             f"{floor[k]:.3e} < {band[k]:.3e}")
 
 
-def _certify(lo, hi, ctrl) -> tuple:
-    """The Bernstein certification of validate_system for pieces of one
-    degree of one or many fields at once, given by their Hermitian control
-    matrices ``ctrl``, the pieces of each field
+def _certify(knots, ctrl) -> tuple:
+    """The Bernstein certification of validate_system for the pieces on
+    ``knots`` of one or many fields at once, given by their Hermitian
+    control matrices ``ctrl`` of one degree, the pieces of each field
     contiguous and in increasing order, which halving keeps.  Raises at the
     first piece end below EPS_PD at the first level that has one, or at the
     first piece still open at the cap.  Returns, for each given piece,
@@ -406,14 +415,21 @@ def _certify(lo, hi, ctrl) -> tuple:
         least = eigmin.min(axis=1)
         keep = least < EPS_PD
         if depth == 0:
-            upper = eigs[..., -1].max(axis=1)
-            lower = np.where(keep, np.inf, least)
+            # an open piece's bound is set by the pieces that certify it
+            upper, lower = eigs[..., -1].max(axis=1), least
         else:
             np.minimum.at(lower, origin[~keep], least[~keep])
         if not keep.any():
             return lower, upper
-        # the given piece that each open piece lies in
-        origin = np.flatnonzero(keep) if depth == 0 else origin[keep]
+        if depth == 0:
+            # the given piece that each open piece lies in, and the ends of
+            # the given pieces: piece k is piece k mod m of its field
+            origin = np.flatnonzero(keep)
+            lower[origin] = np.inf
+            given = np.arange(len(ctrl)) % (len(knots) - 1)
+            lo, hi = knots[given], knots[given + 1]
+        else:
+            origin = origin[keep]
         # an end below EPS_PD is on an open piece; the first is named
         ends = eigmin[:, [0, -1]].ravel()
         bad = np.flatnonzero(ends < EPS_PD)
@@ -437,24 +453,28 @@ def _certify(lo, hi, ctrl) -> tuple:
         origin = np.repeat(origin, 2)
 
 
-def _bernstein_pieces(knots, values, coeffs):
+def _bernstein_pieces(values, coeffs):
     """Write the k fields of one group of a _Batch, m pieces each, in
     Bernstein form.
 
-    Returns the ends lo < hi of the pieces and their control matrices B of
-    shape (k m, d + 1, n, n), the pieces of each field contiguous and in
-    increasing order: on a piece, with t = (z - lo) / (hi - lo), H(z) =
-    sum_j binom(d, j) t^j (1 - t)^(d - j) B[j], so B[0] and B[d] are H at
-    the ends.  A piece sum_k a_k t^k has B_j = sum_(k <= j) binom(j, k) /
-    binom(d, k) a_k: one product, whose B[0] = a_0 is the value at the
+    Returns the control matrices B of the pieces, of shape (k m, d + 1, n,
+    n), the pieces of each field contiguous and in increasing order: on a
+    piece, with t = (z - lo) / (hi - lo) between its knots, H(z) = sum_j
+    binom(d, j) t^j (1 - t)^(d - j) B[j], so B[0] and B[d] are H at the
+    ends.  Of degree 0 or 1 they are the values at the piece's ends.  A
+    piece sum_k a_k t^k of higher degree has B_j = sum_(k <= j) binom(j, k)
+    / binom(d, k) a_k: one product, whose B[0] = a_0 is the value at the
     piece's start; B[d] is read from the value at its end, which the
     rounded sum of the a_k need not give.
     """
     count, m, n, _, d1 = coeffs.shape
+    if d1 <= 2:
+        ends = np.concatenate([values[:, :-1, None], values[:, 1:, None]], axis=2)
+        return ends[:, :, 2 - d1:].reshape(count * m, d1, n, n)
     ctrl = _to_bernstein(d1 - 1) @ coeffs.transpose(4, 0, 1, 2, 3).reshape(d1, -1)
     ctrl = ctrl.reshape(d1, count * m, n, n).transpose(1, 0, 2, 3)
     ctrl[:, -1] = values[:, 1:].reshape(-1, n, n)
-    return np.tile(knots[:-1], count), np.tile(knots[1:], count), ctrl
+    return ctrl
 
 
 @lru_cache(maxsize=None)

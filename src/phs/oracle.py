@@ -19,15 +19,18 @@ suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .classifier import TOL_PSD, TOL_RANK, _classify_stack
-from .errors import DomainError, InvariantError, PHSError, _at_least
+from .errors import DomainError, InvariantError, PHSError, _at_least, _check_memory
 from .model import (
     PHSystem, _adjoint, _Batch, _one_piece, _stack, _unstack, _validate, hermitian_part)
 
 # Systems per stacked batch of agreement_campaign: bounds its memory.
 CAMPAIGN_BATCH = 100
+_SQRT2 = np.sqrt(2.0)
 
 
 def kernel_basis(m: np.ndarray) -> np.ndarray:
@@ -57,7 +60,7 @@ def _kernel_test(batch):
     count, n = p1.shape[:2]
     big = np.zeros((count, 2 * n, 2 * n), dtype=complex)
     big[:, :n, :n] = p1
-    big[:, n:, n:] = -p1
+    np.negative(p1, out=big[:, n:, n:])
     dim, top, bottom = np.zeros(count, dtype=int), np.zeros(count), np.zeros(count)
     for idx, basis in _kernel_bases(wb_tilde):
         eigs = np.linalg.eigvalsh(hermitian_part(_adjoint(basis) @ big[idx] @ basis))
@@ -115,9 +118,9 @@ def _draws(seeds, n: int, hints) -> tuple:
     slope coins (is H affine), and the uniforms v_norm (contraction) and
     g_sing (unitary and contraction).  A run of consecutive normal draws is
     one call writing into the row: the stream is the same as for one call
-    per key.  Blocks a system does not draw are left unset."""
+    per key.  Blocks a system does not draw are left zero."""
     count, b = len(hints), 2 * n * n
-    table, slope = np.empty((count, 8 * b)), np.empty(count, dtype=bool)
+    table, slope = np.zeros((count, 8 * b)), np.empty(count, dtype=bool)
     v_norm, g_sing = np.empty(count), np.empty((count, n))
     for i, (seed, hint) in enumerate(zip(seeds, hints)):
         rng = np.random.default_rng(seed)
@@ -140,6 +143,23 @@ def _draws(seeds, n: int, hints) -> tuple:
     return table, slope, v_norm, g_sing
 
 
+def _complex_normals(pairs: np.ndarray) -> np.ndarray:
+    """Complex standard normal matrices (re + 1j im) / sqrt(2) from their
+    real and imaginary parts, stacked on axis -3."""
+    z = np.empty(pairs.shape[:-3] + pairs.shape[-2:], dtype=complex)
+    z.real, z.imag = pairs[..., 0, :, :], pairs[..., 1, :, :]
+    z /= _SQRT2
+    return z
+
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), made once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _unitary(z: np.ndarray) -> np.ndarray:
     """The Q of each QR in a stack, columns rotated to make diag(R) > 0."""
     q, r = np.linalg.qr(z)
@@ -149,50 +169,57 @@ def _unitary(z: np.ndarray) -> np.ndarray:
 
 def _random_systems(seeds, n: int, hints) -> _Batch:
     """The batch of random_system for each (seed, hint), not validated: the
-    linear algebra is done on stacks read from the table of _draws, and the
-    batch's stacks are read-only."""
+    table of _draws is made complex in one pass, each key a block of it, and
+    the linear algebra is done on stacks of the systems that draw each key.
+    The batch's stacks are read-only."""
     _at_least("n", n, 1)
-    table, slope_coin, v_norm, g_sing = _draws(seeds, n, hints)
-
-    def stack(key, group):  # complex standard normal matrices of the systems in group
-        start = _BLOCK[key] * 2 * n * n
-        z = table[group, start:start + 2 * n * n * (2 if key == "wb_tilde" else 1)]
-        z = z.reshape(len(group), 2, n, -1)
-        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-
     count = len(hints)
-    everyone = list(range(count))
-    eye = np.eye(n)
+    # the table of normals and its complex copy, 2 (8 blocks of 2n^2) floats
+    _check_memory(256 * int(n) ** 2 * count, f"a batch of {count} random systems of n = {n}",
+                  DomainError)
+    table, slope_coin, v_norm, g_sing = _draws(seeds, n, hints)
+    # every block as an (n, n) matrix; wb_tilde (n, 2n) fills blocks 5 and 6
+    z = _complex_normals(table.reshape(count, 8, 2, n, n))
+    general, unitary, contraction = (
+        np.array([i for i, h in enumerate(hints) if h == hint], dtype=int)
+        for hint in ("general", "unitary", "contraction"))
+    eye = _identity(n)
     # P1: a random Hermitian matrix with its eigenvalues pushed off zero
-    w, q = np.linalg.eigh(hermitian_part(stack("p1", everyone)))
-    w = np.where(w >= 0.0, w + 0.5, w - 0.5)
+    w, q = np.linalg.eigh(hermitian_part(z[:, _BLOCK["p1"]]))
+    w += np.where(w >= 0.0, 0.5, -0.5)
     p1 = hermitian_part((q * w[:, None, :]) @ _adjoint(q))
     # H: a constant h0 or the affine h0 + zeta * (positive semidefinite slope)
-    base = stack("base", everyone)
+    base = z[:, _BLOCK["base"]]
     h0 = hermitian_part(base @ _adjoint(base)) + 0.3 * eye
-    affine = np.flatnonzero(slope_coin)
-    coeffs = np.empty((len(affine), n, n, 2), dtype=complex)
+    fields = []
+    constant, affine = (~slope_coin).nonzero()[0], slope_coin.nonzero()[0]
+    if constant.size:
+        fields.append((constant, "constant", *_one_piece(h0[constant][..., None])))
     if affine.size:
-        slope = stack("slope", affine)
+        slope = z[affine, _BLOCK["slope"]]
+        coeffs = np.empty((len(affine), n, n, 2), dtype=complex)
         coeffs[..., 0], coeffs[..., 1] = h0[affine], hermitian_part(slope @ _adjoint(slope))
-    general, unitary, contraction = ([i for i in everyone if hints[i] == hint]
-                                     for hint in ("general", "unitary", "contraction"))
+        fields.append((affine, "polynomial", *_one_piece(coeffs)))
     p0 = np.empty((count, n, n), dtype=complex)
     wb_tilde = np.empty((count, n, 2 * n), dtype=complex)
-    if general:
-        p0[general], wb_tilde[general] = stack("p0", general), stack("wb_tilde", general)
-    bounded, u = unitary + contraction, len(unitary)
-    if bounded:
+    if general.size:
+        start = _BLOCK["wb_tilde"] * 2 * n * n
+        p0[general] = z[general, _BLOCK["p0"]]
+        wb_tilde[general] = _complex_normals(
+            table[general, start:start + 4 * n * n].reshape(-1, 2, n, 2 * n))
+    bounded, u = np.concatenate([unitary, contraction]), len(unitary)
+    if bounded.size:
         # P0 skew-Hermitian, or skew - C C* for a contraction; wb = G [I+V, I-V]
-        # with V unitary, or ||V|| <= 1 for a contraction
-        skew = stack("skew", bounded)
+        # with V unitary, or ||V|| <= 1 for a contraction; zb holds the
+        # blocks of these systems, the contraction ones last
+        zb, nb = z[bounded], len(bounded)
+        skew, v = zb[:, _BLOCK["skew"]], zb[:, _BLOCK["v"]]
         p0_b = (skew - _adjoint(skew)) / 2.0
-        v, nb = stack("v", bounded), len(bounded)
         # one QR for both unitary factors of G and the unitary V
-        q = _unitary(np.concatenate([stack("g_left", bounded), stack("g_right", bounded), v[:u]]))
+        q = _unitary(np.concatenate([zb[:, _BLOCK["g_left"]], zb[:, _BLOCK["g_right"]], v[:u]]))
         g, v[:u] = (q[:nb] * g_sing[bounded][:, None, :]) @ q[nb:2 * nb], q[2 * nb:]
-        if contraction:
-            c = stack("c", contraction)
+        if contraction.size:
+            c = zb[u:, _BLOCK["c"]]
             p0_b[u:] -= c @ _adjoint(c)
             v[u:] *= (v_norm[contraction]
                       / np.linalg.svd(v[u:], compute_uv=False)[:, 0])[:, None, None]
@@ -201,9 +228,6 @@ def _random_systems(seeds, n: int, hints) -> _Batch:
         a_p1 = a @ p1[bounded]
         p0[bounded], wb_tilde[bounded] = p0_b, np.concatenate([a_p1 + b, b - a_p1], axis=-1)
 
-    constant = np.flatnonzero(~slope_coin)
-    groups = ((constant, "constant", h0[constant][..., None]), (affine, "polynomial", coeffs))
-    fields = [(idx, kind, *_one_piece(c)) for idx, kind, c in groups if idx.size]
     for m in (p1, p0, wb_tilde):
         m.flags.writeable = False
     # the groups in order of their first system
@@ -222,8 +246,8 @@ def random_system(seed: int, n: int, class_hint: str = "general") -> PHSystem:
 
     The system is generated as a batch of one: its arrays are read-only
     views into that batch's stacks.  Raises DomainError for a seed or n that
-    is not an integer (a bool is not), a negative seed, n < 1 or an unknown
-    class_hint.
+    is not an integer (a bool is not), a negative seed, n < 1, an n whose
+    draws cannot fit in memory or an unknown class_hint.
     """
     if class_hint not in ("general", "contraction", "unitary"):
         raise DomainError(f"unknown class_hint {class_hint!r}")
@@ -241,7 +265,7 @@ def _cross_checked(batch):
     _validate(batch)
     verdicts = _classify_stack(batch)
     dim, top, bottom, holds = _kernel_test(batch)
-    n, rank = batch.p1.shape[-1], verdicts[0].rank_wb_tilde
+    n, rank = batch.p1.shape[-1], verdicts[0]["rank_wb_tilde"]
     law = dim != 2 * n - rank
     if law.any():
         k = law.argmax()
@@ -287,9 +311,10 @@ def agreement_campaign(
     number of verdict-monotonicity violations (expected 0): the systems
     whose direct-sum test fails although contraction holds, which classify
     coerces and notes.  Raises DomainError for n, count or seed not an
-    integer (a bool is not), n < 1, a negative count, a negative seed, or
-    ``hint_weights``, the probabilities of the hints general, contraction
-    and unitary, not all >= 0 or not summing to 1 within 1e-9.
+    integer (a bool is not), n < 1, a negative count, a negative seed, a
+    count or n whose draws cannot fit in memory, or ``hint_weights``, the
+    probabilities of the hints general, contraction and unitary, not all
+    >= 0 or not summing to 1 within 1e-9.
     """
     _at_least("n", n, 1)
     _at_least("count", count, 0)
@@ -298,11 +323,14 @@ def agreement_campaign(
             or not abs(sum(hint_weights) - 1.0) <= 1e-9):
         raise DomainError(f"hint_weights must be 3 weights >= 0 summing to 1, got {hint_weights}")
     w_general, w_contraction, _ = hint_weights  # the unitary hint takes the rest
+    # the hints' uniforms and the list of hints
+    _check_memory(16 * int(count), f"a campaign of {count} systems", DomainError)
     draws = np.random.default_rng(seed).random(count)
     hints = ["general" if d < w_general else
              "contraction" if d < w_general + w_contraction else "unitary" for d in draws]
-    tally = dict.fromkeys(("agree", "disagree", "frontier", "unitary", "contraction", "c0_true",
-                           "c0_false", "c0_inconclusive", "monotonicity_violations"), 0)
+    # counted per batch; agree, c0_false and c0_inconclusive follow
+    tally = dict.fromkeys(("disagree", "frontier", "unitary", "contraction", "full", "c0_true",
+                           "monotonicity_violations"), 0)
     mismatches: list[int] = []
     for start in range(0, count, CAMPAIGN_BATCH):
         stop = min(count, start + CAMPAIGN_BATCH)
@@ -314,20 +342,22 @@ def agreement_campaign(
             raise
         # the witnesses and their scales; dim ker(wb_tilde) = 2n - rank >= n,
         # so the form is never empty here
-        witness = np.array([check.re_p0_max_eigenvalue, check.sigma_form_min_eigenvalue, top])
-        scale = np.array([check.re_p0_norm, check.sigma_form_norm, np.maximum(top, -bottom)])
+        witness = np.array([check["re_p0_max_eigenvalue"], check["sigma_form_min_eigenvalue"], top])
+        scale = np.array([check["re_p0_norm"], check["sigma_form_norm"], np.maximum(top, -bottom)])
         frontier = (np.abs(witness) <= 10.0 * TOL_PSD * np.maximum(1.0, scale)).any(axis=0)
-        differ = ~frontier & (check.contraction != holds)
-        mismatches += (start + np.flatnonzero(differ)).tolist()
-        full = check.rank_wb_tilde == n
-        masks = (~frontier & ~differ, differ, frontier, check.unitary_group, check.contraction,
-                 full & c0, full & ~c0, ~full, coerced)
-        for key, k in zip(tally, np.count_nonzero(masks, axis=1).tolist()):
+        differ = ~frontier & (check["contraction"] != holds)
+        mismatches += [start + k for k in differ.nonzero()[0].tolist()]
+        full = check["rank_wb_tilde"] == n
+        masks = np.array([differ, frontier, check["unitary_group"], check["contraction"], full,
+                          full & c0, coerced])
+        for key, k in zip(tally, masks.sum(axis=1).tolist()):
             tally[key] += k
     return {"n": n, "count": count, "seed": seed,
-            **{key: tally[key] for key in ("agree", "disagree", "frontier")},
+            "agree": count - tally["frontier"] - tally["disagree"],
+            "disagree": tally["disagree"], "frontier": tally["frontier"],
             "frontier_fraction": tally["frontier"] / count if count else 0.0,
             "mismatch_indices": mismatches,
-            "verdicts": {key: tally[key] for key in
-                         ("unitary", "contraction", "c0_true", "c0_false", "c0_inconclusive")},
+            "verdicts": {"unitary": tally["unitary"], "contraction": tally["contraction"],
+                         "c0_true": tally["c0_true"], "c0_false": tally["full"] - tally["c0_true"],
+                         "c0_inconclusive": count - tally["full"]},
             "monotonicity_violations": tally["monotonicity_violations"]}

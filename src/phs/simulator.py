@@ -82,6 +82,7 @@ from .errors import (
     ShapeError,
     StabilityError,
     ValidationError,
+    _check_memory,
 )
 from .model import PHSystem, _as_float, _is_integer, _norm
 
@@ -143,9 +144,14 @@ class _Discretization:
         nx, n = config.nx, system.n
         self.dz = 1.0 / nx
         # the grid holds z = 0 and 1, whose speeds refuse a run too long
-        # for MAX_STEPS before any array of the grid's size
+        # for MAX_STEPS before any array of the grid's size, and so does a
+        # grid too large for memory: per node every run holds z, the
+        # weights, the energy weights and squares (2n floats each), the two
+        # field buffers and the initial field (n complex each)
         at_ends = diagonalize_field(system, (0.0, 1.0))
         _time_step(config.t_final, self.dz, at_ends.speeds, "at least ")
+        _check_memory((int(nx) + 1) * (16 + 80 * n), f"a grid of nx + 1 = {nx + 1} nodes",
+                      ValidationError)
         self.zetas = np.linspace(0.0, 1.0, nx + 1)
 
         # Constant coefficients: S, S^-1, H, B and the speeds do not depend
@@ -503,7 +509,8 @@ def setup(
     set, ContinuityError when eigenvalues cross on the grid,
     ValidationError, before x0 is sampled, when dt is not positive and
     finite or a run to t_final would take more than MAX_STEPS steps (before
-    any array of the grid's size if the speeds at z = 0 and 1 do so), and
+    any array of the grid's size if the speeds at z = 0 and 1 do so) or a
+    grid whose arrays cannot fit in memory (before any of them), and
     StabilityError when x0 is not finite somewhere on the grid or its
     record overflows.
     The incoming traces of the initial field are projected onto the

@@ -545,13 +545,13 @@ def _square_root_split(p1, h, zetas):
     """The eigen-split route the Cholesky factor replaced: P1 H(zeta)
     decomposed through the similarity H^(1/2) P1 H^(1/2), the square roots
     from an eigen-decomposition of H, for a stack of positive definite H.
-    Returns the eigenvalues (ascending) and the eigenvectors H^(-1/2) q."""
+    Returns the eigenvalues (ascending), the eigenvectors q of H^(1/2) P1
+    H^(1/2) and the factor H^(1/2) of H = H^(1/2) (H^(1/2))*, in the place
+    of the Cholesky factor: the eigenvectors of P1 H are H^(-1/2) q."""
     w_h, q_h = np.linalg.eigh(phs.hermitian_part(h))
-    sq = np.sqrt(w_h)[..., None, :]
-    q_h_adj = np.conj(np.swapaxes(q_h, -1, -2))
-    h_sqrt = (q_h * sq) @ q_h_adj
+    h_sqrt = (q_h * np.sqrt(w_h)[..., None, :]) @ np.conj(np.swapaxes(q_h, -1, -2))
     w, q = np.linalg.eigh(phs.hermitian_part(h_sqrt @ p1 @ h_sqrt))
-    return w, (q_h / sq) @ q_h_adj @ q
+    return w, q, h_sqrt
 
 
 class TestCholeskyRoute:
@@ -668,9 +668,9 @@ def test_stacked_verdicts_equal_classify():
     seen = set()
     for i, system in enumerate(systems):
         ref = phs.classify(system)
-        full = check.rank_wb_tilde[i] == system.n
+        full = check["rank_wb_tilde"][i] == system.n
         verdict = phs.classifier.Verdict(
-            **{name: f[i] if f.ndim > 1 else f[i].item() for name, f in vars(check).items()},
+            **{name: f[i] if f.ndim > 1 else f[i].item() for name, f in check.items()},
             n=system.n, c0_semigroup=bool(c0[i]) if full else None,
             direct_sum_min_singular_value=float(smin[i]) if full else None, notes=ref.notes)
         _assert_same_record(verdict, ref)

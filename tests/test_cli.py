@@ -8,6 +8,11 @@ import sys
 import warnings
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +261,33 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("phs: ValidationError: ")
         assert "MAX_STEPS" in proc.stderr and proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(resource is None, reason="no address-space limit on this platform")
+    @pytest.mark.parametrize("argv, error, message", [
+        # 7.45 GiB for the grid's points alone
+        (["simulate", str(FIXTURES / "transport_w1_1_w0_1.json"), "--nx", "1000000000",
+          "--t-final", "1e-9"], "ValidationError",
+         "a grid of nx + 1 = 1000000001 nodes needs at least 89.4 GiB, more than the "),
+        # 1.16 TiB for one system's table of normals
+        (["oracle", "--n", "100000", "--count", "1"], "DomainError",
+         "a batch of 1 random systems of n = 100000 needs at least 2.33 TiB, more than the "),
+        # 7.28 TiB for the hints' uniforms
+        (["oracle", "--n", "2", "--count", "1000000000000"], "DomainError",
+         "a campaign of 1000000000000 systems needs at least 14.6 TiB, more than the "),
+    ], ids=["simulate", "oracle_n", "oracle_count"])
+    def test_size_beyond_memory_exits_2(self, argv, error, message):
+        # refused before any array of that size, under a 1.5 GB address
+        # space: never run without the limit, a draw may write its pages
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(phs.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "phs.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limited)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"phs: {error}: {message}")
+        assert proc.stderr.endswith(" of memory available\n") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],

@@ -427,7 +427,7 @@ def test_grids_on_shared_knots_form_one_group():
     refs = [phs.classify(system) for system in systems]
     assert refs[0].contraction != refs[1].contraction
     for i, ref in enumerate(refs):
-        for name, value in vars(check).items():
+        for name, value in check.items():
             np.testing.assert_allclose(value[i], getattr(ref, name), rtol=1e-12, atol=1e-12)
         assert c0[i] == ref.c0_semigroup
         assert smin[i] == pytest.approx(ref.direct_sum_min_singular_value, rel=1e-12)

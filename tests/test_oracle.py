@@ -161,6 +161,15 @@ class TestRandomSystem:
         with pytest.raises(phs.DomainError, match=f"^{re.escape(message)}$"):
             phs.random_system(seed, n)
 
+    def test_numpy_dimension_beyond_memory_refused(self):
+        # the table's size is counted in Python integers, which do not wrap
+        # as an int64 n squared would (a smaller n is refused in a process
+        # under an address-space limit only, see test_cli)
+        with pytest.raises(phs.DomainError, match="^a batch of 1 random systems of n = "
+                                                  "10000000000 needs at least .* of memory "
+                                                  "available$"):
+            phs.random_system(0, np.int64(10**10))
+
     def test_integer_seeds_of_any_size_and_type(self):
         big = phs.random_system(2**70 + 3, 2)
         assert np.array_equal(phs.random_system(2**70 + 3, 2).p1, big.p1)
@@ -358,7 +367,7 @@ class TestCampaign:
 
         def failing(batch):
             ok, smin, k = real(batch)
-            ok[np.flatnonzero(phs.classifier._contraction(batch).contraction)[:1]] = False
+            ok[np.flatnonzero(phs.classifier._contraction(batch)["contraction"])[:1]] = False
             return ok, smin, k
 
         before = phs.agreement_campaign(2, 40, seed=6)
@@ -464,3 +473,91 @@ class TestOneStackPerBatch:
         assert built == {"batches": 2, "verdicts": 0}
         phs.classify(system)
         assert built == {"batches": 3, "verdicts": 1}
+
+
+class TestLinalgCallCounts:
+    """The LAPACK calls of the single-system entry points, counted through
+    np.linalg: each stage makes its calls once for the batch, so a single
+    system pays each once; the counts repeat exactly, unlike a timing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+        for name in ("cholesky", "eigh", "eigvalsh", "inv", "pinv", "qr", "solve", "svd"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    # the draw: P1's eigh; a bounded hint's QR of G's factors (and V), a
+    # contraction's norm of V; validation: P1's singular values and the
+    # control eigenvalues of H
+    @pytest.mark.parametrize("hint, expected", [
+        ("general", {"eigh": 1, "svd": 1, "eigvalsh": 1}),
+        ("contraction", {"eigh": 1, "qr": 1, "svd": 2, "eigvalsh": 1}),
+        ("unitary", {"eigh": 1, "qr": 1, "svd": 1, "eigvalsh": 1})])
+    def test_random_system(self, calls, hint, expected):
+        phs.random_system(7, 3, hint)
+        assert calls == expected
+
+    def test_classify(self, calls, monkeypatch):
+        # contraction: wb's solve, the forms' eigenvalues, rank(wb_tilde);
+        # C0: the ends' Cholesky factors and eigh, one QR for the bases of
+        # both ends, K's singular values; H at the ends is read from the
+        # field, not evaluated
+        evaluated = []
+        real = phs.CoefficientField.eval_many
+
+        def counted(self, zetas):
+            evaluated.append(zetas)
+            return real(self, zetas)
+
+        monkeypatch.setattr(phs.CoefficientField, "eval_many", counted)
+        for hint in ("general", "contraction", "unitary"):
+            system = phs.random_system(7, 3, hint)
+            calls.clear()
+            phs.classify(system)
+            assert calls == {"solve": 1, "eigvalsh": 1, "svd": 2, "cholesky": 1, "eigh": 1,
+                             "qr": 1}
+        assert evaluated == []
+
+    # seeds 1, 0 and 82 draw the hints general, contraction and unitary
+    @pytest.mark.parametrize("seed, qr, svd", [(1, 1, 4), (0, 2, 5), (82, 2, 4)],
+                             ids=["general", "contraction", "unitary"])
+    def test_campaign_of_one(self, calls, seed, qr, svd):
+        # the draw, validation and classification as above, and the kernel
+        # form: wb_tilde's SVD and the eigenvalues of the form and of Re P0
+        phs.agreement_campaign(3, 1, seed)
+        assert calls == {"eigh": 2, "qr": qr, "svd": svd, "eigvalsh": 4, "solve": 1,
+                         "cholesky": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_batch_of_one_is_a_row_of_the_batch(n):
+    # every stage on one system alone gives, byte for byte, that system's
+    # row of a 100-batch: a batch of one takes the batch's code path
+    seeds = range(9000 + 100 * n, 9100 + 100 * n)
+    hints = [("general", "contraction", "unitary")[(5 * s) % 7 % 3] for s in seeds]
+    assert set(hints) == {"general", "contraction", "unitary"}
+    batch = phs.oracle._random_systems(seeds, n, hints)
+    phs.model._validate(batch)
+    check, *verdicts = phs.classifier._classify_stack(batch)
+    oracle = phs.oracle._kernel_test(batch)
+    rows = phs.model._unstack(batch)
+    for i, (seed, hint) in enumerate(zip(seeds, hints)):
+        one = phs.oracle._random_systems([seed], n, [hint])
+        (system,) = phs.model._unstack(one)
+        for name in ("p1", "p0", "wb_tilde"):
+            assert getattr(system, name).tobytes() == getattr(rows[i], name).tobytes()
+        assert system.h.kind == rows[i].h.kind
+        for part, row_part in zip(system.h.data, rows[i].h.data, strict=True):
+            assert part.tobytes() == row_part.tobytes()
+        phs.model._validate(one)
+        one_check, *one_verdicts = phs.classifier._classify_stack(one)
+        for name, values in check.items():
+            assert one_check[name].tobytes() == values[i:i + 1].tobytes(), name
+        for got, ref in zip(one_verdicts + list(phs.oracle._kernel_test(one)),
+                            verdicts + list(oracle), strict=True):
+            assert got.tobytes() == ref[i:i + 1].tobytes()
